@@ -1,11 +1,12 @@
 """Regenerates the benchmark ensemble cache used by the acceptance tests.
 
-Each block is one seeded ensemble: a model plus a list of arms (standard
-and dynamic) run many times.  The cache stores per-run sample counts and
-estimator values - plus per-run bootstrap spread columns for the error
-calibration block - rather than the runs themselves, so the committed
-files stay small while the tests can recompute every gain and coverage
-statistic exactly.
+Each block is one seeded ensemble written as an experiment config: a model
+plus a list of arms run many times, through the per-run sampler and budget
+matching of `varlive.experiments`.  The cache stores per-run sample counts
+and estimator values - plus bootstrap spread columns for the block's
+table_arm - rather than the runs themselves, so the committed files stay
+small while the tests can recompute every gain and coverage statistic
+exactly.
 
     python3 -m varlive.accept_gen              # build missing blocks
     python3 -m varlive.accept_gen --force c1   # rebuild one block
@@ -22,25 +23,22 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
-from .analysis import bootstrap_resample, estimate, estimator_from_key, weighted_quantile
-from .dynamic import AlgorithmOneConfig, GoalConfig, dynamic_run_algorithm1
+from .analysis import bootstrap_replicates, estimate
+from .experiments import (_STREAM_BOOT, ExperimentConfig, _bootstrap_columns,
+                          _map_tasks, _resolve_arm, _run_spawn_key,
+                          _sample_run, _stream, config_from_dict)
 from .models import ModelSpec
-from .sampler import SamplerConfig, standard_run
 
-__all__ = ["BLOCKS", "EST_KEYS", "default_cache_dir", "generate_block",
-           "load_block", "main"]
+__all__ = ["BLOCKS", "EST_KEYS", "block_config", "default_cache_dir",
+           "run_row", "generate_block", "load_block", "main"]
 
 EST_KEYS = ("log_z", "mean_theta1", "median_theta1", "credible_theta1:0.84",
             "second_moment_theta1", "mean_radius", "median_radius")
 
 CACHE_VERSION = 1
-
-_STREAM_SAMPLE = 0
-_STREAM_BOOT = 2
 
 # ---------------------------------------------------------------------------
 # block table: every ensemble the acceptance tests consume
@@ -60,7 +58,8 @@ def _std(n_live, name="std"):
 
 def _dyn(name, goal_g, n_init, n_batch, variant="standard"):
     return {"name": name, "method": "dyn1", "goal_g": goal_g, "n_init": n_init,
-            "n_batch": n_batch, "importance_variant": variant}
+            "n_batch": n_batch, "importance_variant": variant,
+            "gain_vs": "std"}
 
 
 BLOCKS: dict[str, dict] = {
@@ -89,13 +88,22 @@ BLOCKS: dict[str, dict] = {
     # error-calibration ensemble; dynamic arm carries bootstrap columns
     "c5": {"model": _gauss(3, 10.0), "n_runs": 500, "seed": 109,
            "arms": [_std(200), _dyn("dyn_g1", 1.0, 20, 5)],
-           "bootstrap": {"arm": "dyn_g1", "n_reps": 200}},
+           "table_arm": "dyn_g1", "bootstrap_reps": 200},
     # tuned-vs-untuned parameter importance on heavy tails
     "c7": {"model": {"family": "cauchy", "d": 10, "sigma_pi": 10.0},
            "n_runs": 500, "seed": 110,
            "arms": [_std(500), _dyn("dyn_untuned", 1.0, 50, 10),
                     _dyn("dyn_tuned", 1.0, 50, 10, variant="tuned")]},
 }
+
+
+def block_config(name: str, n_runs: int | None = None) -> ExperimentConfig:
+    """The block as an experiment over the cached estimators; without a
+    table_arm no arm carries bootstrap columns."""
+    spec = dict(BLOCKS[name], estimators=list(EST_KEYS))
+    if n_runs is not None:
+        spec["n_runs"] = n_runs
+    return config_from_dict(spec)
 
 
 def default_cache_dir() -> str:
@@ -107,87 +115,56 @@ def default_cache_dir() -> str:
 # per-run work (module-level for pickling)
 
 
-def _sample_run(model_dict, arm, entropy, run_index):
-    m = ModelSpec.from_dict(model_dict)
-    rng = np.random.default_rng(np.random.SeedSequence(
-        entropy=entropy, spawn_key=(_STREAM_SAMPLE, arm["_index"], run_index)))
-    if arm["method"] == "standard":
-        return standard_run(m, SamplerConfig(n_live=arm["n_live"]), rng)
-    goal = GoalConfig(goal_g=arm["goal_g"],
-                      importance_variant=arm.get("importance_variant", "standard"))
-    cfg = AlgorithmOneConfig(n_init=arm["n_init"], sample_budget=arm["budget"],
-                             n_batch=arm["n_batch"])
-    return dynamic_run_algorithm1(m, goal, cfg, rng=rng)
-
-
-def _run_task(model_dict, arm, entropy, run_index, eids, boot_reps):
-    run = _sample_run(model_dict, arm, entropy, run_index)
-    values = [estimate(run, eid) for eid in eids]
-    out = {"n": len(run.log_l), "est": values}
+def run_row(m: ModelSpec, resolved: dict, entropy: int, arm_index: int,
+            run_index: int, eids, boot_reps: int) -> dict:
+    """One cached run: sample count, estimates and, when boot_reps > 0, the
+    bootstrap spread columns."""
+    run = _sample_run(m, resolved,
+                      _stream(entropy, _run_spawn_key(arm_index, run_index)))
+    out = {"n": len(run), "est": [estimate(run, eid) for eid in eids]}
     if boot_reps:
-        rng = np.random.default_rng(np.random.SeedSequence(
-            entropy=entropy, spawn_key=(_STREAM_BOOT, arm["_index"], run_index)))
-        separate = run.provenance.init_thread_ids is not None
-        reps = np.empty((boot_reps, len(eids)))
-        for r in range(boot_reps):
-            rb = bootstrap_resample(run, rng, separate_initial=separate)
-            reps[r] = [estimate(rb, eid) for eid in eids]
-        uniform = np.ones(boot_reps)
-        out["boot_std"] = reps.std(axis=0, ddof=1).tolist()
-        out["cred_upper95"] = [weighted_quantile(reps[:, k], uniform, 0.95)
-                               for k in range(len(eids))]
+        rng = _stream(entropy, (_STREAM_BOOT, arm_index, run_index))
+        boot_std, cred95 = _bootstrap_columns(
+            bootstrap_replicates(run, eids, boot_reps, rng))
+        out["boot_std"] = boot_std.tolist()
+        out["cred_upper95"] = cred95.tolist()
     return out
-
-
-def _star(args):
-    return _run_task(*args)
 
 
 def generate_block(name: str, out_dir: str, n_runs: int | None = None,
                    workers: int = 1, log=print) -> dict:
-    spec = BLOCKS[name]
-    n_runs = spec["n_runs"] if n_runs is None else n_runs
-    eids = [estimator_from_key(k) for k in EST_KEYS]
-    boot_cfg = spec.get("bootstrap")
+    config = block_config(name, n_runs)
     t_start = time.perf_counter()
     arms_out = []
     realized = {}
-    for arm_index, arm in enumerate(spec["arms"]):
-        arm = dict(arm, _index=arm_index)
-        if arm["method"] != "standard":
-            # match the first standard arm's mean realized sample count
-            arm["budget"] = int(round(realized["std"]))
-        boot_reps = 0
-        if boot_cfg and boot_cfg["arm"] == arm["name"]:
-            boot_reps = int(boot_cfg["n_reps"])
-        tasks = [(spec["model"], arm, spec["seed"], j, eids, boot_reps)
-                 for j in range(n_runs)]
+    for arm_index, arm in enumerate(config.arms):
+        resolved = _resolve_arm(config, arm, realized)
+        boot_reps = config.bootstrap_reps if arm.name == config.table_arm \
+            else 0
+        tasks = [(config.model, resolved, config.seed, arm_index, j,
+                  config.estimators, boot_reps) for j in range(config.n_runs)]
         t0 = time.perf_counter()
-        if workers > 1:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(_star, tasks, chunksize=1))
-        else:
-            results = [_star(t) for t in tasks]
+        results = _map_tasks(run_row, tasks, workers)
         dt = time.perf_counter() - t0
         counts = [r["n"] for r in results]
-        realized[arm["name"]] = float(np.mean(counts))
-        entry = {"name": arm["name"],
-                 "settings": {k: v for k, v in arm.items() if k != "_index"},
+        realized[arm.name] = float(np.mean(counts))
+        settings = {k: v for k, v in resolved.items()
+                    if k != "termination_fraction"}
+        entry = {"name": arm.name, "settings": {"name": arm.name, **settings},
                  "n_samples": counts,
-                 "mean_samples": float(np.mean(counts)),
+                 "mean_samples": realized[arm.name],
                  "estimates": {key: [r["est"][k] for r in results]
                                for k, key in enumerate(EST_KEYS)}}
         if boot_reps:
-            entry["boot_std"] = {key: [r["boot_std"][k] for r in results]
+            for column in ("boot_std", "cred_upper95"):
+                entry[column] = {key: [r[column][k] for r in results]
                                  for k, key in enumerate(EST_KEYS)}
-            entry["cred_upper95"] = {key: [r["cred_upper95"][k] for r in results]
-                                     for k, key in enumerate(EST_KEYS)}
         arms_out.append(entry)
-        log(f"  [{name}] arm {arm['name']}: {n_runs} runs, "
-            f"mean {realized[arm['name']]:.0f} samples, {dt:.1f}s")
-    block = {"version": CACHE_VERSION, "name": name, "model": spec["model"],
-             "seed": spec["seed"], "n_runs": n_runs,
-             "estimator_keys": list(EST_KEYS),
+        log(f"  [{name}] arm {arm.name}: {config.n_runs} runs, "
+            f"mean {realized[arm.name]:.0f} samples, {dt:.1f}s")
+    block = {"version": CACHE_VERSION, "name": name,
+             "model": BLOCKS[name]["model"], "seed": config.seed,
+             "n_runs": config.n_runs, "estimator_keys": list(EST_KEYS),
              "wall_seconds": time.perf_counter() - t_start,
              "arms": arms_out}
     os.makedirs(out_dir, exist_ok=True)

@@ -38,6 +38,7 @@ __all__ = [
     "estimate",
     "information_content",
     "bootstrap_resample",
+    "bootstrap_replicates",
     "BootstrapError",
     "bootstrap_error",
     "jackknife_std_sigma",
@@ -197,6 +198,21 @@ def bootstrap_resample(run: NestedRun, rng,
         init_thread_ids=tuple(new_init) if separate_initial else None))
 
 
+def bootstrap_replicates(run: NestedRun, eids, n_reps: int, rng,
+                         separate_initial: bool | None = None) -> np.ndarray:
+    """n_reps x len(eids) estimates, one row per thread-bootstrap replicate
+    of the run, so every estimator sees the same replicate noise.
+    separate_initial=None stratifies whenever the run's provenance
+    identifies its initial threads."""
+    if separate_initial is None:
+        separate_initial = run.provenance.init_thread_ids is not None
+    reps = np.empty((n_reps, len(eids)))
+    for r in range(n_reps):
+        rb = bootstrap_resample(run, rng, separate_initial)
+        reps[r] = [estimate(rb, eid) for eid in eids]
+    return reps
+
+
 @dataclass(frozen=True)
 class BootstrapError:
     """Replication statistics for one estimator on one run."""
@@ -214,20 +230,12 @@ class BootstrapError:
 
 def bootstrap_error(run: NestedRun, eid: EstimatorId, n_reps: int, rng,
                     separate_initial: bool | None = None) -> BootstrapError:
-    """Thread-bootstrap sampling error of one estimator.
-
-    separate_initial=None stratifies automatically whenever the run's
-    provenance identifies its initial threads.
-    """
+    """Thread-bootstrap sampling error of one estimator; separate_initial
+    as for bootstrap_replicates."""
     if n_reps < 2:
         raise ValueError("need at least 2 replications")
-    if separate_initial is None:
-        separate_initial = run.provenance.init_thread_ids is not None
-    reps = np.empty(n_reps)
-    for i in range(n_reps):
-        reps[i] = estimate(bootstrap_resample(run, rng, separate_initial),
-                           eid)
-    return BootstrapError(replicates=reps)
+    reps = bootstrap_replicates(run, [eid], n_reps, rng, separate_initial)
+    return BootstrapError(replicates=reps[:, 0])
 
 
 def jackknife_std_sigma(results) -> float:

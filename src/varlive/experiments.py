@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .analysis import (EstimatorId, GainEstimate, bootstrap_resample,
+from .analysis import (EstimatorId, GainEstimate, bootstrap_replicates,
                        efficiency_gain, estimate, estimator_from_key,
                        jackknife_std_sigma, weighted_quantile)
 from .dynamic import (AlgorithmOneConfig, AlgorithmTwoConfig, GoalConfig,
@@ -26,7 +26,7 @@ from .dynamic import (AlgorithmOneConfig, AlgorithmTwoConfig, GoalConfig,
 from .models import (GAUSSIAN, ModelSpec, analytic_log_evidence,
                      posterior_mass_remaining, relative_posterior_mass)
 from .runio import load_run, save_run
-from .runs import live_point_counts, log_prior_volumes
+from .runs import NestedRun, live_point_counts, log_prior_volumes
 from .sampler import SamplerConfig, standard_run
 
 __all__ = [
@@ -244,31 +244,46 @@ def _run_spawn_key(arm_index: int, run_index: int) -> tuple[int, int, int]:
     return (_STREAM_GENERATE, arm_index, run_index)
 
 
-def _generate_one(model_dict: dict, resolved: dict, entropy: int,
-                  spawn_key: tuple, path: str) -> int:
-    m = ModelSpec.from_dict(model_dict)
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=entropy,
-                                                       spawn_key=spawn_key))
+def _stream(entropy: int, spawn_key: tuple) -> np.random.Generator:
+    return np.random.default_rng(np.random.SeedSequence(entropy=entropy,
+                                                        spawn_key=spawn_key))
+
+
+def _map_tasks(fn, tasks: list[tuple], workers: int) -> list:
+    """fn(*task) for every task, in order, over a process pool when
+    workers > 1."""
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(fn, *zip(*tasks)))
+    return [fn(*t) for t in tasks]
+
+
+def _sample_run(m: ModelSpec, resolved: dict, rng) -> NestedRun:
+    """One run of an arm resolved by _resolve_arm."""
     method = resolved["method"]
     if method == "standard":
         cfg = SamplerConfig(n_live=resolved["n_live"],
                             termination_fraction=resolved["termination_fraction"],
                             keep_final_live=True)
-        run = standard_run(m, cfg, rng)
-    else:
-        goal = GoalConfig(goal_g=resolved["goal_g"],
-                          importance_variant=resolved["importance_variant"])
-        if method == "dyn1":
-            cfg = AlgorithmOneConfig(
-                n_init=resolved["n_init"], sample_budget=resolved["budget"],
-                n_batch=resolved["n_batch"],
-                termination_fraction=resolved["termination_fraction"])
-            run = dynamic_run_algorithm1(m, goal, cfg, rng=rng)
-        else:
-            cfg = AlgorithmTwoConfig(
-                n_init=resolved["n_init"], total_budget=resolved["budget"],
-                termination_fraction=resolved["termination_fraction"])
-            run = dynamic_run_algorithm2(m, goal, cfg, rng=rng)
+        return standard_run(m, cfg, rng)
+    goal = GoalConfig(goal_g=resolved["goal_g"],
+                      importance_variant=resolved["importance_variant"])
+    if method == "dyn1":
+        cfg = AlgorithmOneConfig(
+            n_init=resolved["n_init"], sample_budget=resolved["budget"],
+            n_batch=resolved["n_batch"],
+            termination_fraction=resolved["termination_fraction"])
+        return dynamic_run_algorithm1(m, goal, cfg, rng=rng)
+    cfg = AlgorithmTwoConfig(
+        n_init=resolved["n_init"], total_budget=resolved["budget"],
+        termination_fraction=resolved["termination_fraction"])
+    return dynamic_run_algorithm2(m, goal, cfg, rng=rng)
+
+
+def _generate_one(model_dict: dict, resolved: dict, entropy: int,
+                  spawn_key: tuple, path: str) -> int:
+    run = _sample_run(ModelSpec.from_dict(model_dict), resolved,
+                      _stream(entropy, spawn_key))
     save_run(run, path)
     return len(run)
 
@@ -298,12 +313,7 @@ def generate_ensemble(config: ExperimentConfig, out_dir: str,
                 else _run_spawn_key(arm_index, j)
             tasks.append((model_dict, resolved, entropy, key,
                           os.path.join(out_dir, rel), rel))
-        if workers > 1:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                sizes = list(pool.map(_generate_one,
-                                      *zip(*[t[:5] for t in tasks])))
-        else:
-            sizes = [_generate_one(*t[:5]) for t in tasks]
+        sizes = _map_tasks(_generate_one, [t[:5] for t in tasks], workers)
         mean_samples = float(np.mean(sizes))
         realized_mean[arm.name] = mean_samples
         entry = {"name": arm.name, "mean_samples": mean_samples,
@@ -464,8 +474,7 @@ def compare_report(config: ExperimentConfig, out_dir: str) -> ExperimentReport:
         base = values[arm.gain_vs]
         mine = values[arm.name]
         for k, eid in enumerate(config.estimators):
-            rng = np.random.default_rng(np.random.SeedSequence(
-                entropy=config.seed, spawn_key=(_STREAM_GAIN, arm_index, k)))
+            rng = _stream(config.seed, (_STREAM_GAIN, arm_index, k))
             report.gains[(arm.name, keys[k])] = efficiency_gain(
                 base[:, k], mine[:, k],
                 report.mean_samples[arm.gain_vs], report.mean_samples[arm.name],
@@ -536,11 +545,19 @@ _TABLE_STATS = ("mean", "repeats_std", "bootstrap_std",
                 "credible_upper_95", "coverage_95")
 
 
+def _bootstrap_columns(reps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-estimator spread and 95% upper credible bound of a replicate
+    matrix from bootstrap_replicates."""
+    uniform = np.ones(reps.shape[0])
+    cred95 = [weighted_quantile(reps[:, k], uniform, 0.95)
+              for k in range(reps.shape[1])]
+    return reps.std(axis=0, ddof=1), np.array(cred95)
+
+
 def bootstrap_table_rows(config: ExperimentConfig, out_dir: str) -> list[dict]:
     """Seven summary statistics per estimator for one arm's ensemble.
 
-    Each run is resampled bootstrap_reps times; one resample feeds every
-    estimator so the replicate noise is shared across columns.
+    Each run is resampled bootstrap_reps times (bootstrap_replicates).
     """
     manifest = load_manifest(out_dir)
     _check_run_files(out_dir, manifest)
@@ -563,24 +580,13 @@ def bootstrap_table_rows(config: ExperimentConfig, out_dir: str) -> list[dict]:
     est = np.empty((n_runs, n_est))
     boot_std = np.empty((n_runs, n_est))
     cred95 = np.empty((n_runs, n_est))
-    uniform = None
     for j, rec in enumerate(entry["runs"]):
         run = load_run(os.path.join(out_dir, rec["path"]))
         for k, eid in enumerate(eids):
             est[j, k] = estimate(run, eid)
-        rng = np.random.default_rng(np.random.SeedSequence(
-            entropy=config.seed, spawn_key=(_STREAM_BOOT, j)))
-        separate = run.provenance.init_thread_ids is not None
-        reps = np.empty((config.bootstrap_reps, n_est))
-        for r in range(config.bootstrap_reps):
-            rb = bootstrap_resample(run, rng, separate_initial=separate)
-            for k, eid in enumerate(eids):
-                reps[r, k] = estimate(rb, eid)
-        boot_std[j] = reps.std(axis=0, ddof=1)
-        if uniform is None or len(uniform) != config.bootstrap_reps:
-            uniform = np.ones(config.bootstrap_reps)
-        for k in range(n_est):
-            cred95[j, k] = weighted_quantile(reps[:, k], uniform, 0.95)
+        reps = bootstrap_replicates(run, eids, config.bootstrap_reps,
+                                    _stream(config.seed, (_STREAM_BOOT, j)))
+        boot_std[j], cred95[j] = _bootstrap_columns(reps)
     repeats_std = est.std(axis=0, ddof=1)
     mean_boot = boot_std.mean(axis=0)
     stats = {

@@ -23,7 +23,6 @@ import numpy as np
 from .models import ModelSpec
 
 __all__ = [
-    "SamplePoint",
     "RunProvenance",
     "NestedRun",
     "Thread",
@@ -34,16 +33,6 @@ __all__ = [
     "combine_runs",
     "split_into_threads",
 ]
-
-
-@dataclass(frozen=True)
-class SamplePoint:
-    log_l: float
-    birth_log_l: float
-    theta1: float
-    radius: float
-    true_log_x: float
-    thread_id: int
 
 
 @dataclass(frozen=True)
@@ -162,27 +151,6 @@ class NestedRun:
     @property
     def n_open(self) -> int:
         return self.open_birth_log_l.shape[0]
-
-    def point(self, i: int) -> SamplePoint:
-        return SamplePoint(
-            log_l=float(self.log_l[i]), birth_log_l=float(self.birth_log_l[i]),
-            theta1=float(self.theta1[i]), radius=float(self.radius[i]),
-            true_log_x=float(self.true_log_x[i]), thread_id=int(self.thread_id[i]))
-
-    def points(self) -> list[SamplePoint]:
-        return [self.point(i) for i in range(len(self))]
-
-    @classmethod
-    def from_points(cls, model: ModelSpec, pts: Sequence[SamplePoint],
-                    provenance: RunProvenance | None = None, **open_kwargs):
-        run = cls(
-            model,
-            [p.log_l for p in pts], [p.birth_log_l for p in pts],
-            [p.theta1 for p in pts], [p.radius for p in pts],
-            [p.true_log_x for p in pts], [p.thread_id for p in pts],
-            provenance=provenance, **open_kwargs)
-        run.validate()
-        return run
 
     def with_provenance(self, provenance: RunProvenance) -> "NestedRun":
         return NestedRun(self.model, self.log_l, self.birth_log_l, self.theta1,

@@ -9,9 +9,9 @@ MCMC approximation.
 standard_run generates all thread trajectories to a safe depth first, merges
 them in likelihood order, then locates the termination step with a bracketed
 scan: cheap log-domain bounds isolate a window, and the exact mean-live-
-likelihood condition is evaluated only inside it.  Scalar entry points
-(draw_point_above, sample_thread) use the closed-form inverse maps instead
-and are what the dynamic scheduler builds on.
+likelihood condition is evaluated only inside it.  sample_thread_batch
+draws many threads between one pair of contours the same way and is what
+the dynamic schedulers build on.
 """
 
 from __future__ import annotations
@@ -24,16 +24,13 @@ import numpy as np
 from .models import (
     ModelSpec,
     get_contour_map,
-    log_likelihood_at_radius,
     log_x_from_log_likelihood,
-    radius_from_log_x,
     sampling_log_x_floor,
 )
-from .runs import NestedRun, RunProvenance, SamplePoint, Thread
+from .runs import NestedRun, RunProvenance, Thread
 from .specialfn import sample_beta_first_coordinate
 
-__all__ = ["SamplerConfig", "draw_point_above", "sample_thread",
-           "sample_thread_batch", "standard_run"]
+__all__ = ["SamplerConfig", "sample_thread_batch", "standard_run"]
 
 
 @dataclass(frozen=True)
@@ -60,81 +57,18 @@ class SamplerConfig:
             raise ValueError("termination_fraction must be in (0, 1)")
 
 
-def _open_unit(rng) -> float:
-    """Uniform draw strictly inside (0, 1)."""
-    u = rng.random()
-    while u == 0.0:
-        u = rng.random()
-    return u
-
-
-def draw_point_above(m: ModelSpec, log_x_upper: float, rng,
-                     thread_id: int = 0) -> SamplePoint:
-    """One exact draw from the prior restricted to X < exp(log_x_upper)."""
-    if log_x_upper > 0.0:
-        raise ValueError("log_x_upper must be <= 0")
-    true_log_x = log_x_upper + math.log(_open_unit(rng))
-    radius = radius_from_log_x(m, true_log_x)
-    log_l = log_likelihood_at_radius(m, radius)
-    theta1 = radius * sample_beta_first_coordinate(m.d, rng)
-    if log_x_upper == 0.0:
-        birth = -np.inf
-    else:
-        birth = float(log_likelihood_at_radius(
-            m, radius_from_log_x(m, log_x_upper)))
-    return SamplePoint(log_l=float(log_l), birth_log_l=birth,
-                       theta1=float(theta1), radius=float(radius),
-                       true_log_x=float(true_log_x), thread_id=thread_id)
-
-
-def sample_thread(m: ModelSpec, start_log_l: float, end_log_l: float, rng,
-                  thread_id: int = 0, censor_at_end: bool = False) -> Thread:
-    """Run one live point from the start contour until it first exceeds the
-    end contour.
-
-    The overshooting point is retained by default; with censor_at_end it is
-    discarded and the thread carries an open alive-interval through
-    end_log_l instead.  end_log_l = +inf means exactly one point above the
-    start contour.
-    """
-    if not start_log_l < end_log_l:
-        raise ValueError("need start_log_l < end_log_l")
-    if start_log_l == -np.inf:
-        log_x = 0.0
-    else:
-        log_x = float(log_x_from_log_likelihood(m, start_log_l))
-    log_l, birth, theta1, radius, true_log_x = [], [], [], [], []
-    prev = start_log_l
-    open_end = None
-    while True:
-        log_x = log_x + math.log(_open_unit(rng))
-        r = radius_from_log_x(m, log_x)
-        ll = float(log_likelihood_at_radius(m, r))
-        if ll > end_log_l and censor_at_end:
-            open_end = end_log_l
-            break
-        theta1.append(r * sample_beta_first_coordinate(m.d, rng))
-        log_l.append(ll)
-        birth.append(prev)
-        radius.append(r)
-        true_log_x.append(log_x)
-        if ll > end_log_l or end_log_l == np.inf:
-            break
-        prev = ll
-    return Thread(thread_id=thread_id, start_log_l=start_log_l,
-                  log_l=np.array(log_l), birth_log_l=np.array(birth),
-                  theta1=np.array(theta1), radius=np.array(radius),
-                  true_log_x=np.array(true_log_x), open_end_log_l=open_end)
-
-
 def sample_thread_batch(m: ModelSpec, start_log_l: float, end_log_l: float,
                         rng, thread_ids, censor_at_end: bool = False
                         ) -> list[Thread]:
-    """Vectorized sample_thread for many threads sharing one (start, end).
+    """Run one live point per id from the start contour until it first
+    exceeds the end contour.
 
-    Distributionally identical to per-thread sampling; all shrinkage draws
-    come from one exponential block and all angular draws from one batch, so
-    a whole spawn costs a few array operations.
+    The overshooting point is retained by default; with censor_at_end it is
+    discarded and each thread carries an open alive-interval through
+    end_log_l instead.  end_log_l = +inf means exactly one point above the
+    start contour.  All shrinkage draws come from one exponential block and
+    all angular draws from one batch, so a whole spawn costs a few array
+    operations.
     """
     ids = [int(t) for t in thread_ids]
     nb = len(ids)

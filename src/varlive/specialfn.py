@@ -48,7 +48,8 @@ def log_gamma(x):
 
 
 def _log_p_series_scalar(a: float, x: float) -> float:
-    """Pure-float twin of _log_p_series; the sampler's per-point hot path."""
+    """Pure-float twin of _log_p_series, for the scalar calls of the inverse
+    solver."""
     term = 1.0
     total = 1.0
     for k in range(1, _SERIES_MAX_TERMS + 1):
@@ -236,7 +237,8 @@ def _solve_monotone(func, deriv, target, lo, hi, tol):
     """Find u in [lo, hi] with func(u) = target for increasing func.
 
     Newton from the midpoint with bisection fallback; the bracket is
-    maintained at every step so convergence is guaranteed.
+    maintained at every step.  Raises RuntimeError if 200 steps leave the
+    residual above tol.
     """
     f_lo = func(lo) - target
     f_hi = func(hi) - target
@@ -262,7 +264,7 @@ def _solve_monotone(func, deriv, target, lo, hi, tol):
         if u_new == u:
             return u
         u = u_new
-    return u
+    raise RuntimeError("monotone solve did not converge in 200 steps")
 
 
 def inv_log_reg_lower_inc_gamma(a, log_p):

@@ -13,12 +13,13 @@ import math
 import numpy as np
 import pytest
 
-from varlive.accept_gen import EST_KEYS, load_block
+from varlive import models
+from varlive.accept_gen import EST_KEYS, block_config, load_block, run_row
 from varlive.analysis import (efficiency_gain, estimate, estimator_from_key,
                               information_content, weighted_quantile)
 from varlive.dynamic import (AlgorithmOneConfig, GoalConfig,
                              dynamic_run_algorithm1, savitzky_golay_smooth)
-from varlive.experiments import estimator_truth
+from varlive.experiments import _resolve_arm, estimator_truth
 from varlive.models import ModelSpec
 from varlive.runio import run_to_dict
 from varlive.runs import (NestedRun, combine_runs, live_point_counts,
@@ -329,3 +330,45 @@ class TestCriterion8:
 
         assert snap(4242) == snap(4242)
         assert snap(4242) != snap(4243)
+
+
+# ---------------------------------------------------------------------------
+# cache replay: committed rows recomputed through the per-run code
+
+
+@pytest.fixture
+def fresh_contour_maps(monkeypatch):
+    """Empty the per-process contour-map cache for one test.  Sampled values
+    depend in their last bits on the deepest map the process has built for
+    the model, so a bit-exact replay starts from an empty cache and runs the
+    arms in block order, as a block build does."""
+    monkeypatch.setattr(models, "_MAP_CACHE", {})
+
+
+@pytest.mark.usefixtures("fresh_contour_maps")
+class TestCacheReplay:
+    @pytest.mark.parametrize("block_name,run_index",
+                             [("c4", 0), ("c4", 7), ("c3_d2", 3), ("c5", 0)])
+    def test_committed_rows_reproduce(self, block_name, run_index):
+        blk = block(block_name)
+        config = block_config(block_name)
+        realized = {"std": arm(blk, "std")["mean_samples"]}
+        for arm_index, arm_cfg in enumerate(config.arms):
+            entry = blk["arms"][arm_index]
+            resolved = _resolve_arm(config, arm_cfg, realized)
+            settings = {k: v for k, v in resolved.items()
+                        if k != "termination_fraction"}
+            assert entry["settings"] == {"name": arm_cfg.name, **settings}
+            boot_reps = config.bootstrap_reps \
+                if arm_cfg.name == config.table_arm else 0
+            assert ("boot_std" in entry) == (boot_reps > 0)
+            row = run_row(config.model, resolved, config.seed, arm_index,
+                          run_index, config.estimators, boot_reps)
+            assert row["n"] == entry["n_samples"][run_index]
+            for column, cached in (("est", "estimates"),
+                                   ("boot_std", "boot_std"),
+                                   ("cred_upper95", "cred_upper95")):
+                if column in row:
+                    assert row[column] == [entry[cached][k][run_index]
+                                           for k in EST_KEYS], \
+                        (arm_cfg.name, column)

@@ -9,12 +9,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from varlive.models import GAUSSIAN, ModelSpec
 from varlive.runs import (
     NestedRun,
     RunProvenance,
-    SamplePoint,
     Thread,
     combine_runs,
     live_point_counts,
@@ -46,8 +47,10 @@ def build_run(threads, opens=None, model=M):
             open_end_log_l=[o[2] for o in opens],
             open_thread_id=[o[0] for o in opens],
         )
-    return NestedRun(model, log_l, birth, np.zeros(n), np.ones(n),
-                     np.linspace(-0.1, -1.0, n), tid, **kwargs)
+    # distinct per-point values, so any permutation of the points shows
+    return NestedRun(model, log_l, birth, np.linspace(-0.5, 0.5, n),
+                     np.linspace(1.0, 2.0, n), np.linspace(-0.1, -1.0, n),
+                     tid, **kwargs)
 
 
 def censored_run(threads, model=M):
@@ -113,20 +116,11 @@ class TestConstruction:
         assert log_prior_volumes(run).shape == (0,)
         run.validate()
 
-    def test_points_round_trip(self):
-        run = build_run({0: (-np.inf, [1.0, 3.0]), 1: (-np.inf, [2.0])})
-        pts = run.points()
-        assert pts[0] == SamplePoint(1.0, -np.inf, 0.0, 1.0,
-                                     run.true_log_x[0], 0)
-        back = NestedRun.from_points(M, pts)
-        np.testing.assert_array_equal(back.log_l, run.log_l)
-        np.testing.assert_array_equal(back.thread_id, run.thread_id)
-
     def test_validate_rejects_broken_chain(self):
-        pts = [SamplePoint(1.0, -np.inf, 0.0, 1.0, -0.5, 0),
-               SamplePoint(3.0, 2.0, 0.0, 1.0, -1.0, 0)]  # 2.0 != 1.0
+        run = NestedRun(M, [1.0, 3.0], [-np.inf, 2.0],  # 2.0 != 1.0
+                        [0.0, 0.0], [1.0, 1.0], [-0.5, -1.0], [0, 0])
         with pytest.raises(ValueError, match="link"):
-            NestedRun.from_points(M, pts)
+            run.validate()
 
     def test_validate_rejects_theta_outside_radius(self):
         run = NestedRun(M, [1.0], [-np.inf], [2.0], [1.0], [-0.5], [0])
@@ -326,17 +320,22 @@ class TestCombine:
 
 
 class TestSplit:
-    def test_round_trip_exact(self):
-        rng = np.random.default_rng(51)
-        run = random_run(rng, censor=True)
+    @settings(deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n_threads=st.integers(1, 20),
+           censor=st.booleans())
+    def test_round_trip_exact(self, seed, n_threads, censor):
+        run = random_run(np.random.default_rng(seed), n_threads=n_threads,
+                         censor=censor)
         threads = split_into_threads(run)
         assert sum(len(t) for t in threads) == len(run)
         back = combine_runs([t.to_run(run.model) for t in threads])
-        np.testing.assert_array_equal(back.log_l, run.log_l)
+        for field in ("log_l", "birth_log_l", "theta1", "radius",
+                      "true_log_x", "thread_id", "open_birth_log_l",
+                      "open_end_log_l", "open_thread_id"):
+            np.testing.assert_array_equal(getattr(back, field),
+                                          getattr(run, field), err_msg=field)
         np.testing.assert_array_equal(live_point_counts(back),
                                       live_point_counts(run))
-        np.testing.assert_array_equal(back.open_end_log_l.size,
-                                      run.open_end_log_l.size)
 
     def test_thread_chains_link(self):
         rng = np.random.default_rng(52)

@@ -6,6 +6,7 @@ lengths for n = 500 ten-dimensional runs.
 """
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -24,13 +25,7 @@ from varlive.runs import (
     log_prior_volumes,
     point_log_weights,
 )
-from varlive.sampler import (
-    SamplerConfig,
-    draw_point_above,
-    sample_thread,
-    sample_thread_batch,
-    standard_run,
-)
+from varlive.sampler import SamplerConfig, sample_thread_batch, standard_run
 
 M3 = ModelSpec(family=GAUSSIAN, d=3, sigma_pi=10.0)
 M10 = ModelSpec(family=GAUSSIAN, d=10, sigma_pi=10.0)
@@ -59,27 +54,38 @@ class TestConfig:
             SamplerConfig(n_live=5, termination_fraction=1.0)
 
 
+def draws_above(m, log_x, n, rng):
+    """n independent draws above the contour enclosing exp(log_x): one
+    point per thread, no end contour.  Returns the contour and the draws'
+    fields as arrays."""
+    contour = float(log_likelihood_from_log_x(m, log_x)) if log_x < 0.0 \
+        else -np.inf
+    ths = sample_thread_batch(m, contour, np.inf, rng, range(n))
+    assert all(len(t) == 1 for t in ths)
+    fields = ("log_l", "birth_log_l", "theta1", "radius", "true_log_x")
+    return contour, SimpleNamespace(**{
+        f: np.concatenate([getattr(t, f) for t in ths]) for f in fields})
+
+
+def thread(m, start, end, rng, **kwargs):
+    return sample_thread_batch(m, start, end, rng, [4], **kwargs)[0]
+
+
 class TestDrawPointAbove:
     def test_mean_log_shrinkage_from_prior(self):
-        rng = np.random.default_rng(11)
-        vals = [draw_point_above(M3, 0.0, rng).true_log_x
-                for _ in range(100000)]
-        assert np.mean(vals) == pytest.approx(-1.0, abs=0.01)
+        _, pts = draws_above(M3, 0.0, 100000, np.random.default_rng(11))
+        assert np.mean(pts.true_log_x) == pytest.approx(-1.0, abs=0.01)
+        assert np.all(pts.birth_log_l == -np.inf)
 
     def test_strictly_inside_contour(self):
-        rng = np.random.default_rng(12)
-        contour = float(log_likelihood_from_log_x(M3, -2.0))
-        for _ in range(300):
-            p = draw_point_above(M3, -2.0, rng)
-            assert p.log_l > contour
-            assert p.true_log_x < -2.0
-            assert p.birth_log_l == contour
+        contour, pts = draws_above(M3, -2.0, 300, np.random.default_rng(12))
+        assert np.all(pts.log_l > contour)
+        assert np.all(pts.true_log_x < -2.0)
+        assert np.all(pts.birth_log_l == contour)
 
     def test_sphere_symmetry_moments(self):
-        rng = np.random.default_rng(13)
-        pts = [draw_point_above(M10, -3.0, rng) for _ in range(20000)]
-        t1 = np.array([p.theta1 for p in pts])
-        r = np.array([p.radius for p in pts])
+        _, pts = draws_above(M10, -3.0, 20000, np.random.default_rng(13))
+        t1, r = pts.theta1, pts.radius
         # E[theta1 | r] = 0 and E[(theta1/r)^2] = 1/d
         se_mean = np.std(t1) / math.sqrt(t1.size)
         assert abs(np.mean(t1)) < 5 * se_mean
@@ -88,24 +94,21 @@ class TestDrawPointAbove:
         assert abs(np.mean(frac) - 0.1) < 5 * se_frac
         assert np.all(np.abs(t1) <= r)
 
-    def test_rejects_positive_log_x(self):
-        with pytest.raises(ValueError):
-            draw_point_above(M3, 0.5, np.random.default_rng(0))
-
 
 class TestSampleThread:
     def test_expected_length_five_crossings(self):
         rng = np.random.default_rng(21)
         end = float(log_likelihood_from_log_x(M3, -5.0))
-        lens = [len(sample_thread(M3, -np.inf, end, rng))
-                for _ in range(2000)]
+        lens = [len(t) for t in sample_thread_batch(M3, -np.inf, end, rng,
+                                                     range(2000))]
         # crossings of -ln X past 5 are Poisson(5); one overshoot retained
         assert np.mean(lens) == pytest.approx(6.0, abs=0.2)
 
     def test_chain_structure(self):
         rng = np.random.default_rng(22)
         end = float(log_likelihood_from_log_x(M3, -5.0))
-        th = sample_thread(M3, -np.inf, end, rng, thread_id=4)
+        th = thread(M3, -np.inf, end, rng)
+        assert th.thread_id == 4
         assert np.all(np.diff(th.log_l) > 0.0)
         assert th.log_l[-1] > end
         assert np.all(th.log_l[:-1] <= end)
@@ -116,31 +119,30 @@ class TestSampleThread:
     def test_tiny_interval_length_one(self):
         rng = np.random.default_rng(23)
         end = float(log_likelihood_from_log_x(M3, -2.0))
-        th = sample_thread(M3, end - 1e-9, end, rng)
-        assert len(th) == 1
+        assert len(thread(M3, end - 1e-9, end, rng)) == 1
 
     def test_open_ended_single_point(self):
         rng = np.random.default_rng(24)
         start = float(log_likelihood_from_log_x(M3, -3.0))
-        th = sample_thread(M3, start, np.inf, rng)
+        th = thread(M3, start, np.inf, rng)
         assert len(th) == 1
         assert th.log_l[0] > start
 
     def test_censored_thread(self):
         rng = np.random.default_rng(25)
         end = float(log_likelihood_from_log_x(M3, -4.0))
-        th = sample_thread(M3, -np.inf, end, rng, censor_at_end=True)
+        th = thread(M3, -np.inf, end, rng, censor_at_end=True)
         assert th.open_end_log_l == end
         assert np.all(th.log_l <= end)
         th.to_run(M3).validate()
 
     def test_rejects_empty_interval(self):
         with pytest.raises(ValueError):
-            sample_thread(M3, 1.0, 1.0, np.random.default_rng(0))
+            thread(M3, 1.0, 1.0, np.random.default_rng(0))
 
 
 class TestSampleThreadBatch:
-    def test_matches_scalar_distribution(self):
+    def test_merged_batch_is_valid_run(self):
         rng = np.random.default_rng(31)
         end = float(log_likelihood_from_log_x(M3, -5.0))
         ths = sample_thread_batch(M3, -np.inf, end, rng, range(400))

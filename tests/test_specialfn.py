@@ -164,6 +164,14 @@ class TestInverse:
             # preimage underflows double precision
             sf.inv_log_reg_lower_inc_gamma(0.5, -500.0)
 
+    def test_unconverged_solve_raises(self):
+        # a step function never gets within tol of the target, and a NaN
+        # derivative forces bisection, which keeps halving towards 0
+        with pytest.raises(RuntimeError, match="converge"):
+            sf._solve_monotone(lambda u: -1.0 if u < 0 else 1.0,
+                               lambda u, f: float("nan"), 0.0, -1.0, 1.0,
+                               1e-12)
+
 
 class TestSphereCoordinate:
     def test_d1_is_random_sign(self):
