@@ -14,7 +14,6 @@ conventions that matter:
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -23,7 +22,7 @@ import numpy as np
 from .runs import (
     NestedRun,
     RunProvenance,
-    combine_runs,
+    combine_threads,
     point_log_weights,
     posterior_weights,
     split_into_threads,
@@ -172,30 +171,24 @@ def bootstrap_resample(run: NestedRun, rng,
             raise ValueError(
                 "separate_initial requires init thread ids in provenance")
         init_set = set(init_ids)
-        split = [([th for th in threads if th.thread_id in init_set], True),
-                 ([th for th in threads if th.thread_id not in init_set],
-                  False)]
-        classes = [(cls, is_init) for cls, is_init in split if cls]
+        init = [th for th in threads if th.thread_id in init_set]
+        classes = [init, [th for th in threads if th.thread_id not in init_set]]
+        new_init = tuple(range(len(init)))
     else:
-        classes = [(threads, False)]
-    pieces = []
-    new_init: list[int] = []
-    next_id = 0
-    for cls, is_init in classes:
-        picks = rng.integers(0, len(cls), size=len(cls))
-        for pick in picks:
-            th = dataclasses.replace(cls[int(pick)], thread_id=next_id)
-            if is_init:
-                new_init.append(next_id)
-            pieces.append(th.to_run(run.model))
-            next_id += 1
-    out = combine_runs(pieces)
+        classes = [threads]
+        new_init = None
+    picked = []
+    for cls in classes:
+        if cls:
+            picks = rng.integers(0, len(cls), size=len(cls))
+            picked.extend(cls[int(pick)] for pick in picks)
+    out = combine_threads(run.model, picked)
     prov = run.provenance
     return out.with_provenance(RunProvenance(
         algorithm="bootstrap", seed=None, n_init=prov.n_init,
         goal_g=prov.goal_g, sample_budget=prov.sample_budget,
         importance_variant=prov.importance_variant,
-        init_thread_ids=tuple(new_init) if separate_initial else None))
+        init_thread_ids=new_init))
 
 
 def bootstrap_replicates(run: NestedRun, eids, n_reps: int, rng,
@@ -251,6 +244,10 @@ def jackknife_std_sigma(results) -> float:
     return float(math.sqrt((n - 1) / n * np.sum((loo - loo.mean()) ** 2)))
 
 
+# each draw is degenerate with chance <= 1/2 once an arm has two distinct results
+MAX_DEGENERATE_REDRAWS = 1000
+
+
 @dataclass(frozen=True)
 class GainEstimate:
     gain: float
@@ -280,10 +277,12 @@ def efficiency_gain(std_results, dyn_results, mean_samples_std: float,
     reps = np.empty(n_boot)
     for i in range(n_boot):
         ra = a[rng.integers(0, a.size, size=a.size)]
-        rb = b[rng.integers(0, b.size, size=b.size)]
-        vb = np.var(rb, ddof=1)
-        while vb == 0.0:  # degenerate draw, redo
-            rb = b[rng.integers(0, b.size, size=b.size)]
-            vb = np.var(rb, ddof=1)
+        for _ in range(MAX_DEGENERATE_REDRAWS):  # redo degenerate draws
+            vb = np.var(b[rng.integers(0, b.size, size=b.size)], ddof=1)
+            if vb != 0.0:
+                break
+        else:
+            raise RuntimeError(f"efficiency_gain: {MAX_DEGENERATE_REDRAWS} "
+                               "redraws of the dynamic arm had zero variance")
         reps[i] = (np.var(ra, ddof=1) / vb) * factor
     return GainEstimate(gain=gain, sigma=float(np.std(reps, ddof=1)))

@@ -35,6 +35,7 @@ from .runs import (
     NestedRun,
     RunProvenance,
     combine_runs,
+    combine_threads,
     live_point_counts,
     point_log_weights,
     posterior_weights,
@@ -224,16 +225,6 @@ def combined_importance(run: NestedRun, goal: GoalConfig) -> ImportanceProfile:
                              combined=combined)
 
 
-def _merge_new_threads(run: NestedRun, threads, m: ModelSpec) -> NestedRun:
-    parts = [run]
-    for th in threads:
-        piece = th.to_run(m)
-        # empty init marker keeps the initial-thread bookkeeping intact
-        parts.append(piece.with_provenance(RunProvenance(
-            algorithm="thread", init_thread_ids=())))
-    return combine_runs(parts)
-
-
 def dynamic_run_algorithm1(m: ModelSpec, goal: GoalConfig,
                            cfg: AlgorithmOneConfig, rng=None,
                            seed: int | None = None) -> NestedRun:
@@ -245,7 +236,6 @@ def dynamic_run_algorithm1(m: ModelSpec, goal: GoalConfig,
         n_live=cfg.n_init, termination_fraction=cfg.termination_fraction,
         keep_final_live=True)
     run = standard_run(m, init_cfg, rng)
-    next_id = cfg.n_init
     while len(run) < cfg.sample_budget:
         prof = combined_importance(run, goal).combined
         high = np.flatnonzero(prof > cfg.fraction * prof.max())
@@ -257,10 +247,9 @@ def dynamic_run_algorithm1(m: ModelSpec, goal: GoalConfig,
             else float(run.log_l[-1])
         if not start < end:  # degenerate single-contour region
             end = np.inf
-        ids = range(next_id, next_id + cfg.n_batch)
-        next_id += cfg.n_batch
-        threads = sample_thread_batch(m, start, end, rng, ids)
-        run = _merge_new_threads(run, threads, m)
+        # combine_threads relabels, so the batch's own ids do not matter
+        threads = sample_thread_batch(m, start, end, rng, range(cfg.n_batch))
+        run = combine_runs([run, combine_threads(m, threads)])
     init_ids = run.provenance.init_thread_ids
     return run.with_provenance(RunProvenance(
         algorithm="dynamic_alg1", seed=seed, n_init=cfg.n_init,
@@ -369,34 +358,27 @@ def dynamic_run_algorithm2(m: ModelSpec, goal: GoalConfig,
 
     run = init_run
     if extra.any():
-        log_l = init_run.log_l
-        active: list[int] = []  # FIFO of open supplement thread ids
-        opened_at: dict[int, float] = {}
-        groups: dict[tuple[float, float], list[int]] = {}
-        next_id = n_init
-        prev = 0
-        for i in range(len(log_l)):
-            delta = int(extra[i]) - prev
-            contour = -np.inf if i == 0 else float(log_l[i - 1])
-            for _ in range(max(delta, 0)):
-                active.append(next_id)
-                opened_at[next_id] = contour
-                next_id += 1
-            for _ in range(max(-delta, 0)):
-                tid = active.pop(0)
-                groups.setdefault((opened_at[tid], contour), []).append(tid)
-            prev = int(extra[i])
-        last = float(log_l[-1])
-        for tid in active:
-            groups.setdefault((opened_at[tid], last), []).append(tid)
+        # supplement threads open at rising edges of the profile and close,
+        # oldest first, at falling edges; the rest stay open to the top.
+        # First in, first out: the k-th thread opened is the k-th closed.
+        contours = np.concatenate([[-np.inf], init_run.log_l[:-1]])
+        delta = np.diff(extra, prepend=0)
+        opens = np.repeat(contours, np.maximum(delta, 0))
+        closes = np.concatenate([np.repeat(contours, np.maximum(-delta, 0)),
+                                 np.full(extra[-1], init_run.log_l[-1])])
+        # both sequences are nondecreasing, so equal (open, close) pairs are
+        # consecutive; each run of them is one batch
+        edges = np.flatnonzero((opens[1:] != opens[:-1])
+                               | (closes[1:] != closes[:-1])) + 1
+        bounds = np.concatenate([[0], edges, [opens.size]]).tolist()
         threads = []
-        for (start, end), ids in sorted(groups.items(),
-                                        key=lambda kv: min(kv[1])):
-            if not start < end:
-                continue
-            threads.extend(sample_thread_batch(
-                m, start, end, rng, ids, censor_at_end=True))
-        run = _merge_new_threads(init_run, threads, m)
+        for a, b in zip(bounds[:-1], bounds[1:]):
+            start, end = float(opens[a]), float(closes[a])
+            if start < end:
+                threads.extend(sample_thread_batch(
+                    m, start, end, rng, range(n_init + a, n_init + b),
+                    censor_at_end=True))
+        run = combine_runs([init_run, combine_threads(m, threads)])
     init_ids = run.provenance.init_thread_ids
     return run.with_provenance(RunProvenance(
         algorithm="dynamic_alg2", seed=seed, n_init=n_init,

@@ -8,7 +8,6 @@ files stay standard JSON.
 from __future__ import annotations
 
 import json
-import math
 import os
 
 import numpy as np
@@ -21,21 +20,22 @@ __all__ = ["save_run", "load_run", "FORMAT_VERSION"]
 FORMAT_VERSION = 1
 
 
-def _enc(values) -> list:
-    out = []
-    for x in values:
-        x = float(x)
-        if math.isinf(x):
-            out.append("inf" if x > 0 else "-inf")
-        elif math.isnan(x):
-            out.append("nan")
-        else:
-            out.append(x)
+def _enc(values: np.ndarray) -> list:
+    out = values.tolist()
+    for i in np.flatnonzero(~np.isfinite(values)).tolist():
+        x = out[i]
+        out[i] = "nan" if x != x else ("inf" if x > 0 else "-inf")
     return out
 
 
 def _dec(values) -> np.ndarray:
-    return np.array([float(x) for x in values], dtype=float)
+    out = np.array(values, dtype=float)
+    if out.ndim != 1:
+        raise ValueError("run file arrays must be flat lists")
+    # numpy reads JSON null as nan too; the writer encodes nan as "nan"
+    if any(values[i] != "nan" for i in np.flatnonzero(np.isnan(out)).tolist()):
+        raise ValueError("run file array holds a null or a bare NaN")
+    return out
 
 
 def run_to_dict(run: NestedRun) -> dict:
@@ -49,12 +49,12 @@ def run_to_dict(run: NestedRun) -> dict:
             "theta1": _enc(run.theta1),
             "radius": _enc(run.radius),
             "true_log_x": _enc(run.true_log_x),
-            "thread_id": [int(t) for t in run.thread_id],
+            "thread_id": run.thread_id.tolist(),
         },
         "open_intervals": {
             "birth_log_l": _enc(run.open_birth_log_l),
             "end_log_l": _enc(run.open_end_log_l),
-            "thread_id": [int(t) for t in run.open_thread_id],
+            "thread_id": run.open_thread_id.tolist(),
         },
     }
 
@@ -81,9 +81,9 @@ def run_from_dict(doc: dict) -> NestedRun:
 def save_run(run: NestedRun, path: str) -> None:
     doc = run_to_dict(run)
     tmp = path + ".tmp"
+    text = json.dumps(doc, separators=(",", ":"), sort_keys=True)
     with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, separators=(",", ":"), sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
     os.replace(tmp, path)
 
 

@@ -31,6 +31,7 @@ __all__ = [
     "point_log_weights",
     "posterior_weights",
     "combine_runs",
+    "combine_threads",
     "split_into_threads",
 ]
 
@@ -211,18 +212,7 @@ class Thread:
         return self.log_l.shape[0]
 
     def to_run(self, model: ModelSpec) -> NestedRun:
-        n = len(self)
-        tid = np.full(n, self.thread_id, dtype=np.int64)
-        if self.open_end_log_l is None:
-            open_kwargs = {}
-        else:
-            open_kwargs = dict(
-                open_birth_log_l=[self.log_l[-1] if n else self.start_log_l],
-                open_end_log_l=[self.open_end_log_l],
-                open_thread_id=[self.thread_id])
-        return NestedRun(model, self.log_l, self.birth_log_l, self.theta1,
-                         self.radius, self.true_log_x, tid,
-                         presorted=True, **open_kwargs)
+        return combine_threads(model, [self])
 
 
 def live_point_counts(run: NestedRun) -> np.ndarray:
@@ -315,6 +305,31 @@ def combine_runs(runs: Sequence[NestedRun]) -> NestedRun:
     return NestedRun(model, log_l, birth, theta1, radius, tlx, tid,
                      open_birth_log_l=ob, open_end_log_l=oe, open_thread_id=ot,
                      provenance=prov)
+
+
+def combine_threads(model: ModelSpec, threads: Sequence[Thread]) -> NestedRun:
+    """One run from threads, relabelled 0..k-1 in list order.  A censored
+    thread stays open from its last point (its start contour when it has
+    none) through its open_end_log_l.  The run carries an empty initial-
+    thread set, so combining it onto a run keeps that run's initial ids."""
+    threads = list(threads)
+
+    def cat(attr):
+        return np.concatenate([_EMPTY_F, *(getattr(th, attr) for th in threads)])
+
+    tid = np.repeat(np.arange(len(threads), dtype=np.int64),
+                    [len(th) for th in threads])
+    censored = [k for k, th in enumerate(threads)
+                if th.open_end_log_l is not None]
+    open_birth = [threads[k].log_l[-1] if len(threads[k])
+                  else threads[k].start_log_l for k in censored]
+    open_end = [threads[k].open_end_log_l for k in censored]
+    return NestedRun(model, cat("log_l"), cat("birth_log_l"), cat("theta1"),
+                     cat("radius"), cat("true_log_x"), tid,
+                     open_birth_log_l=open_birth, open_end_log_l=open_end,
+                     open_thread_id=censored,
+                     provenance=RunProvenance(algorithm="combined",
+                                              init_thread_ids=()))
 
 
 def split_into_threads(run: NestedRun) -> list[Thread]:

@@ -33,6 +33,10 @@ from .specialfn import sample_beta_first_coordinate
 __all__ = ["SamplerConfig", "sample_thread_batch", "standard_run"]
 
 
+# 15-nat steps below sampling_log_x_floor (which covers the posterior bulk)
+MAX_DEEPENINGS = 20
+
+
 @dataclass(frozen=True)
 class SamplerConfig:
     """Standard-run settings.
@@ -137,12 +141,15 @@ def standard_run(m: ModelSpec, cfg: SamplerConfig, rng=None) -> NestedRun:
     n = cfg.n_live
     floor = sampling_log_x_floor(m, n)
     depth = None
-    while True:
+    for _ in range(MAX_DEEPENINGS + 1):
         depth = _ensure_depth(rng, n, depth, -floor)
         out = _assemble(m, cfg, rng, depth, floor)
         if out is not None:
             return out
         floor -= 15.0  # termination not reached in covered depth; go deeper
+    raise RuntimeError(
+        f"standard_run: termination not reached after {MAX_DEEPENINGS} "
+        f"deepenings of the draw floor (to ln X = {floor + 15.0:g})")
 
 
 def _assemble(m: ModelSpec, cfg: SamplerConfig, rng, depth: np.ndarray,

@@ -331,22 +331,16 @@ def inv_reg_lower_inc_gamma(a, p):
     return inv_log_reg_lower_inc_gamma(a, math.log(p))
 
 
-def sample_beta_first_coordinate(d, rng, size=None):
-    """Draw the first coordinate of a uniform point on the unit (d-1)-sphere.
+def sample_beta_first_coordinate(d, rng, size):
+    """Array of the given shape of first coordinates of uniform points on
+    the unit (d-1)-sphere.
 
     Uses the marginal law: u1^2 ~ Beta(1/2, (d-1)/2) with a random sign.
     O(1) work per draw in any dimension; d = 1 gives an exact random sign.
-    Returns a scalar when size is None, else an array of that shape.
     """
     d = int(d)
     if d < 1:
         raise ValueError("dimension must be >= 1")
-    if size is None:
-        if d == 1:
-            return -1.0 if rng.integers(0, 2) == 0 else 1.0
-        b = float(rng.beta(0.5, 0.5 * (d - 1)))
-        sign = -1.0 if rng.integers(0, 2) == 0 else 1.0
-        return sign * math.sqrt(b)
     if d == 1:
         return np.where(rng.integers(0, 2, size=size) == 0, -1.0, 1.0)
     b = rng.beta(0.5, 0.5 * (d - 1), size=size)

@@ -22,8 +22,9 @@ from varlive.dynamic import (AlgorithmOneConfig, GoalConfig,
 from varlive.experiments import _resolve_arm, estimator_truth
 from varlive.models import ModelSpec
 from varlive.runio import run_to_dict
-from varlive.runs import (NestedRun, combine_runs, live_point_counts,
-                          point_log_weights, split_into_threads)
+from varlive.runs import (NestedRun, combine_runs, combine_threads,
+                          live_point_counts, point_log_weights,
+                          split_into_threads)
 from varlive.sampler import SamplerConfig, standard_run
 
 
@@ -229,8 +230,7 @@ class TestCriterion8:
         run = dynamic_run_algorithm1(
             M3, GoalConfig(goal_g=0.5),
             AlgorithmOneConfig(n_init=10, sample_budget=220), rng=rng)
-        back = combine_runs([t.to_run(run.model)
-                             for t in split_into_threads(run)])
+        back = combine_threads(run.model, split_into_threads(run))
         for attr in ("log_l", "birth_log_l", "theta1", "radius",
                      "true_log_x", "thread_id"):
             np.testing.assert_array_equal(getattr(back, attr),

@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from varlive.analysis import (
     LOG_Z,
+    MAX_DEGENERATE_REDRAWS,
     MEAN_RADIUS,
     MEAN_THETA1,
     MEDIAN_THETA1,
@@ -215,6 +218,33 @@ class TestBootstrapResample:
         assert len(out.provenance.init_thread_ids) == 10
         out.validate()
 
+    @settings(deadline=None, max_examples=25)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n_init=st.integers(2, 8),
+           separate=st.booleans())
+    def test_replicate_keeps_thread_and_class_counts(self, seed, n_init,
+                                                     separate):
+        dyn = dynamic_run_algorithm1(
+            M3, GoalConfig(goal_g=0.5),
+            AlgorithmOneConfig(n_init=n_init, sample_budget=60 * n_init + 60,
+                               n_batch=2), seed=seed)
+        out = bootstrap_resample(dyn, np.random.default_rng(seed),
+                                 separate_initial=separate)
+        threads = split_into_threads(out)
+        assert len(threads) == len(split_into_threads(dyn))
+        if separate:
+            # every replicate thread is a copy from its own class
+            def chains(run, in_class):
+                ids = set(run.provenance.init_thread_ids)
+                return {tuple(th.log_l) for th in split_into_threads(run)
+                        if (th.thread_id in ids) == in_class}
+
+            assert len(out.provenance.init_thread_ids) == n_init
+            for in_class in (True, False):
+                assert chains(out, in_class) <= chains(dyn, in_class)
+        else:
+            assert out.provenance.init_thread_ids is None
+        out.validate()
+
 
 class TestBootstrapError:
     def test_replicate_count_and_degenerate_std(self):
@@ -261,6 +291,16 @@ class TestEfficiencyGain:
     def test_zero_dynamic_variance_rejected(self):
         with pytest.raises(ValueError):
             efficiency_gain([1.0, 2.0], [3.0, 3.0], 1.0, 1.0)
+
+    def test_degenerate_redraws_bounded(self):
+        class FirstPick:  # every resample repeats the first result
+            def integers(self, low, high, size):
+                return np.zeros(size, dtype=np.int64)
+
+        with pytest.raises(RuntimeError,
+                           match=f"{MAX_DEGENERATE_REDRAWS} redraws"):
+            efficiency_gain([1.0, 2.0], [3.0, 4.0], 1.0, 1.0, n_boot=2,
+                            rng=FirstPick())
 
     def test_sigma_tracks_spread(self):
         rng = np.random.default_rng(7)

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 
 import numpy as np
@@ -20,6 +22,7 @@ from varlive.dynamic import (
     importance_tuned,
     savitzky_golay_smooth,
 )
+from varlive import models
 from varlive.models import (
     ModelSpec,
     argmax_log_x_relative_posterior_mass,
@@ -300,7 +303,31 @@ class TestSavitzkyGolay:
         assert_allclose(mine[4:-4], ref[4:-4], atol=1e-12)
 
 
+def run_digest(run):
+    """sha256 over a run's point arrays, open intervals and provenance."""
+    h = hashlib.sha256()
+    for field in ("log_l", "birth_log_l", "theta1", "radius", "true_log_x",
+                  "thread_id", "open_birth_log_l", "open_end_log_l",
+                  "open_thread_id"):
+        h.update(np.ascontiguousarray(getattr(run, field)).tobytes())
+    h.update(json.dumps(run.provenance.to_dict(), sort_keys=True).encode())
+    return h.hexdigest()
+
+
 class TestAlgorithmTwo:
+    @pytest.mark.parametrize("goal_g,digest", [
+        (0.0, "2ed6fb995e2058ae41997ac92a95a3016f963a2b85eeffefa697ace0e963a751"),
+        (1.0, "678fc67a013ee9ae335e6a4c37e3a104e1fc0e3ab64f02ac1fddff670bdc8e5e"),
+    ])
+    def test_seeded_run_pinned(self, monkeypatch, goal_g, digest):
+        # sampled bits depend in their last digits on the contour maps the
+        # process built before, so replay from an empty map cache
+        monkeypatch.setattr(models, "_MAP_CACHE", {})
+        run = dynamic_run_algorithm2(
+            M3, GoalConfig(goal_g=goal_g),
+            AlgorithmTwoConfig(n_init=5, total_budget=2000), seed=2017)
+        assert run_digest(run) == digest
+
     def test_budget_at_initial_run_is_identity(self):
         std = censored_standard(M2, 10, seed=321)
         dyn = dynamic_run_algorithm2(

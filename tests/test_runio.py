@@ -1,6 +1,8 @@
 """Run-file round trips must be bit-exact and standard JSON."""
 
+import io
 import json
+import math
 
 import numpy as np
 import pytest
@@ -10,7 +12,8 @@ from varlive.dynamic import (AlgorithmOneConfig, AlgorithmTwoConfig,
                              GoalConfig, dynamic_run_algorithm1,
                              dynamic_run_algorithm2)
 from varlive.models import ModelSpec
-from varlive.runio import load_run, run_from_dict, run_to_dict, save_run
+from varlive.runio import (_dec, _enc, load_run, run_from_dict, run_to_dict,
+                           save_run)
 from varlive.sampler import SamplerConfig, standard_run
 
 M3 = ModelSpec(family="gaussian", d=3, sigma_pi=10.0)
@@ -79,3 +82,32 @@ def test_version_guard(runs):
     doc["version"] = 999
     with pytest.raises(ValueError, match="version"):
         run_from_dict(doc)
+
+
+def test_codec_matches_elementwise_reference(runs, tmp_path):
+    def enc_reference(values):
+        out = []
+        for x in map(float, values):
+            if math.isinf(x):
+                out.append("inf" if x > 0 else "-inf")
+            elif math.isnan(x):
+                out.append("nan")
+            else:
+                out.append(x)
+        return out
+
+    values = np.array([1.5, -np.inf, np.inf, np.nan, -0.0, 5e-324, -2.0])
+    encoded = _enc(values)
+    assert json.dumps(encoded) == json.dumps(enc_reference(values))
+    np.testing.assert_array_equal(_dec(encoded), values)
+    with pytest.raises(ValueError, match="null"):
+        _dec([1.0, None])
+    with pytest.raises(ValueError, match="flat"):
+        _dec([[1.0], [2.0]])
+    # the file is what the pure-Python encoder writes for the same document
+    path = str(tmp_path / "run.json")
+    save_run(runs["alg2"], path)
+    ref = io.StringIO()
+    json.dump(run_to_dict(runs["alg2"]), ref, separators=(",", ":"),
+              sort_keys=True)
+    assert open(path, encoding="utf-8").read() == ref.getvalue() + "\n"

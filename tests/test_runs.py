@@ -18,6 +18,7 @@ from varlive.runs import (
     RunProvenance,
     Thread,
     combine_runs,
+    combine_threads,
     live_point_counts,
     log_prior_volumes,
     point_log_weights,
@@ -328,7 +329,7 @@ class TestSplit:
                          censor=censor)
         threads = split_into_threads(run)
         assert sum(len(t) for t in threads) == len(run)
-        back = combine_runs([t.to_run(run.model) for t in threads])
+        back = combine_threads(run.model, threads)
         for field in ("log_l", "birth_log_l", "theta1", "radius",
                       "true_log_x", "thread_id", "open_birth_log_l",
                       "open_end_log_l", "open_thread_id"):
@@ -357,7 +358,7 @@ class TestSplit:
         assert len(ghost) == 0
         assert ghost.start_log_l == 0.5
         assert ghost.open_end_log_l == 1.5
-        back = combine_runs([t.to_run(run.model) for t in threads])
+        back = combine_threads(run.model, threads)
         np.testing.assert_array_equal(live_point_counts(back),
                                       live_point_counts(run))
 
@@ -374,6 +375,67 @@ class TestSplit:
                     true_log_x=np.array([-0.5, -1.0]),
                     open_end_log_l=4.0)
         run = th.to_run(M)
+        assert run.thread_id.tolist() == [0, 0]
         assert run.n_open == 1
         assert run.open_birth_log_l[0] == 2.0
         assert run.open_end_log_l[0] == 4.0
+        assert run.open_thread_id.tolist() == [0]
+
+
+def thread_as_run(th, model=M):
+    """One thread as a run of its own, built directly: what a merge of
+    per-thread runs starts from."""
+    n = len(th)
+    kwargs = {}
+    if th.open_end_log_l is not None:
+        kwargs = dict(open_birth_log_l=[th.log_l[-1] if n else th.start_log_l],
+                      open_end_log_l=[th.open_end_log_l],
+                      open_thread_id=[th.thread_id])
+    return NestedRun(model, th.log_l, th.birth_log_l, th.theta1, th.radius,
+                     th.true_log_x, np.full(n, th.thread_id), presorted=True,
+                     **kwargs)
+
+
+class TestCombineThreads:
+    @settings(deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n_threads=st.integers(1, 20),
+           censor=st.booleans(), n_picks=st.integers(1, 30))
+    def test_equals_merge_of_thread_runs(self, seed, n_threads, censor,
+                                         n_picks):
+        rng = np.random.default_rng(seed)
+        threads = split_into_threads(
+            random_run(rng, n_threads=n_threads, censor=censor))
+        # any order, repeats allowed, as a bootstrap draws them
+        picked = [threads[int(k)]
+                  for k in rng.integers(0, len(threads), size=n_picks)]
+        one = combine_threads(M, picked)
+        many = combine_runs([thread_as_run(th) for th in picked])
+        for field in ("log_l", "birth_log_l", "theta1", "radius",
+                      "true_log_x", "thread_id", "open_birth_log_l",
+                      "open_end_log_l", "open_thread_id"):
+            np.testing.assert_array_equal(getattr(one, field),
+                                          getattr(many, field), err_msg=field)
+        assert one.provenance.init_thread_ids == ()
+
+    def test_relabelled_in_list_order(self):
+        run = build_run({4: (-np.inf, [1.0, 3.0]), 9: (-np.inf, [2.0])},
+                        opens=[(6, 0.5, 2.5)])
+        by_id = {t.thread_id: t for t in split_into_threads(run)}
+        out = combine_threads(M, [by_id[9], by_id[6], by_id[4]])
+        assert out.thread_id.tolist() == [2, 0, 2]
+        assert out.open_thread_id.tolist() == [1]
+        assert out.open_birth_log_l.tolist() == [0.5]
+        out.validate()
+
+    def test_merge_onto_run_keeps_its_initial_ids(self):
+        base = censored_run({0: (-np.inf, [1.0, 3.0]),
+                             1: (-np.inf, [2.0])}).with_provenance(
+            RunProvenance(algorithm="standard", init_thread_ids=(0, 1)))
+        extra = split_into_threads(build_run({0: (1.0, [1.5, 2.5])}))
+        both = combine_runs([base, combine_threads(M, extra)])
+        assert both.provenance.init_thread_ids == (0, 1)
+        assert set(both.thread_id.tolist()) == {0, 1, 2}
+
+    def test_no_threads_gives_empty_run(self):
+        out = combine_threads(M, [])
+        assert len(out) == 0 and out.n_open == 0

@@ -20,11 +20,12 @@ from varlive.models import (
     log_likelihood_from_log_x,
 )
 from varlive.runs import (
-    combine_runs,
+    combine_threads,
     live_point_counts,
     log_prior_volumes,
     point_log_weights,
 )
+from varlive import sampler
 from varlive.sampler import SamplerConfig, sample_thread_batch, standard_run
 
 M3 = ModelSpec(family=GAUSSIAN, d=3, sigma_pi=10.0)
@@ -114,7 +115,7 @@ class TestSampleThread:
         assert np.all(th.log_l[:-1] <= end)
         assert th.birth_log_l[0] == -np.inf
         np.testing.assert_array_equal(th.birth_log_l[1:], th.log_l[:-1])
-        th.to_run(M3).validate()
+        combine_threads(M3, [th]).validate()
 
     def test_tiny_interval_length_one(self):
         rng = np.random.default_rng(23)
@@ -134,7 +135,7 @@ class TestSampleThread:
         th = thread(M3, -np.inf, end, rng, censor_at_end=True)
         assert th.open_end_log_l == end
         assert np.all(th.log_l <= end)
-        th.to_run(M3).validate()
+        combine_threads(M3, [th]).validate()
 
     def test_rejects_empty_interval(self):
         with pytest.raises(ValueError):
@@ -148,7 +149,7 @@ class TestSampleThreadBatch:
         ths = sample_thread_batch(M3, -np.inf, end, rng, range(400))
         lens = [len(t) for t in ths]
         assert np.mean(lens) == pytest.approx(6.0, abs=0.45)
-        run = combine_runs([t.to_run(M3) for t in ths])
+        run = combine_threads(M3, ths)
         run.validate()
 
     def test_censored_batch_holds_counts(self):
@@ -156,7 +157,7 @@ class TestSampleThreadBatch:
         end = float(log_likelihood_from_log_x(M3, -4.0))
         ths = sample_thread_batch(M3, -np.inf, end, rng, range(50),
                                   censor_at_end=True)
-        run = combine_runs([t.to_run(M3) for t in ths])
+        run = combine_threads(M3, ths)
         assert np.all(live_point_counts(run) == 50)
 
     def test_one_point_rule(self):
@@ -212,6 +213,12 @@ class TestStandardRun:
         np.testing.assert_array_equal(a.true_log_x, b.true_log_x)
         c = standard_run(M3, SamplerConfig(n_live=25, seed=47))
         assert not np.array_equal(a.log_l, c.log_l)
+
+    def test_deepening_is_bounded(self, monkeypatch):
+        monkeypatch.setattr(sampler, "_assemble", lambda *args: None)
+        with pytest.raises(RuntimeError,
+                           match=f"after {sampler.MAX_DEEPENINGS} deepenings"):
+            standard_run(M3, SamplerConfig(n_live=3, seed=49))
 
     def test_provenance(self):
         run = standard_run(M3, SamplerConfig(n_live=5, seed=48))

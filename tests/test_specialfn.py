@@ -206,10 +206,11 @@ class TestSphereCoordinate:
 
     def test_scalar_and_shape(self):
         rng = np.random.default_rng(2)
-        v = sf.sample_beta_first_coordinate(10, rng)
-        assert isinstance(v, float)
-        arr = sf.sample_beta_first_coordinate(10, rng, size=(3, 4))
-        assert arr.shape == (3, 4)
+        for d in (1, 10):
+            v = sf.sample_beta_first_coordinate(d, rng, size=())
+            assert v.shape == () and abs(float(v)) <= 1.0
+            arr = sf.sample_beta_first_coordinate(d, rng, size=(3, 4))
+            assert arr.shape == (3, 4)
 
     def test_deterministic_given_seed(self):
         a = sf.sample_beta_first_coordinate(7, np.random.default_rng(99), size=50)
@@ -218,4 +219,4 @@ class TestSphereCoordinate:
 
     def test_rejects_bad_dimension(self):
         with pytest.raises(ValueError):
-            sf.sample_beta_first_coordinate(0, np.random.default_rng(0))
+            sf.sample_beta_first_coordinate(0, np.random.default_rng(0), size=1)
