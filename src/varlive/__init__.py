@@ -16,8 +16,8 @@ from .sampler import SamplerConfig, standard_run
 from .dynamic import (AlgorithmOneConfig, AlgorithmTwoConfig, GoalConfig,
                       dynamic_run_algorithm1, dynamic_run_algorithm2)
 from .analysis import (EstimatorId, bootstrap_error, bootstrap_resample,
-                       efficiency_gain, estimate, information_content,
-                       weighted_quantile)
+                       efficiency_gain, estimate, estimates,
+                       information_content, weighted_quantile)
 from .runio import load_run, save_run
 
 __version__ = "0.1.0"
@@ -30,7 +30,8 @@ __all__ = [
     "AlgorithmOneConfig", "AlgorithmTwoConfig", "GoalConfig",
     "dynamic_run_algorithm1", "dynamic_run_algorithm2",
     "EstimatorId", "bootstrap_error", "bootstrap_resample",
-    "efficiency_gain", "estimate", "information_content", "weighted_quantile",
+    "efficiency_gain", "estimate", "estimates", "information_content",
+    "weighted_quantile",
     "load_run", "save_run",
     "__version__",
 ]

@@ -26,7 +26,7 @@ import time
 
 import numpy as np
 
-from .analysis import bootstrap_replicates, estimate
+from .analysis import bootstrap_replicates, estimates
 from .experiments import (_STREAM_BOOT, ExperimentConfig, _bootstrap_columns,
                           _map_tasks, _resolve_arm, _run_spawn_key,
                           _sample_run, _stream, config_from_dict)
@@ -121,7 +121,7 @@ def run_row(m: ModelSpec, resolved: dict, entropy: int, arm_index: int,
     bootstrap spread columns."""
     run = _sample_run(m, resolved,
                       _stream(entropy, _run_spawn_key(arm_index, run_index)))
-    out = {"n": len(run), "est": [estimate(run, eid) for eid in eids]}
+    out = {"n": len(run), "est": estimates(run, eids).tolist()}
     if boot_reps:
         rng = _stream(entropy, (_STREAM_BOOT, arm_index, run_index))
         boot_std, cred95 = _bootstrap_columns(

@@ -32,8 +32,8 @@ __all__ = [
     "EstimatorId",
     "ESTIMATOR_KINDS",
     "estimator_from_key",
-    "log_evidence_estimate",
     "weighted_quantile",
+    "estimates",
     "estimate",
     "information_content",
     "bootstrap_resample",
@@ -95,15 +95,6 @@ MEAN_RADIUS = EstimatorId("mean_radius")
 MEDIAN_RADIUS = EstimatorId("median_radius")
 
 
-def log_evidence_estimate(run: NestedRun) -> float:
-    """Quadrature evidence over the dead points, in log space."""
-    if len(run) == 0:
-        raise ValueError("empty run has no evidence estimate")
-    terms = run.log_l + point_log_weights(run)
-    m = float(terms.max())
-    return m + math.log(float(np.exp(terms - m).sum()))
-
-
 def weighted_quantile(values, weights, q: float) -> float:
     """Quantile of a weighted sample, midpoint convention.
 
@@ -135,18 +126,38 @@ def _values_for(run: NestedRun, eid: EstimatorId) -> np.ndarray:
     return run.radius
 
 
-def estimate(run: NestedRun, eid: EstimatorId) -> float:
-    """Posterior-weighted statistic of the run."""
+def estimates(run: NestedRun, eids) -> np.ndarray:
+    """Every estimator in eids, in order, from one weight pass: ln Z is the
+    quadrature evidence over the dead points, the rest are posterior-weighted
+    statistics."""
     if len(run) == 0:
         raise ValueError("empty run has no estimates")
-    if eid.kind == "log_z":
-        return log_evidence_estimate(run)
-    p = posterior_weights(run)
-    vals = _values_for(run, eid)
-    if eid.kind in ("mean_theta1", "second_moment_theta1", "mean_radius"):
-        return float(np.sum(p * vals))
-    q = eid.q if eid.kind == "credible_theta1" else 0.5
-    return weighted_quantile(vals, p, q)
+    lw = run.log_l + point_log_weights(run)
+    mx = float(lw.max())
+    e = np.exp(lw - mx)
+    total = e.sum()
+    p = None
+    out = np.empty(len(eids))
+    for k, eid in enumerate(eids):
+        if eid.kind == "log_z":
+            out[k] = mx + math.log(float(total))
+            continue
+        if p is None:
+            if not math.isfinite(mx):
+                raise ValueError("all posterior weights are zero")
+            p = e / total
+        vals = _values_for(run, eid)
+        if eid.kind in ("mean_theta1", "second_moment_theta1", "mean_radius"):
+            out[k] = np.sum(p * vals)
+        else:
+            q = eid.q if eid.kind == "credible_theta1" else 0.5
+            out[k] = weighted_quantile(vals, p, q)
+    return out
+
+
+def estimate(run: NestedRun, eid: EstimatorId) -> float:
+    """One estimator of the run (see estimates)."""
+    return float(estimates(run, (eid,))[0])
 
 
 def information_content(run: NestedRun) -> float:
@@ -201,8 +212,8 @@ def bootstrap_replicates(run: NestedRun, eids, n_reps: int, rng,
         separate_initial = run.provenance.init_thread_ids is not None
     reps = np.empty((n_reps, len(eids)))
     for r in range(n_reps):
-        rb = bootstrap_resample(run, rng, separate_initial)
-        reps[r] = [estimate(rb, eid) for eid in eids]
+        reps[r] = estimates(bootstrap_resample(run, rng, separate_initial),
+                            eids)
     return reps
 
 

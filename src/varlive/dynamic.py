@@ -46,10 +46,8 @@ __all__ = [
     "GoalConfig",
     "AlgorithmOneConfig",
     "AlgorithmTwoConfig",
-    "ImportanceProfile",
     "importance_evidence",
     "importance_evidence_exact",
-    "importance_param",
     "importance_tuned",
     "combined_importance",
     "dynamic_run_algorithm1",
@@ -124,16 +122,6 @@ class AlgorithmTwoConfig:
             else 2 * self.n_init + 1
 
 
-@dataclass(frozen=True)
-class ImportanceProfile:
-    """Per-point allocation pressure, aligned to run order; each field is
-    nonnegative and combined sums to one."""
-
-    imp_z: np.ndarray
-    imp_param: np.ndarray
-    combined: np.ndarray
-
-
 def _require_points(run: NestedRun):
     if len(run) == 0:
         raise ValueError("importance of an empty run is undefined")
@@ -173,12 +161,6 @@ def importance_evidence_exact(run: NestedRun) -> np.ndarray:
     return _unit_sum(raw)
 
 
-def importance_param(run: NestedRun) -> np.ndarray:
-    """Parameter importance: the posterior weights themselves."""
-    _require_points(run)
-    return posterior_weights(run)
-
-
 def importance_tuned(run: NestedRun, target_values: Sequence[float],
                      global_mean: float) -> np.ndarray:
     """Estimator-specific parameter importance |f(theta_i) - f-bar| L_i w_i.
@@ -198,31 +180,31 @@ def importance_tuned(run: NestedRun, target_values: Sequence[float],
     return raw / total
 
 
-def combined_importance(run: NestedRun, goal: GoalConfig) -> ImportanceProfile:
-    """Goal-weighted importance: (1-G) evidence part + G parameter part."""
-    if goal.importance_variant == "exact":
-        imp_z = importance_evidence_exact(run)
-    else:
-        imp_z = importance_evidence(run)
+def combined_importance(run: NestedRun, goal: GoalConfig) -> np.ndarray:
+    """Goal-weighted importance (1-G) evidence part + G parameter part,
+    aligned to run order and summing to one; a term with zero weight is not
+    computed.  The parameter part is the posterior weights, or the tuned
+    importance when that is not degenerate."""
+    g = goal.goal_g
+    if g < 1.0:
+        if goal.importance_variant == "exact":
+            imp_z = importance_evidence_exact(run)
+        else:
+            imp_z = importance_evidence(run)
+        if g == 0.0:
+            return imp_z
+    imp_param = posterior_weights(run)
     if goal.importance_variant == "tuned":
         values = run.theta1 if goal.tuned_target is None \
             else np.asarray(goal.tuned_target(run), dtype=float)
-        mean = float(np.sum(posterior_weights(run) * values))
         try:
-            imp_param = importance_tuned(run, values, mean)
+            imp_param = importance_tuned(
+                run, values, float(np.sum(imp_param * values)))
         except ValueError:
-            imp_param = importance_param(run)
-    else:
-        imp_param = importance_param(run)
-    if goal.goal_g == 0.0:
-        combined = imp_z
-    elif goal.goal_g == 1.0:
-        combined = imp_param
-    else:
-        combined = _unit_sum((1.0 - goal.goal_g) * imp_z
-                             + goal.goal_g * imp_param)
-    return ImportanceProfile(imp_z=imp_z, imp_param=imp_param,
-                             combined=combined)
+            pass
+    if g == 1.0:
+        return imp_param
+    return _unit_sum((1.0 - g) * imp_z + g * imp_param)
 
 
 def dynamic_run_algorithm1(m: ModelSpec, goal: GoalConfig,
@@ -237,7 +219,7 @@ def dynamic_run_algorithm1(m: ModelSpec, goal: GoalConfig,
         keep_final_live=True)
     run = standard_run(m, init_cfg, rng)
     while len(run) < cfg.sample_budget:
-        prof = combined_importance(run, goal).combined
+        prof = combined_importance(run, goal)
         high = np.flatnonzero(prof > cfg.fraction * prof.max())
         j, k = int(high[0]), int(high[-1])
         start = -np.inf if j == 0 else float(run.log_l[j - 1])
@@ -309,7 +291,7 @@ def algorithm2_allocation(init_run: NestedRun, goal: GoalConfig,
             f"already holds {len(init_run)} samples")
     target_extra = cfg.total_budget - len(init_run)
 
-    prof = combined_importance(init_run, goal).combined
+    prof = combined_importance(init_run, goal)
     smooth = np.clip(savitzky_golay_smooth(prof, cfg.window,
                                            cfg.smooth_order), 0.0, None)
 

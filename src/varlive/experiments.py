@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .analysis import (EstimatorId, GainEstimate, bootstrap_replicates,
-                       efficiency_gain, estimate, estimator_from_key,
+                       efficiency_gain, estimates, estimator_from_key,
                        jackknife_std_sigma, weighted_quantile)
 from .dynamic import (AlgorithmOneConfig, AlgorithmTwoConfig, GoalConfig,
                       dynamic_run_algorithm1, dynamic_run_algorithm2)
@@ -143,6 +143,10 @@ class ExperimentConfig:
             raise ValueError("experiment needs at least one arm")
         if not self.estimators:
             raise ValueError("experiment needs at least one estimator")
+        if self.gain_boot < 2 or self.bootstrap_reps < 2:
+            raise ValueError("gain_boot and bootstrap_reps must be >= 2")
+        if self.profile_runs < 1:
+            raise ValueError("profile_runs must be >= 1")
         names = [a.name for a in self.arms]
         if len(set(names)) != len(names):
             raise ValueError("arm names must be unique")
@@ -454,9 +458,8 @@ def compare_report(config: ExperimentConfig, out_dir: str) -> ExperimentReport:
         entry = _manifest_arm(manifest, arm.name)
         mat = np.empty((len(entry["runs"]), len(config.estimators)))
         for i, rec in enumerate(entry["runs"]):
-            run = load_run(os.path.join(out_dir, rec["path"]))
-            for k, eid in enumerate(config.estimators):
-                mat[i, k] = estimate(run, eid)
+            mat[i] = estimates(load_run(os.path.join(out_dir, rec["path"])),
+                               config.estimators)
         values[arm.name] = mat
         report.mean_samples[arm.name] = float(entry["mean_samples"])
         for k, eid in enumerate(config.estimators):
@@ -494,7 +497,7 @@ def alloc_profile_rows(config: ExperimentConfig, out_dir: str) -> list[dict]:
     _check_run_files(out_dir, manifest)
     arm_name = config.profile_arm or _default_focus_arm(config)
     entry = _manifest_arm(manifest, arm_name)
-    recs = entry["runs"][:max(1, config.profile_runs)]
+    recs = entry["runs"][:config.profile_runs]
     rows = []
     areas = []
     low = 0.0
@@ -582,8 +585,7 @@ def bootstrap_table_rows(config: ExperimentConfig, out_dir: str) -> list[dict]:
     cred95 = np.empty((n_runs, n_est))
     for j, rec in enumerate(entry["runs"]):
         run = load_run(os.path.join(out_dir, rec["path"]))
-        for k, eid in enumerate(eids):
-            est[j, k] = estimate(run, eid)
+        est[j] = estimates(run, eids)
         reps = bootstrap_replicates(run, eids, config.bootstrap_reps,
                                     _stream(config.seed, (_STREAM_BOOT, j)))
         boot_std[j], cred95[j] = _bootstrap_columns(reps)

@@ -10,7 +10,7 @@ regularized lower incomplete gamma function from `specialfn`.
 Because the maps are strictly monotone, expensive inverse solves can be
 avoided almost everywhere: `ContourMap` tabulates exact forward evaluations
 of ln X on an adaptive grid once per model and serves interpolated
-ln X <-> ln L and ln X -> radius queries from monotone cubic (PCHIP) fits.
+ln X -> ln L and ln X -> radius queries from monotone cubic (PCHIP) fits.
 Samplers and quadrature oracles all read from that shared cache.
 """
 
@@ -179,7 +179,7 @@ def log_x_from_log_likelihood(m: ModelSpec, logl):
 
 
 class ContourMap:
-    """Tabulated ln X <-> ln L and ln X -> radius maps for one model.
+    """Tabulated ln X -> ln L and ln X -> radius maps for one model.
 
     Built from exact forward evaluations of ln X on an adaptive grid:
     a coarse pass in ln t locates the ln X values, a second pass re-grids to
@@ -223,26 +223,9 @@ class ContourMap:
         r_nodes = model.sigma_pi * np.sqrt(2.0 * t_nodes)
         logl_nodes = log_likelihood_at_radius(model, r_nodes)
 
-        self._lnx = lnx_nodes
-        self._logl = logl_nodes
-        self._radius = r_nodes
+        self.log_x_top = float(lnx_nodes[-1])
         self._logl_of_lnx = PchipInterpolator(lnx_nodes, logl_nodes, extrapolate=False)
         self._radius_of_lnx = PchipInterpolator(lnx_nodes, r_nodes, extrapolate=False)
-        # logl decreases with lnx, so reverse for the inverse map; deep nodes
-        # where logl has flattened onto the peak at double precision are
-        # dropped (the geometry itself is indistinguishable there)
-        strict = np.concatenate([[True], np.diff(logl_nodes) < 0.0])
-        self._lnx_of_logl = PchipInterpolator(logl_nodes[strict][::-1],
-                                              lnx_nodes[strict][::-1],
-                                              extrapolate=False)
-
-    @property
-    def log_x_top(self) -> float:
-        return float(self._lnx[-1])
-
-    @property
-    def log_l_range(self):
-        return float(self._logl[-1]), float(self._logl[0])
 
     def _check(self, out, what):
         if np.any(np.isnan(out)):
@@ -256,10 +239,6 @@ class ContourMap:
     def radius(self, logx):
         out = self._radius_of_lnx(logx)
         return self._check(out, "radius")
-
-    def log_x(self, logl):
-        out = self._lnx_of_logl(logl)
-        return self._check(out, "log_x")
 
 
 _MAP_CACHE: dict[ModelSpec, ContourMap] = {}

@@ -60,13 +60,15 @@ def run_to_dict(run: NestedRun) -> dict:
 
 
 def run_from_dict(doc: dict) -> NestedRun:
+    """The run a document describes; raises ValueError when the document
+    breaks a run invariant (NestedRun.validate)."""
     version = doc.get("version")
     if version != FORMAT_VERSION:
         raise ValueError(f"unsupported run file version {version!r}")
     model = ModelSpec.from_dict(doc["model"])
     pts = doc["points"]
     opens = doc["open_intervals"]
-    return NestedRun(
+    run = NestedRun(
         model,
         _dec(pts["log_l"]), _dec(pts["birth_log_l"]), _dec(pts["theta1"]),
         _dec(pts["radius"]), _dec(pts["true_log_x"]),
@@ -76,6 +78,8 @@ def run_from_dict(doc: dict) -> NestedRun:
         open_thread_id=np.array(opens["thread_id"], dtype=np.int64),
         provenance=RunProvenance.from_dict(doc["provenance"]),
         presorted=True)
+    run.validate()
+    return run
 
 
 def save_run(run: NestedRun, path: str) -> None:

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -17,12 +18,13 @@ from varlive.analysis import (
     bootstrap_resample,
     efficiency_gain,
     estimate,
+    estimates,
     estimator_from_key,
     information_content,
     jackknife_std_sigma,
-    log_evidence_estimate,
     weighted_quantile,
 )
+from varlive import analysis, models, runs
 from varlive.dynamic import AlgorithmOneConfig, GoalConfig, dynamic_run_algorithm1
 from varlive.models import ModelSpec, analytic_log_evidence
 from varlive.runs import (
@@ -78,21 +80,21 @@ class TestEstimatorId:
 class TestLogEvidence:
     def test_single_point_boundary_convention(self):
         run = chain_run([3.7])
-        assert log_evidence_estimate(run) == pytest.approx(
+        assert estimate(run, LOG_Z) == pytest.approx(
             math.log(0.5) + 3.7, abs=1e-14)
 
     def test_combine_order_invariance(self):
         a = standard_run(M3, SamplerConfig(n_live=10, seed=1))
         b = standard_run(M3, SamplerConfig(n_live=7, seed=2))
-        ab = log_evidence_estimate(combine_runs([a, b]))
-        ba = log_evidence_estimate(combine_runs([b, a]))
+        ab = estimate(combine_runs([a, b]), LOG_Z)
+        ba = estimate(combine_runs([b, a]), LOG_Z)
         assert ab == ba
 
     def test_mean_over_ensemble_near_truth(self):
         # smoke-level version of the ensemble bias check
-        vals = [log_evidence_estimate(
+        vals = [estimate(
             standard_run(M3, SamplerConfig(n_live=100, keep_final_live=False,
-                                           seed=60000 + s)))
+                                           seed=60000 + s)), LOG_Z)
                 for s in range(60)]
         truth = analytic_log_evidence(M3)
         assert truth == pytest.approx(-9.6797, abs=5e-4)
@@ -104,7 +106,7 @@ class TestLogEvidence:
                           np.empty(0), np.empty(0),
                           np.empty(0, dtype=np.int64))
         with pytest.raises(ValueError):
-            log_evidence_estimate(empty)
+            estimate(empty, LOG_Z)
 
 
 class TestWeightedQuantile:
@@ -161,8 +163,71 @@ class TestEstimate:
         assert got == pytest.approx(ref, abs=1e-12)
 
     def test_log_z_dispatch(self):
+        # one thread: X = e^-1, e^-2; trapezium weights (1 - e^-2)/2, e^-1/2
         run = chain_run([1.0, 2.0])
-        assert estimate(run, LOG_Z) == log_evidence_estimate(run)
+        z = math.e * (1.0 - math.exp(-2.0)) / 2.0 + math.e / 2.0
+        assert estimate(run, LOG_Z) == pytest.approx(math.log(z), abs=1e-14)
+
+
+ALL_ESTIMATORS = tuple(estimator_from_key(k) for k in (
+    "log_z", "mean_theta1", "median_theta1", "credible_theta1:0.84",
+    "second_moment_theta1", "mean_radius", "median_radius"))
+
+
+def _digest(values):
+    return hashlib.sha256(
+        np.ascontiguousarray(values, dtype=np.float64).tobytes()).hexdigest()
+
+
+class TestEstimates:
+    def test_matches_single_estimator_calls(self):
+        run = standard_run(M3, SamplerConfig(n_live=20, seed=5))
+        got = estimates(run, ALL_ESTIMATORS)
+        assert got.tolist() == [estimate(run, e) for e in ALL_ESTIMATORS]
+        assert estimates(run, ALL_ESTIMATORS[::-1]).tolist() == \
+            got[::-1].tolist()
+
+    def test_one_weight_pass(self, monkeypatch):
+        calls = []
+        weights = runs.point_log_weights
+
+        def counted(run):
+            calls.append(1)
+            return weights(run)
+
+        # posterior_weights looks the name up in runs
+        monkeypatch.setattr(runs, "point_log_weights", counted)
+        monkeypatch.setattr(analysis, "point_log_weights", counted)
+        run = standard_run(M3, SamplerConfig(n_live=20, seed=5))
+        estimates(run, ALL_ESTIMATORS)
+        assert len(calls) == 1
+
+    def test_zero_posterior_weights_rejected(self, monkeypatch):
+        monkeypatch.setattr(analysis, "point_log_weights",
+                            lambda run: np.full(len(run), -np.inf))
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(ValueError, match="all posterior weights"):
+                estimates(chain_run([1.0, 2.0]), [LOG_Z, MEAN_THETA1])
+
+    def test_pinned_digests(self, monkeypatch):
+        # sha256 of the seven estimates, recorded before estimates() shared
+        # one weight pass between them; an empty map cache fixes the
+        # sampled bits (they depend on the deepest map built so far)
+        monkeypatch.setattr(models, "_MAP_CACHE", {})
+        std = standard_run(M3, SamplerConfig(n_live=30, keep_final_live=False,
+                                             seed=2024))
+        dyn = dynamic_run_algorithm1(
+            M3, GoalConfig(goal_g=1.0),
+            AlgorithmOneConfig(n_init=10, sample_budget=1500, n_batch=5),
+            seed=2024)
+        expect = {
+            "standard": "9a0ec624a5c45eedcc74789fd1fbb73a"
+                        "cb4aa68ff91bdcf2a75f974fd470cc9a",
+            "dyn1": "958c71fc4ea268295878eac02dbae2c7"
+                    "476accaac6bf821a7075a05dc9a738b3",
+        }
+        for name, run in (("standard", std), ("dyn1", dyn)):
+            assert _digest(estimates(run, ALL_ESTIMATORS)) == expect[name]
 
 
 class TestInformationContent:

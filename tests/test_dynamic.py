@@ -18,11 +18,10 @@ from varlive.dynamic import (
     dynamic_run_algorithm2,
     importance_evidence,
     importance_evidence_exact,
-    importance_param,
     importance_tuned,
     savitzky_golay_smooth,
 )
-from varlive import models
+from varlive import dynamic, models, runs
 from varlive.models import (
     ModelSpec,
     argmax_log_x_relative_posterior_mass,
@@ -123,8 +122,8 @@ class TestEvidenceImportance:
 class TestParamImportance:
     def test_equals_posterior_weights(self):
         run = censored_standard(M3, 40, seed=7)
-        assert_allclose(importance_param(run), posterior_weights(run),
-                        rtol=0, atol=1e-14)
+        assert np.array_equal(combined_importance(run, GoalConfig(goal_g=1.0)),
+                              posterior_weights(run))
 
     def test_tuned_symmetric_pair(self):
         run = chain_run([0.0, math.log(math.e - 1.0 / math.e)],
@@ -146,26 +145,28 @@ class TestParamImportance:
 class TestCombinedImportance:
     def test_endpoints_reduce_exactly(self):
         run = censored_standard(M2, 30, seed=3)
-        p0 = combined_importance(run, GoalConfig(goal_g=0.0))
-        p1 = combined_importance(run, GoalConfig(goal_g=1.0))
-        assert np.array_equal(p0.combined, p0.imp_z)
-        assert np.array_equal(p1.combined, p1.imp_param)
-        assert_allclose(p0.imp_z, importance_evidence(run))
-        assert_allclose(p1.imp_param, posterior_weights(run))
+        assert np.array_equal(combined_importance(run, GoalConfig(goal_g=0.0)),
+                              importance_evidence(run))
+        assert np.array_equal(combined_importance(run, GoalConfig(goal_g=1.0)),
+                              posterior_weights(run))
+        exact = GoalConfig(goal_g=0.0, importance_variant="exact")
+        assert np.array_equal(combined_importance(run, exact),
+                              importance_evidence_exact(run))
 
     def test_mixture_normalized_and_linear(self):
         run = censored_standard(M2, 30, seed=3)
         prof = combined_importance(run, GoalConfig(goal_g=0.25))
-        assert prof.combined.sum() == pytest.approx(1.0, abs=1e-12)
-        assert_allclose(prof.combined,
-                        0.75 * prof.imp_z + 0.25 * prof.imp_param,
+        assert prof.sum() == pytest.approx(1.0, abs=1e-12)
+        assert_allclose(prof,
+                        0.75 * importance_evidence(run)
+                        + 0.25 * posterior_weights(run),
                         rtol=1e-12)
 
     def test_tuned_variant_with_fallback(self):
         flat = chain_run([0.0, 0.5, 1.0], theta1=[0.2, 0.2, 0.2])
         prof = combined_importance(
             flat, GoalConfig(goal_g=1.0, importance_variant="tuned"))
-        assert_allclose(prof.combined, posterior_weights(flat))
+        assert_allclose(prof, posterior_weights(flat))
 
     def test_tuned_variant_custom_target(self):
         run = censored_standard(M2, 25, seed=11)
@@ -175,7 +176,58 @@ class TestCombinedImportance:
         p = posterior_weights(run)
         mean_r = np.sum(p * run.radius)
         expect = np.abs(run.radius - mean_r) * p
-        assert_allclose(prof.combined, expect / expect.sum(), rtol=1e-12)
+        assert_allclose(prof, expect / expect.sum(), rtol=1e-12)
+
+    def test_parameter_goal_makes_one_count_pass(self, monkeypatch):
+        calls = []
+        counts = runs.live_point_counts
+
+        def counted(run):
+            calls.append(1)
+            return counts(run)
+
+        monkeypatch.setattr(runs, "live_point_counts", counted)
+        monkeypatch.setattr(dynamic, "live_point_counts", counted)
+        run = censored_standard(M2, 30, seed=3)
+        combined_importance(run, GoalConfig(goal_g=1.0))
+        assert len(calls) == 1
+
+    def test_pinned_digests(self, monkeypatch):
+        # sha256 over the importance of a censored standard run followed by
+        # that of an Algorithm 1 run, recorded before a zero-weight term
+        # stopped being computed; an empty map cache fixes the sampled bits
+        monkeypatch.setattr(models, "_MAP_CACHE", {})
+        std = censored_standard(M3, 30, seed=2024)
+        dyn = dynamic_run_algorithm1(
+            M3, GoalConfig(goal_g=1.0),
+            AlgorithmOneConfig(n_init=10, sample_budget=1500, n_batch=5),
+            seed=2024)
+        expect = {
+            (0.0, "standard"): "657adf1d5d4b2121ba095bf7ecdd2975"
+                               "40f29d95a59537794f02f1263d19b6eb",
+            (0.0, "exact"): "f501c27dee6b5caa46960b0e11faeb6e"
+                            "6ae98030d3add4b6aef8bd42f1a27166",
+            (0.0, "tuned"): "657adf1d5d4b2121ba095bf7ecdd2975"
+                            "40f29d95a59537794f02f1263d19b6eb",
+            (0.25, "standard"): "10997b947987001fd13fb6a2fdea335b"
+                                "4fcd6fd1bd532b6770c27fd54ee64f42",
+            (0.25, "exact"): "4c8fdd75ce4acc08fa18b2dc1934bd39"
+                             "3883a0ff9a6fbb2a214737a2fcb83096",
+            (0.25, "tuned"): "f0358b9c88d1625d2e3d56a7ab87c8e7"
+                             "cb25c250154cb1abef3d799ab8eec80f",
+            (1.0, "standard"): "a19d072ebbb0c8f8d365e0e5d14e8e0f"
+                               "e9d7fac3cefa9d8bbbcb322dfeff1247",
+            (1.0, "exact"): "a19d072ebbb0c8f8d365e0e5d14e8e0f"
+                            "e9d7fac3cefa9d8bbbcb322dfeff1247",
+            (1.0, "tuned"): "bc6f9100835bfb96353cf8c2ca8013ef"
+                            "7f9015ab5a94e52c981f16197a777f15",
+        }
+        for (g, variant), digest in expect.items():
+            goal = GoalConfig(goal_g=g, importance_variant=variant)
+            prof = np.concatenate([combined_importance(std, goal),
+                                   combined_importance(dyn, goal)])
+            assert hashlib.sha256(prof.tobytes()).hexdigest() == digest, \
+                (g, variant)
 
     def test_goal_validation(self):
         with pytest.raises(ValueError):

@@ -71,6 +71,14 @@ class TestConfig:
             small_config(estimators=[])
         with pytest.raises(ValueError, match="n_runs"):
             small_config(n_runs=0)
+        # one replicate has no spread (gain_boot=1 gave sigma nan) and
+        # profile_runs=0 used to turn silently into 1
+        with pytest.raises(ValueError, match="gain_boot"):
+            small_config(gain_boot=1)
+        with pytest.raises(ValueError, match="bootstrap_reps"):
+            small_config(bootstrap_reps=1)
+        with pytest.raises(ValueError, match="profile_runs"):
+            small_config(profile_runs=0)
 
 
 class TestGenerate:

@@ -228,12 +228,6 @@ class TestContourMap:
         exact_steep = np.array([md.log_likelihood_from_log_x(G10, -v) for v in steep])
         assert np.max(np.abs(cmap.log_l(-steep) - exact_steep)) < 0.05
 
-    def test_inverse_consistency(self):
-        cmap = md.get_contour_map(G10, -60.0)
-        lx = np.linspace(-55.0, -0.01, 5000)
-        back = cmap.log_x(cmap.log_l(lx))
-        assert np.max(np.abs(back - lx)) < 1e-6
-
     def test_out_of_range_raises(self):
         cmap = md.get_contour_map(G10, -60.0)
         with pytest.raises(ValueError):

@@ -111,3 +111,15 @@ def test_codec_matches_elementwise_reference(runs, tmp_path):
     json.dump(run_to_dict(runs["alg2"]), ref, separators=(",", ":"),
               sort_keys=True)
     assert open(path, encoding="utf-8").read() == ref.getvalue() + "\n"
+
+
+def test_swapped_log_l_rejected_on_load(tmp_path):
+    # before load validated, this file loaded and ln Z read -9.557 (-8.645)
+    run = standard_run(M3, SamplerConfig(n_live=20, seed=1))
+    doc = run_to_dict(run)
+    log_l = doc["points"]["log_l"]
+    log_l[0], log_l[17] = log_l[17], log_l[0]
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(ValueError, match="sorted"):
+        load_run(str(path))

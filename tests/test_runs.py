@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from varlive.models import GAUSSIAN, ModelSpec
+from varlive.runio import run_from_dict, run_to_dict
 from varlive.runs import (
     NestedRun,
     RunProvenance,
@@ -439,3 +440,28 @@ class TestCombineThreads:
     def test_no_threads_gives_empty_run(self):
         out = combine_threads(M, [])
         assert len(out) == 0 and out.n_open == 0
+
+
+class TestRunDoc:
+    @settings(deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n_threads=st.integers(1, 20),
+           censor=st.booleans(), data=st.data())
+    def test_corrupt_doc_raises_value_error(self, seed, n_threads, censor,
+                                            data):
+        run = random_run(np.random.default_rng(seed), n_threads=n_threads,
+                         censor=censor)
+        run_from_dict(run_to_dict(run))
+        truncated = run_to_dict(run)
+        field = data.draw(st.sampled_from(sorted(truncated["points"])))
+        truncated["points"][field].pop()
+        with pytest.raises(ValueError):
+            run_from_dict(truncated)
+        if len(run) > 1:
+            # random_run draws distinct log_l values
+            i, j = data.draw(st.lists(st.integers(0, len(run) - 1),
+                                      min_size=2, max_size=2, unique=True))
+            swapped = run_to_dict(run)
+            log_l = swapped["points"]["log_l"]
+            log_l[i], log_l[j] = log_l[j], log_l[i]
+            with pytest.raises(ValueError):
+                run_from_dict(swapped)
