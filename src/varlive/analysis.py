@@ -22,10 +22,9 @@ import numpy as np
 from .runs import (
     NestedRun,
     RunProvenance,
-    combine_threads,
     point_log_weights,
     posterior_weights,
-    split_into_threads,
+    thread_index,
 )
 
 __all__ = [
@@ -175,31 +174,42 @@ def bootstrap_resample(run: NestedRun, rng,
     provenance) form their own resampling class, so the constant-count
     scaffold of a dynamic run is preserved in every replication.
     """
-    threads = split_into_threads(run)
+    ids, rows, offsets, open_pos = thread_index(run)
     if separate_initial:
         init_ids = run.provenance.init_thread_ids
         if init_ids is None:
             raise ValueError(
                 "separate_initial requires init thread ids in provenance")
-        init_set = set(init_ids)
-        init = [th for th in threads if th.thread_id in init_set]
-        classes = [init, [th for th in threads if th.thread_id not in init_set]]
-        new_init = tuple(range(len(init)))
+        in_init = np.isin(ids, init_ids)
+        classes = [np.flatnonzero(in_init), np.flatnonzero(~in_init)]
+        new_init = tuple(range(len(classes[0])))
     else:
-        classes = [threads]
+        classes = [np.arange(ids.size)]
         new_init = None
-    picked = []
-    for cls in classes:
-        if cls:
-            picks = rng.integers(0, len(cls), size=len(cls))
-            picked.extend(cls[int(pick)] for pick in picks)
-    out = combine_threads(run.model, picked)
+    picked = np.concatenate([np.empty(0, dtype=np.int64), *(
+        cls[rng.integers(0, len(cls), size=len(cls))]
+        for cls in classes if len(cls))])
+    # the picked threads' rows, thread after thread; picks are relabelled
+    # 0..k-1 in pick order, and the run constructor sorts the rows by log_l
+    start = offsets[picked]
+    length = offsets[picked + 1] - start
+    sel = rows[np.arange(length.sum())
+               + np.repeat(start - np.cumsum(length) + length, length)]
+    opened = open_pos[picked]
+    censored = np.flatnonzero(opened >= 0)
+    pos = opened[censored]
     prov = run.provenance
-    return out.with_provenance(RunProvenance(
-        algorithm="bootstrap", seed=None, n_init=prov.n_init,
-        goal_g=prov.goal_g, sample_budget=prov.sample_budget,
-        importance_variant=prov.importance_variant,
-        init_thread_ids=new_init))
+    return NestedRun(
+        run.model, run.log_l[sel], run.birth_log_l[sel], run.theta1[sel],
+        run.radius[sel], run.true_log_x[sel],
+        np.repeat(np.arange(picked.size), length),
+        open_birth_log_l=run.open_birth_log_l[pos],
+        open_end_log_l=run.open_end_log_l[pos], open_thread_id=censored,
+        provenance=RunProvenance(
+            algorithm="bootstrap", seed=None, n_init=prov.n_init,
+            goal_g=prov.goal_g, sample_budget=prov.sample_budget,
+            importance_variant=prov.importance_variant,
+            init_thread_ids=new_init))
 
 
 def bootstrap_replicates(run: NestedRun, eids, n_reps: int, rng,

@@ -34,11 +34,11 @@ from .models import ModelSpec
 from .runs import (
     NestedRun,
     RunProvenance,
+    _log_weights,
+    _normalised_weights,
     combine_runs,
     combine_threads,
     live_point_counts,
-    point_log_weights,
-    posterior_weights,
 )
 from .sampler import SamplerConfig, sample_thread_batch, standard_run
 
@@ -122,22 +122,26 @@ class AlgorithmTwoConfig:
             else 2 * self.n_init + 1
 
 
-def _require_points(run: NestedRun):
-    if len(run) == 0:
-        raise ValueError("importance of an empty run is undefined")
-
-
 def _unit_sum(v: np.ndarray) -> np.ndarray:
     return v / np.sum(v)
+
+
+def _counts_and_log_lw(run: NestedRun):
+    """Live counts and ln(L_i w_i) from one count pass."""
+    if len(run) == 0:
+        raise ValueError("importance of an empty run is undefined")
+    counts = live_point_counts(run)
+    return counts, _log_weights(counts) + run.log_l
 
 
 def importance_evidence(run: NestedRun) -> np.ndarray:
     """Evidence importance: share of evidence at-or-above each contour per
     live point, i.e. (sum_{k>=i} L_k w_k) / n_i, normalized to unit sum."""
-    _require_points(run)
-    lw = point_log_weights(run) + run.log_l
+    return _evidence(*_counts_and_log_lw(run))
+
+
+def _evidence(counts, lw):
     ln_tail = np.logaddexp.accumulate(lw[::-1])[::-1]
-    counts = live_point_counts(run)
     return _unit_sum(np.exp(ln_tail - ln_tail.max()) / counts)
 
 
@@ -147,13 +151,15 @@ def importance_evidence_exact(run: NestedRun) -> np.ndarray:
     Weighs the strictly-above evidence and the point's own contribution by
     count-dependent factors; approaches the plain ratio form as counts grow.
     """
-    _require_points(run)
-    lw = point_log_weights(run) + run.log_l
-    n = len(run)
+    return _evidence_exact(*_counts_and_log_lw(run))
+
+
+def _evidence_exact(counts, lw):
+    n = lw.shape[0]
     ln_above = np.full(n, -np.inf)
     if n > 1:
         ln_above[:-1] = np.logaddexp.accumulate(lw[::-1])[::-1][1:]
-    counts = live_point_counts(run).astype(float)
+    counts = counts.astype(float)
     coef_tail = (counts + 1.0) / (np.sqrt(counts) * (counts + 2.0) ** 1.5)
     coef_self = np.sqrt(counts) / (counts + 2.0) ** 1.5
     scale = max(float(lw.max()), float(ln_above.max()))
@@ -168,11 +174,13 @@ def importance_tuned(run: NestedRun, target_values: Sequence[float],
     Raises on the degenerate all-zero profile (every value at the mean);
     callers fall back to the plain parameter importance.
     """
-    _require_points(run)
+    return _tuned(_counts_and_log_lw(run)[1], target_values, global_mean)
+
+
+def _tuned(lw, target_values, global_mean):
     vals = np.asarray(target_values, dtype=float)
-    if vals.shape != run.log_l.shape:
+    if vals.shape != lw.shape:
         raise ValueError("target_values must align with the run")
-    lw = point_log_weights(run) + run.log_l
     raw = np.abs(vals - global_mean) * np.exp(lw - lw.max())
     total = raw.sum()
     if total == 0.0:
@@ -183,23 +191,24 @@ def importance_tuned(run: NestedRun, target_values: Sequence[float],
 def combined_importance(run: NestedRun, goal: GoalConfig) -> np.ndarray:
     """Goal-weighted importance (1-G) evidence part + G parameter part,
     aligned to run order and summing to one; a term with zero weight is not
-    computed.  The parameter part is the posterior weights, or the tuned
-    importance when that is not degenerate."""
+    computed, and every term shares one count and weight pass.  The
+    parameter part is the posterior weights, or the tuned importance when
+    that is not degenerate."""
     g = goal.goal_g
+    counts, lw = _counts_and_log_lw(run)
     if g < 1.0:
         if goal.importance_variant == "exact":
-            imp_z = importance_evidence_exact(run)
+            imp_z = _evidence_exact(counts, lw)
         else:
-            imp_z = importance_evidence(run)
+            imp_z = _evidence(counts, lw)
         if g == 0.0:
             return imp_z
-    imp_param = posterior_weights(run)
+    imp_param = _normalised_weights(lw)
     if goal.importance_variant == "tuned":
         values = run.theta1 if goal.tuned_target is None \
             else np.asarray(goal.tuned_target(run), dtype=float)
         try:
-            imp_param = importance_tuned(
-                run, values, float(np.sum(imp_param * values)))
+            imp_param = _tuned(lw, values, float(np.sum(imp_param * values)))
         except ValueError:
             pass
     if g == 1.0:

@@ -33,6 +33,7 @@ __all__ = [
     "combine_runs",
     "combine_threads",
     "split_into_threads",
+    "thread_index",
 ]
 
 
@@ -146,10 +147,6 @@ class NestedRun:
         return self.log_l.shape[0]
 
     @property
-    def n_points(self) -> int:
-        return self.log_l.shape[0]
-
-    @property
     def n_open(self) -> int:
         return self.open_birth_log_l.shape[0]
 
@@ -163,9 +160,6 @@ class NestedRun:
 
     def validate(self) -> None:
         """Full invariant check; O(N log N), meant for tests and ingestion."""
-        n = len(self)
-        if n == 0:
-            return
         if np.any(np.diff(self.log_l) < 0.0):
             raise ValueError("points not sorted by log_l")
         if np.any(self.radius < 0.0):
@@ -173,22 +167,20 @@ class NestedRun:
         if np.any(np.abs(self.theta1) > self.radius):
             raise ValueError("theta1 outside [-radius, radius]")
         # per-thread chains: strictly increasing log_l, birth linkage
-        order = np.lexsort((self.log_l, self.thread_id))
-        tid = self.thread_id[order]
-        ll = self.log_l[order]
-        bb = self.birth_log_l[order]
+        _, rows, offsets, open_pos = thread_index(self)
+        tid = self.thread_id[rows]
+        ll = self.log_l[rows]
+        bb = self.birth_log_l[rows]
         same = tid[1:] == tid[:-1]
         if np.any(same & (ll[1:] <= ll[:-1])):
             raise ValueError("thread log_l chain not strictly increasing")
         if np.any(same & (bb[1:] != ll[:-1])):
             raise ValueError("thread birth does not link to predecessor")
         # censored intervals continue their thread's last recorded point
-        if self.n_open:
-            last_by_tid = dict(zip(tid.tolist(), ll.tolist()))
-            for b, t in zip(self.open_birth_log_l.tolist(),
-                            self.open_thread_id.tolist()):
-                if t in last_by_tid and b != last_by_tid[t]:
-                    raise ValueError("open interval does not continue its thread")
+        has = (open_pos >= 0) & (offsets[1:] > offsets[:-1])
+        if np.any(self.open_birth_log_l[open_pos[has]]
+                  != ll[offsets[1:][has] - 1]):
+            raise ValueError("open interval does not continue its thread")
         if np.any(live_point_counts(self) < 1):
             raise ValueError("orphan sample with zero live count")
 
@@ -247,7 +239,12 @@ def point_log_weights(run: NestedRun) -> np.ndarray:
     and X_{N+1} = 0."""
     if len(run) == 0:
         raise ValueError("weights of an empty run are undefined")
-    lnx = log_prior_volumes(run)
+    return _log_weights(live_point_counts(run))
+
+
+def _log_weights(counts: np.ndarray) -> np.ndarray:
+    """point_log_weights from a nonempty run's live counts."""
+    lnx = -np.cumsum(1.0 / counts)
     prev = np.concatenate([[0.0], lnx[:-1]])
     nxt = np.concatenate([lnx[1:], [-np.inf]])
     # w = (X_prev - X_next)/2 = X_prev (1 - e^(nxt - prev)) / 2; nxt < prev
@@ -256,7 +253,11 @@ def point_log_weights(run: NestedRun) -> np.ndarray:
 
 def posterior_weights(run: NestedRun) -> np.ndarray:
     """Simplex weights p_i proportional to w_i L_i; sums to exactly 1."""
-    lw = point_log_weights(run) + run.log_l
+    return _normalised_weights(point_log_weights(run) + run.log_l)
+
+
+def _normalised_weights(lw: np.ndarray) -> np.ndarray:
+    """posterior_weights from ln(w_i L_i)."""
     mx = np.max(lw)
     if not np.isfinite(mx):
         raise ValueError("all posterior weights are zero")
@@ -332,35 +333,43 @@ def combine_threads(model: ModelSpec, threads: Sequence[Thread]) -> NestedRun:
                                               init_thread_ids=()))
 
 
+def thread_index(run: NestedRun):
+    """How a run splits into threads, as index arrays (ids, rows, offsets,
+    open_pos):
+
+    ids       thread ids in ascending order, point-free censored ones included
+    rows      the point rows ordered by (thread, log_l)
+    offsets   thread k's rows are rows[offsets[k]:offsets[k + 1]]
+    open_pos  position of thread k's open interval, -1 when it has none
+
+    Raises ValueError for a negative thread id or for a thread with more
+    than one open interval."""
+    ids = np.unique(np.concatenate([run.thread_id, run.open_thread_id]))
+    if ids.size and ids[0] < 0:
+        raise ValueError("run has unlabelled points")
+    rows = np.lexsort((run.log_l, run.thread_id))
+    offsets = np.append(np.searchsorted(run.thread_id[rows], ids), len(run))
+    open_pos = np.full(ids.size, -1, dtype=np.int64)
+    open_pos[np.searchsorted(ids, run.open_thread_id)] = np.arange(run.n_open)
+    if np.count_nonzero(open_pos >= 0) != run.n_open:
+        raise ValueError("thread has more than one open interval")
+    return ids, rows, offsets, open_pos
+
+
 def split_into_threads(run: NestedRun) -> list[Thread]:
     """Partition a run into its threads (including point-free censored ones),
     ordered by thread id."""
-    if np.any(run.thread_id < 0):
-        raise ValueError("run has unlabelled points")
-    open_by_tid = {int(t): (float(b), float(e))
-                   for b, e, t in zip(run.open_birth_log_l, run.open_end_log_l,
-                                      run.open_thread_id)}
+    ids, rows, offsets, open_pos = thread_index(run)
     threads = []
-    order = np.lexsort((run.log_l, run.thread_id))
-    tid_sorted = run.thread_id[order]
-    bounds = np.flatnonzero(np.concatenate(
-        [[True], tid_sorted[1:] != tid_sorted[:-1], [True]]))
-    for k in range(len(bounds) - 1):
-        sel = order[bounds[k]:bounds[k + 1]]
-        t = int(tid_sorted[bounds[k]])
-        open_entry = open_by_tid.pop(t, None)
+    for k, t in enumerate(ids.tolist()):
+        sel = rows[offsets[k]:offsets[k + 1]]
+        pos = int(open_pos[k])
+        start = run.birth_log_l[sel[0]] if sel.size \
+            else run.open_birth_log_l[pos]
         threads.append(Thread(
-            thread_id=t,
-            start_log_l=float(run.birth_log_l[sel[0]]),
+            thread_id=t, start_log_l=float(start),
             log_l=run.log_l[sel], birth_log_l=run.birth_log_l[sel],
             theta1=run.theta1[sel], radius=run.radius[sel],
             true_log_x=run.true_log_x[sel],
-            open_end_log_l=None if open_entry is None else open_entry[1]))
-    for t, (b, e) in open_by_tid.items():
-        threads.append(Thread(
-            thread_id=t, start_log_l=b,
-            log_l=_EMPTY_F.copy(), birth_log_l=_EMPTY_F.copy(),
-            theta1=_EMPTY_F.copy(), radius=_EMPTY_F.copy(),
-            true_log_x=_EMPTY_F.copy(), open_end_log_l=e))
-    threads.sort(key=lambda th: th.thread_id)
+            open_end_log_l=None if pos < 0 else float(run.open_end_log_l[pos])))
     return threads

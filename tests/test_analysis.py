@@ -1,4 +1,5 @@
 import hashlib
+import json
 import math
 
 import numpy as np
@@ -25,11 +26,15 @@ from varlive.analysis import (
     weighted_quantile,
 )
 from varlive import analysis, models, runs
-from varlive.dynamic import AlgorithmOneConfig, GoalConfig, dynamic_run_algorithm1
+from varlive.dynamic import (AlgorithmOneConfig, AlgorithmTwoConfig,
+                             GoalConfig, dynamic_run_algorithm1,
+                             dynamic_run_algorithm2)
 from varlive.models import ModelSpec, analytic_log_evidence
 from varlive.runs import (
     NestedRun,
+    RunProvenance,
     combine_runs,
+    combine_threads,
     live_point_counts,
     point_log_weights,
     split_into_threads,
@@ -309,6 +314,98 @@ class TestBootstrapResample:
         else:
             assert out.provenance.init_thread_ids is None
         out.validate()
+
+
+RUN_FIELDS = ("log_l", "birth_log_l", "theta1", "radius", "true_log_x",
+              "thread_id", "open_birth_log_l", "open_end_log_l",
+              "open_thread_id")
+
+
+def threaded_run(rng, n_threads, n_ghosts, censor):
+    """Random chains under shuffled, gapped thread ids; with censor some
+    threads stay open past their last point, and n_ghosts point-free
+    censored threads are added.  Provenance marks a random subset of the
+    threads initial."""
+    labels = 3 * rng.permutation(n_threads + n_ghosts)
+    log_l, birth, tid = [], [], []
+    opens = []
+    for t in labels[:n_threads].tolist():
+        start = -np.inf if rng.random() < 0.7 else float(rng.uniform(-5.0, 0.0))
+        lo = start if np.isfinite(start) else -4.0
+        chain = np.sort(rng.uniform(lo + 1e-9, 10.0,
+                                    size=int(rng.integers(1, 7)))).tolist()
+        log_l += chain
+        birth += [start] + chain[:-1]
+        tid += [t] * len(chain)
+        if censor and rng.random() < 0.4:
+            opens.append((chain[-1], chain[-1] + float(rng.uniform(0.1, 3.0)), t))
+    for t in labels[n_threads:].tolist():
+        b = float(rng.uniform(-5.0, 5.0))
+        opens.append((b, b + float(rng.uniform(0.1, 3.0)), t))
+    ob, oe, ot = (list(col) for col in zip(*opens)) if opens else ([], [], [])
+    init = tuple(t for t in labels.tolist() if rng.random() < 0.5)
+    n = len(log_l)
+    return NestedRun(M3, log_l, birth, np.linspace(-0.5, 0.5, n),
+                     np.linspace(1.0, 2.0, n), np.linspace(-0.1, -1.0, n), tid,
+                     open_birth_log_l=ob, open_end_log_l=oe, open_thread_id=ot,
+                     provenance=RunProvenance(
+                         algorithm="dynamic_alg2", seed=5, n_init=4,
+                         goal_g=0.25, sample_budget=300,
+                         importance_variant="exact", init_thread_ids=init))
+
+
+class TestBootstrapGather:
+    @settings(deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n_threads=st.integers(0, 15),
+           n_ghosts=st.integers(0, 4), censor=st.booleans(),
+           separate=st.booleans())
+    def test_equals_combined_picked_threads(self, seed, n_threads, n_ghosts,
+                                            censor, separate):
+        run = threaded_run(np.random.default_rng(seed), n_threads, n_ghosts,
+                           censor)
+        out = bootstrap_resample(run, np.random.default_rng(seed), separate)
+        # replay the picks: one draw per nonempty class, initial class first
+        threads = split_into_threads(run)
+        if separate:
+            init = set(run.provenance.init_thread_ids)
+            classes = [[th for th in threads if th.thread_id in init],
+                       [th for th in threads if th.thread_id not in init]]
+        else:
+            classes = [threads]
+        rng = np.random.default_rng(seed)
+        picked = [cls[p] for cls in classes if cls
+                  for p in rng.integers(0, len(cls), size=len(cls))]
+        expect = combine_threads(run.model, picked)
+        for field in RUN_FIELDS:
+            got, want = getattr(out, field), getattr(expect, field)
+            assert got.dtype == want.dtype, field
+            np.testing.assert_array_equal(got, want, err_msg=field)
+        prov = run.provenance
+        assert out.provenance == RunProvenance(
+            algorithm="bootstrap", n_init=prov.n_init, goal_g=prov.goal_g,
+            sample_budget=prov.sample_budget,
+            importance_variant=prov.importance_variant,
+            init_thread_ids=tuple(range(len(classes[0]))) if separate
+            else None)
+
+    def test_pinned_stratified_replicate(self, monkeypatch):
+        # sha256 over every array and the provenance of one stratified
+        # replicate of a censored Algorithm 2 run, recorded while the
+        # bootstrap still split the run into Thread objects; an empty map
+        # cache fixes the sampled bits
+        monkeypatch.setattr(models, "_MAP_CACHE", {})
+        dyn = dynamic_run_algorithm2(
+            M3, GoalConfig(goal_g=0.5),
+            AlgorithmTwoConfig(n_init=10, total_budget=800), seed=2024)
+        assert dyn.n_open > 0
+        out = bootstrap_resample(dyn, np.random.default_rng(5),
+                                 separate_initial=True)
+        h = hashlib.sha256()
+        for field in RUN_FIELDS:
+            h.update(getattr(out, field).tobytes())
+        h.update(json.dumps(out.provenance.to_dict(), sort_keys=True).encode())
+        assert h.hexdigest() == ("4f044531820ca10aa8c88ad892a57310"
+                                 "e52e9c2b057b28e869c007d616ff533d")
 
 
 class TestBootstrapError:

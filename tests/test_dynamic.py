@@ -189,8 +189,13 @@ class TestCombinedImportance:
         monkeypatch.setattr(runs, "live_point_counts", counted)
         monkeypatch.setattr(dynamic, "live_point_counts", counted)
         run = censored_standard(M2, 30, seed=3)
-        combined_importance(run, GoalConfig(goal_g=1.0))
-        assert len(calls) == 1
+        # every goal and variant shares one count and weight pass
+        for g in (0.0, 0.25, 1.0):
+            for variant in ("standard", "exact", "tuned"):
+                calls.clear()
+                combined_importance(run, GoalConfig(
+                    goal_g=g, importance_variant=variant))
+                assert len(calls) == 1, (g, variant)
 
     def test_pinned_digests(self, monkeypatch):
         # sha256 over the importance of a censored standard run followed by

@@ -123,3 +123,17 @@ def test_swapped_log_l_rejected_on_load(tmp_path):
     path.write_text(json.dumps(doc), encoding="utf-8")
     with pytest.raises(ValueError, match="sorted"):
         load_run(str(path))
+
+
+def test_second_open_interval_rejected_on_load(tmp_path):
+    # before load checked this, the file loaded with counts reaching 21 and
+    # ln Z -8.645536 (-8.645509), and splitting kept one of the two intervals
+    run = standard_run(M3, SamplerConfig(n_live=20, seed=1,
+                                         keep_final_live=False))
+    doc = run_to_dict(run)
+    for values in doc["open_intervals"].values():
+        values.append(values[0])
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(ValueError, match="more than one open interval"):
+        load_run(str(path))

@@ -25,6 +25,7 @@ from varlive.runs import (
     point_log_weights,
     posterior_weights,
     split_into_threads,
+    thread_index,
 )
 
 M = ModelSpec(family=GAUSSIAN, d=2, sigma_pi=10.0)
@@ -127,6 +128,15 @@ class TestConstruction:
     def test_validate_rejects_theta_outside_radius(self):
         run = NestedRun(M, [1.0], [-np.inf], [2.0], [1.0], [-0.5], [0])
         with pytest.raises(ValueError, match="theta1"):
+            run.validate()
+
+    def test_validate_rejects_open_interval_off_its_thread(self):
+        # thread 0 ends at 2.0, so its censored interval must open there;
+        # a point-free censored thread (7) may open anywhere
+        build_run({0: (-np.inf, [1.0, 2.0])},
+                  opens=[(0, 2.0, 3.0), (7, 0.5, 1.5)]).validate()
+        run = build_run({0: (-np.inf, [1.0, 2.0])}, opens=[(0, 1.0, 3.0)])
+        with pytest.raises(ValueError, match="continue"):
             run.validate()
 
     def test_degenerate_open_interval_dropped(self):
@@ -363,6 +373,17 @@ class TestSplit:
         np.testing.assert_array_equal(live_point_counts(back),
                                       live_point_counts(run))
 
+    def test_thread_index_of_hand_run(self):
+        run = build_run({4: (-np.inf, [1.0, 3.0]), 9: (-np.inf, [2.0])},
+                        opens=[(9, 2.0, 4.0), (6, 0.5, 2.5)])
+        ids, rows, offsets, open_pos = thread_index(run)
+        assert ids.tolist() == [4, 6, 9]
+        assert run.thread_id[rows].tolist() == [4, 4, 9]
+        assert run.log_l[rows].tolist() == [1.0, 3.0, 2.0]
+        assert offsets.tolist() == [0, 2, 2, 3]
+        assert run.open_thread_id[open_pos[open_pos >= 0]].tolist() == [6, 9]
+        assert open_pos[0] == -1
+
     def test_negative_thread_id_rejected(self):
         run = NestedRun(M, [1.0], [-np.inf], [0.0], [1.0], [-0.5], [-1])
         with pytest.raises(ValueError):
@@ -465,3 +486,11 @@ class TestRunDoc:
             log_l[i], log_l[j] = log_l[j], log_l[i]
             with pytest.raises(ValueError):
                 run_from_dict(swapped)
+        if run.n_open:
+            # a second open interval for a censored thread
+            k = data.draw(st.integers(0, run.n_open - 1))
+            duplicated = run_to_dict(run)
+            for values in duplicated["open_intervals"].values():
+                values.append(values[k])
+            with pytest.raises(ValueError):
+                run_from_dict(duplicated)
