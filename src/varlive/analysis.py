@@ -166,14 +166,10 @@ def information_content(run: NestedRun) -> float:
     return float(np.exp(-np.sum(nz * np.log(nz))))
 
 
-def bootstrap_resample(run: NestedRun, rng,
-                       separate_initial: bool = False) -> NestedRun:
-    """Resample whole threads with replacement, preserving the thread count.
-
-    With separate_initial the initial-run threads (identified through
-    provenance) form their own resampling class, so the constant-count
-    scaffold of a dynamic run is preserved in every replication.
-    """
+def _resample_index(run: NestedRun, separate_initial: bool):
+    """What every replicate of the run draws from: its thread index, the
+    resampling classes (positions into the index's thread ids) and the
+    relabelled initial thread ids of a replicate."""
     ids, rows, offsets, open_pos = thread_index(run)
     if separate_initial:
         init_ids = run.provenance.init_thread_ids
@@ -186,6 +182,22 @@ def bootstrap_resample(run: NestedRun, rng,
     else:
         classes = [np.arange(ids.size)]
         new_init = None
+    return rows, offsets, open_pos, classes, new_init
+
+
+def bootstrap_resample(run: NestedRun, rng, separate_initial: bool = False,
+                       *, _index=None) -> NestedRun:
+    """Resample whole threads with replacement, preserving the thread count.
+
+    With separate_initial the initial-run threads (identified through
+    provenance) form their own resampling class, so the constant-count
+    scaffold of a dynamic run is preserved in every replication.
+    _index is the run's _resample_index, passed in by callers that draw
+    many replicates of one run.
+    """
+    if _index is None:
+        _index = _resample_index(run, separate_initial)
+    rows, offsets, open_pos, classes, new_init = _index
     picked = np.concatenate([np.empty(0, dtype=np.int64), *(
         cls[rng.integers(0, len(cls), size=len(cls))]
         for cls in classes if len(cls))])
@@ -220,10 +232,11 @@ def bootstrap_replicates(run: NestedRun, eids, n_reps: int, rng,
     identifies its initial threads."""
     if separate_initial is None:
         separate_initial = run.provenance.init_thread_ids is not None
+    index = _resample_index(run, separate_initial)
     reps = np.empty((n_reps, len(eids)))
     for r in range(n_reps):
-        reps[r] = estimates(bootstrap_resample(run, rng, separate_initial),
-                            eids)
+        reps[r] = estimates(
+            bootstrap_resample(run, rng, separate_initial, _index=index), eids)
     return reps
 
 
@@ -259,9 +272,8 @@ def jackknife_std_sigma(results) -> float:
     n = x.size
     if n < 3:
         return float("nan")
-    loo = np.empty(n)
-    for i in range(n):
-        loo[i] = np.std(np.delete(x, i), ddof=1)
+    loo = np.std(np.broadcast_to(x, (n, n))[~np.eye(n, dtype=bool)]
+                 .reshape(n, n - 1), axis=1, ddof=1)
     return float(math.sqrt((n - 1) / n * np.sum((loo - loo.mean()) ** 2)))
 
 
@@ -281,7 +293,15 @@ def efficiency_gain(std_results, dyn_results, mean_samples_std: float,
     """Variance ratio of the two arms, corrected by their sample-count ratio.
 
     The uncertainty bootstraps each arm's result set independently; the
-    sample-count factor is treated as exact.
+    sample-count factor is treated as exact.  Each replicate draws indices
+    for the standard arm, then for the dynamic arm, and redraws the dynamic
+    arm while its resample has zero variance.  When the arms have the same
+    size n, all replicates come from one rng.integers block of shape
+    (n_boot, 2, n), which holds exactly the draws the per-replicate loop
+    makes, in its order, and leaves rng in the same state.  Unequal arms,
+    or a block with a degenerate dynamic row, restore rng to its state
+    before the block and run the loop, so the result never depends on
+    which path ran.
     """
     a = np.asarray(std_results, dtype=float)
     b = np.asarray(dyn_results, dtype=float)
@@ -295,6 +315,14 @@ def efficiency_gain(std_results, dyn_results, mean_samples_std: float,
     gain = (var_a / var_b) * factor
     if rng is None:
         rng = np.random.default_rng(0)
+    if a.size == b.size:
+        state = rng.bit_generator.state
+        idx = rng.integers(0, a.size, size=(n_boot, 2, a.size))
+        vb = np.var(b[idx[:, 1]], axis=1, ddof=1)
+        if np.all(vb != 0.0):
+            reps = (np.var(a[idx[:, 0]], axis=1, ddof=1) / vb) * factor
+            return GainEstimate(gain=gain, sigma=float(np.std(reps, ddof=1)))
+        rng.bit_generator.state = state
     reps = np.empty(n_boot)
     for i in range(n_boot):
         ra = a[rng.integers(0, a.size, size=a.size)]

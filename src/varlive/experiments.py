@@ -506,17 +506,14 @@ def alloc_profile_rows(config: ExperimentConfig, out_dir: str) -> list[dict]:
         run = load_run(os.path.join(out_dir, rec["path"]))
         logv = log_prior_volumes(run)
         counts = live_point_counts(run)
-        area = 0.0
-        prev = 0.0
-        for v, c in zip(logv, counts):
-            area += float(c) * (prev - v)
-            prev = v
-        areas.append(area)
+        # cumsum adds left to right like a running total; np.sum pairs
+        # terms and would move the last bits of the area
+        prev = np.concatenate([[0.0], logv[:-1]])
+        areas.append(float(np.cumsum(counts * (prev - logv))[-1]))
         low = min(low, float(logv[-1]))
-        for v, c in zip(logv, counts):
-            rows.append({"row": "run", "name": arm_name,
-                         "index": rec["index"], "log_x": repr(float(v)),
-                         "value": repr(float(c))})
+        rows.extend({"row": "run", "name": arm_name, "index": rec["index"],
+                     "log_x": repr(v), "value": repr(float(c))}
+                    for v, c in zip(logv.tolist(), counts.tolist()))
     mean_area = float(np.mean(areas))
     grid = np.linspace(low, 0.0, 513)
     for curve_name, func in (("relative_posterior_mass", relative_posterior_mass),
@@ -524,9 +521,9 @@ def alloc_profile_rows(config: ExperimentConfig, out_dir: str) -> list[dict]:
         vals = np.asarray(func(m, grid), dtype=float)
         raw_area = float(np.trapezoid(vals, grid))
         scaled = vals * (mean_area / raw_area)
-        for v, y in zip(grid, scaled):
-            rows.append({"row": "curve", "name": curve_name, "index": "",
-                         "log_x": repr(float(v)), "value": repr(float(y))})
+        rows.extend({"row": "curve", "name": curve_name, "index": "",
+                     "log_x": repr(v), "value": repr(y)}
+                    for v, y in zip(grid.tolist(), scaled.tolist()))
     return rows
 
 

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import types
 
 import numpy as np
 import pytest
@@ -456,6 +457,8 @@ class TestEfficiencyGain:
 
     def test_degenerate_redraws_bounded(self):
         class FirstPick:  # every resample repeats the first result
+            bit_generator = types.SimpleNamespace(state=None)
+
             def integers(self, low, high, size):
                 return np.zeros(size, dtype=np.int64)
 
@@ -473,6 +476,74 @@ class TestEfficiencyGain:
         # variance-ratio sampling error ~ sqrt(2/n_a + 2/n_b) relative
         assert 0.05 < g.sigma / g.gain < 0.35
 
+    def test_equal_arms_draw_one_block(self):
+        class Counted:
+            def __init__(self, rng):
+                self.rng = rng
+                self.bit_generator = rng.bit_generator
+                self.calls = 0
+
+            def integers(self, *args, **kwargs):
+                self.calls += 1
+                return self.rng.integers(*args, **kwargs)
+
+        data = np.random.default_rng(9)
+        rng = Counted(np.random.default_rng(10))
+        efficiency_gain(data.normal(size=16), data.normal(size=16), 1.0, 1.0,
+                        n_boot=300, rng=rng)
+        assert rng.calls == 1
+
+    @settings(deadline=None)
+    @given(n_std=st.integers(2, 64), n_dyn=st.integers(2, 64),
+           same_size=st.booleans(), n_boot=st.integers(2, 200),
+           ties=st.booleans(), seed=st.integers(0, 2 ** 32 - 1),
+           factor=st.floats(0.1, 10.0))
+    def test_equals_per_replicate_loop(self, n_std, n_dyn, same_size, n_boot,
+                                       ties, seed, factor):
+        # the same gain, sigma and generator state as the loop it replaced,
+        # whether the arms share a size or not and whether the dynamic arm
+        # has ties that make some of its resamples degenerate
+        data = np.random.default_rng(seed)
+        if same_size:
+            n_dyn = n_std
+        a = data.normal(size=n_std)
+        b = data.normal(size=n_dyn)
+        if ties:  # one outlier: a resample misses it with chance >= 1/4
+            b = np.zeros(n_dyn)
+            b[data.integers(0, n_dyn)] = 1.0
+        got_rng = np.random.default_rng(seed + 1)
+        ref_rng = np.random.default_rng(seed + 1)
+        got = efficiency_gain(a, b, factor, 1.0, n_boot=n_boot, rng=got_rng)
+        ref = reference_efficiency_gain(a, b, factor, 1.0, n_boot=n_boot,
+                                        rng=ref_rng)
+        assert got.gain == ref.gain
+        assert got.sigma == ref.sigma
+        assert got_rng.integers(0, 2 ** 63) == ref_rng.integers(0, 2 ** 63)
+
+
+def reference_efficiency_gain(std_results, dyn_results, mean_samples_std,
+                              mean_samples_dyn, n_boot=1000, rng=None):
+    """efficiency_gain as a loop of one replicate after another, each
+    redrawing the dynamic arm while its variance is zero."""
+    a = np.asarray(std_results, dtype=float)
+    b = np.asarray(dyn_results, dtype=float)
+    factor = mean_samples_std / mean_samples_dyn
+    gain = (float(np.var(a, ddof=1)) / float(np.var(b, ddof=1))) * factor
+    if rng is None:
+        rng = np.random.default_rng(0)
+    reps = np.empty(n_boot)
+    for i in range(n_boot):
+        ra = a[rng.integers(0, a.size, size=a.size)]
+        for _ in range(MAX_DEGENERATE_REDRAWS):
+            vb = np.var(b[rng.integers(0, b.size, size=b.size)], ddof=1)
+            if vb != 0.0:
+                break
+        else:
+            raise RuntimeError("degenerate dynamic arm")
+        reps[i] = (np.var(ra, ddof=1) / vb) * factor
+    return analysis.GainEstimate(gain=gain,
+                                 sigma=float(np.std(reps, ddof=1)))
+
 
 class TestJackknife:
     def test_matches_direct_formula(self):
@@ -483,3 +554,10 @@ class TestJackknife:
 
     def test_small_samples_give_nan(self):
         assert math.isnan(jackknife_std_sigma([1.0, 2.0]))
+
+    @pytest.mark.parametrize("n", [3, 4, 17, 64, 333])
+    def test_equals_leave_one_out_loop(self, n):
+        x = np.random.default_rng(n).normal(size=n)
+        loo = np.array([np.std(np.delete(x, i), ddof=1) for i in range(n)])
+        expect = math.sqrt((n - 1) / n * np.sum((loo - loo.mean()) ** 2))
+        assert jackknife_std_sigma(x) == expect

@@ -1,6 +1,8 @@
 """Ensemble generation, manifests, and the three report builders."""
 
 import csv
+import functools
+import hashlib
 import json
 import math
 import os
@@ -8,6 +10,7 @@ import os
 import numpy as np
 import pytest
 
+from varlive import models
 from varlive.analysis import estimator_from_key
 from varlive.experiments import (ArmConfig, ExperimentConfig,
                                  MissingRunsError, alloc_profile_rows,
@@ -296,3 +299,34 @@ class TestBootstrapTable:
         generate_ensemble(cfg, out)
         with pytest.raises(ValueError, match="at least 2 runs"):
             bootstrap_table_rows(cfg, out)
+
+
+def rows_digest(rows) -> str:
+    return hashlib.sha256(json.dumps(rows, sort_keys=True).encode()).hexdigest()
+
+
+def test_pinned_report_rows(tmp_path, monkeypatch):
+    # sha256 of the compare and alloc-profile rows of a seeded gaussian d=3
+    # ensemble, recorded while efficiency_gain drew one replicate at a time
+    # and the profile summed its areas in a Python loop; an empty map cache
+    # and empty posterior-grid caches fix the sampled bits and the curves
+    monkeypatch.setattr(models, "_MAP_CACHE", {})
+    for name in ("posterior_grid", "_remaining_table"):
+        monkeypatch.setattr(models, name, functools.lru_cache(maxsize=None)(
+            getattr(models, name).__wrapped__))
+    cfg = config_from_dict({
+        "model": {"family": "gaussian", "d": 3, "sigma_pi": 10.0},
+        "n_runs": 6, "seed": 3,
+        "estimators": ["log_z", "mean_theta1", "median_theta1",
+                       "credible_theta1:0.84", "second_moment_theta1",
+                       "mean_radius", "median_radius"],
+        "gain_boot": 300,
+        "arms": [{"name": "std", "method": "standard", "n_live": 20},
+                 {"name": "dyn1", "method": "dyn1", "goal_g": 1.0,
+                  "n_init": 5, "n_batch": 3, "gain_vs": "std"}]})
+    out = str(tmp_path / "pinned")
+    generate_ensemble(cfg, out)
+    assert rows_digest(compare_report(cfg, out).to_rows()) == (
+        "bef41815db5aa396ea115f04d89cbce81cb97c905dbe567d802f9aa55da88f9a")
+    assert rows_digest(alloc_profile_rows(cfg, out)) == (
+        "77c0b477ad5744a2bccb910cbb6cb015089f3eb984d2d4e4996fe4d4efb82250")
