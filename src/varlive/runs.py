@@ -106,11 +106,19 @@ class NestedRun:
         for arr in (birth_log_l, theta1, radius, true_log_x, thread_id):
             if arr.shape != (n,):
                 raise ValueError("point arrays must share one length")
+        if not np.all(np.isfinite(log_l)):
+            raise ValueError("every point must have a finite log_l")
         if np.any(log_l <= birth_log_l):
             raise ValueError("every point must lie strictly above its birth contour")
         if not presorted and n > 1:
-            order = np.lexsort((np.arange(n), thread_id, log_l))
-            log_l = log_l[order]
+            # without ties the stable order is the (log_l, thread_id,
+            # arrival) order; timsort merges presorted parts in linear time
+            order = np.argsort(log_l, kind="stable")
+            sorted_l = log_l[order]
+            if np.any(sorted_l[1:] == sorted_l[:-1]):
+                order = np.lexsort((np.arange(n), thread_id, log_l))
+                sorted_l = log_l[order]
+            log_l = sorted_l
             birth_log_l = birth_log_l[order]
             theta1 = theta1[order]
             radius = radius[order]
@@ -214,7 +222,10 @@ def live_point_counts(run: NestedRun) -> np.ndarray:
     if n == 0:
         return _EMPTY_I.copy()
     births = np.sort(run.birth_log_l)
-    deaths_below = np.searchsorted(run.log_l, run.log_l, side="left")
+    # points strictly below L_i: the first index of L_i's value in log_l
+    first = np.arange(n)
+    first[1:][run.log_l[1:] == run.log_l[:-1]] = 0
+    deaths_below = np.maximum.accumulate(first)
     births_below = np.searchsorted(births, run.log_l, side="left")
     counts = births_below - deaths_below
     if run.n_open:

@@ -47,21 +47,22 @@ def log_gamma(x):
     return float(out) if out.ndim == 0 else out
 
 
-def _log_p_series_scalar(a: float, x: float) -> float:
-    """Pure-float twin of _log_p_series, for the scalar calls of the inverse
-    solver."""
+def _series_sum(a: float, x: float) -> float:
+    """sum_k c_k of _log_p_series in Python floats: the same operations in
+    the same order as the array loop, so the same bits for one element."""
     term = 1.0
     total = 1.0
     for k in range(1, _SERIES_MAX_TERMS + 1):
         term *= x / (a + k)
         total += term
         if term <= 1e-17 * total:
-            return a * math.log(x) - x - math.lgamma(a + 1.0) + math.log(total)
+            return total
     raise RuntimeError("incomplete gamma series failed to converge")
 
 
-def _log_q_cf_scalar(a: float, x: float) -> float:
-    """Pure-float twin of _log_q_cf."""
+def _cf_value(a: float, x: float) -> float:
+    """The continued fraction h of _log_q_cf in Python floats, bit for bit
+    the array loop's value for one element."""
     b = x + 1.0 - a
     c = 1.0 / _CF_TINY
     d = 1.0 / b
@@ -79,8 +80,21 @@ def _log_q_cf_scalar(a: float, x: float) -> float:
         delta = d * c
         h *= delta
         if abs(delta - 1.0) < 1e-15:
-            return a * math.log(x) - x - math.lgamma(a) + math.log(h)
+            return h
     raise RuntimeError("incomplete gamma continued fraction failed to converge")
+
+
+def _log_p_series_scalar(a: float, x: float) -> float:
+    """Pure-float _log_p_series for the scalar calls of the inverse solver;
+    its math-module final value may differ from the array path's in the
+    last bit."""
+    return (a * math.log(x) - x - math.lgamma(a + 1.0)
+            + math.log(_series_sum(a, x)))
+
+
+def _log_q_cf_scalar(a: float, x: float) -> float:
+    """Pure-float _log_q_cf, finished like _log_p_series_scalar."""
+    return a * math.log(x) - x - math.lgamma(a) + math.log(_cf_value(a, x))
 
 
 def _log_p_series(a, x):
@@ -153,6 +167,8 @@ def log_reg_lower_inc_gamma(a, x):
             return _log_p_series_scalar(a, x)
         return math.log1p(-math.exp(_log_q_cf_scalar(a, x)))
     x_arr = np.asarray(x, dtype=float)
+    if x_arr.ndim == 0:
+        return _log_p_0d(a, float(x_arr))
     if np.any(x_arr < 0.0) or np.any(np.isnan(x_arr)):
         raise ValueError("x must be nonnegative")
     out = np.empty_like(x_arr)
@@ -165,7 +181,22 @@ def log_reg_lower_inc_gamma(a, x):
     if np.any(upper):
         # P = 1 - Q with Q < 0.5 here, so log1p loses nothing.
         out[upper] = np.log1p(-np.exp(_log_q_cf(a, x_arr[upper])))
-    return float(out) if out.ndim == 0 else out
+    return out
+
+
+def _log_p_0d(a: float, x: float) -> float:
+    """log_reg_lower_inc_gamma of a 0-d array: the loops run in Python
+    floats and the final value takes the array path's numpy and gammaln
+    calls, so the result equals the array path's bit for bit."""
+    if math.isnan(x) or x < 0.0:
+        raise ValueError("x must be nonnegative")
+    if x == 0.0:
+        return -math.inf
+    if x <= a + 1.0:
+        return float(a * np.log(x) - x - _gammaln(a + 1.0)
+                     + np.log(_series_sum(a, x)))
+    log_q = a * np.log(x) - x - _gammaln(a) + np.log(_cf_value(a, x))
+    return float(np.log1p(-np.exp(log_q)))
 
 
 def log_reg_upper_inc_gamma(a, x):

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.signal import savgol_filter
 from scipy.stats import spearmanr
@@ -288,6 +290,59 @@ class TestAlgorithmOne:
                                n_batch=n_batch), seed=seed)
         assert len(dyn) >= budget
         dyn.validate()
+
+    @pytest.mark.parametrize("goal_g,variant,digest", [
+        (0.0, "standard",
+         "52acbff673c5f13a4a23a8ed2572ec7c5b71f6559a0cdf37747d62a4518be190"),
+        (0.0, "exact",
+         "d6ab99b977510c302bafe3d5b133888cbdf5905e4f0682bc8e02276a55559654"),
+        (0.0, "tuned",
+         "f07fdf8445b3c721e9b79856e81d2e0076a75a5b798923589c80b0116bfbb8ba"),
+        (0.25, "standard",
+         "e3225b38847d7f9387f4d355098598ca7d483ca66af078f6a2933a7285ec894b"),
+        (0.25, "exact",
+         "e79ab4c5ba0190fa88c622ae9071442b1890a27dddd9c08840c848c6670fa4d7"),
+        (0.25, "tuned",
+         "5db2b03e2be1367dcbe82a4b518b681983adbb949d944265130bad30c8c4dc0d"),
+        (1.0, "standard",
+         "ea6cdc4eef9637e9d1a209775f2bf53b9d52b35910a1b3250059c4584aef78fd"),
+        (1.0, "exact",
+         "09f60c610c35c888a1accf267ab60e01f785f2c28044422665bd8dcc6ab4b895"),
+        (1.0, "tuned",
+         "bba6cdabbd1811efb10bc9856d70aca01930764774db0f51d46350e99937baf0"),
+    ])
+    def test_seeded_run_pinned(self, monkeypatch, goal_g, variant, digest):
+        # recorded before region ends were converted in Python floats and
+        # merges stopped lexsorting; replay from an empty map cache
+        monkeypatch.setattr(models, "_MAP_CACHE", {})
+        run = dynamic_run_algorithm1(
+            M3, GoalConfig(goal_g=goal_g, importance_variant=variant),
+            AlgorithmOneConfig(n_init=10, sample_budget=1500, n_batch=5),
+            seed=1704)
+        assert run_digest(run) == digest
+
+    @settings(deadline=None, max_examples=60)
+    @given(seed=st.integers(0, 2 ** 32 - 1), d=st.integers(1, 4),
+           g=st.sampled_from([0.0, 0.25, 1.0]),
+           variant=st.sampled_from(["standard", "exact", "tuned"]),
+           n_init=st.integers(2, 8), n_batch=st.integers(1, 6),
+           budget=st.integers(1, 400))
+    def test_ends_within_one_batch_of_budget(self, seed, d, g, variant,
+                                             n_init, n_batch, budget):
+        m = ModelSpec(family="gaussian", d=d, sigma_pi=10.0)
+        run = dynamic_run_algorithm1(
+            m, GoalConfig(goal_g=g, importance_variant=variant),
+            AlgorithmOneConfig(n_init=n_init, sample_budget=budget,
+                               n_batch=n_batch), seed=seed)
+        assert len(run) >= budget
+        # every batch thread holds a point and each merge relabels the batch
+        # above every earlier id, so the last batch is the top n_batch ids
+        n_threads = int(run.thread_id.max()) + 1
+        batches, rest = divmod(n_threads - n_init, n_batch)
+        assert rest == 0 and batches >= 0
+        if batches:
+            last = np.count_nonzero(run.thread_id >= n_threads - n_batch)
+            assert len(run) - last < budget
 
     def _mean_count_profile(self, runs, grid):
         prof = np.zeros((len(runs), grid.size))

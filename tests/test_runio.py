@@ -137,3 +137,15 @@ def test_second_open_interval_rejected_on_load(tmp_path):
     path.write_text(json.dumps(doc), encoding="utf-8")
     with pytest.raises(ValueError, match="more than one open interval"):
         load_run(str(path))
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_log_l_rejected_on_load(tmp_path, value):
+    # before NestedRun checked this, either file loaded and ln Z read nan
+    run = standard_run(M3, SamplerConfig(n_live=20, seed=1))
+    doc = run_to_dict(run)
+    doc["points"]["log_l"][-1] = value
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(ValueError, match="finite log_l"):
+        load_run(str(path))

@@ -65,10 +65,11 @@ def censored_run(threads, model=M):
     return build_run(threads, opens=opens, model=model)
 
 
-def brute_counts(run):
-    """Definition, term by term."""
+def brute_counts(run, log_l=None):
+    """Definition, term by term, at the run's own points or at the given
+    likelihoods."""
     out = []
-    for ll in run.log_l:
+    for ll in run.log_l if log_l is None else log_l:
         c = int(np.sum((run.birth_log_l < ll) & (ll <= run.log_l)))
         c += int(np.sum((run.open_birth_log_l < ll)
                         & (ll <= run.open_end_log_l)))
@@ -92,7 +93,58 @@ def random_run(rng, n_threads=12, censor=False, model=M):
     return run
 
 
+def tied_run(rng, n_threads=6, censor=False, model=M):
+    """random_run on an integer likelihood grid, so contours tie within and
+    across threads (and across runs drawn from one generator)."""
+    threads = {}
+    opens = []
+    for t in range(n_threads):
+        start = -np.inf if rng.random() < 0.7 else float(rng.integers(-3, 3))
+        lo = int(start) + 1 if np.isfinite(start) else -3
+        chain = np.unique(rng.integers(lo, 10, size=int(rng.integers(1, 7))))
+        threads[t] = (start, chain.astype(float).tolist())
+        if censor and rng.random() < 0.4:
+            opens.append((t, float(chain[-1]),
+                          float(chain[-1] + rng.integers(1, 4))))
+    return build_run(threads, opens=opens or None, model=model)
+
+
 class TestConstruction:
+    @settings(deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(0, 200),
+           n_parts=st.integers(1, 4), ties=st.booleans(),
+           presorted_parts=st.booleans())
+    def test_order_equals_lexsort_reference(self, seed, n, n_parts, ties,
+                                            presorted_parts):
+        rng = np.random.default_rng(seed)
+        log_l = (rng.integers(0, max(n // 3, 1), n).astype(float) if ties
+                 else rng.standard_normal(n))
+        tid = rng.integers(0, 6, n)
+        if presorted_parts:
+            # concatenated likelihood-sorted parts, as combine_runs builds
+            parts = np.split(np.arange(n),
+                             np.sort(rng.integers(0, n + 1, n_parts - 1)))
+            idx = np.concatenate([p[np.argsort(log_l[p], kind="stable")]
+                                  for p in parts])
+            log_l, tid = log_l[idx], tid[idx]
+        arrival = np.arange(n, dtype=float)
+        run = NestedRun(M, log_l, log_l - 1.0, arrival, np.ones(n),
+                        np.zeros(n), tid)
+        ref = np.lexsort((np.arange(n), tid, log_l))
+        np.testing.assert_array_equal(run.log_l, log_l[ref])
+        np.testing.assert_array_equal(run.birth_log_l, log_l[ref] - 1.0)
+        np.testing.assert_array_equal(run.thread_id, tid[ref])
+        np.testing.assert_array_equal(run.theta1, arrival[ref])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_log_l_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            NestedRun(M, [1.0, bad], [-np.inf, 1.0], [0.0, 0.0], [1.0, 1.0],
+                      [-1.0, -2.0], [0, 0])
+        with pytest.raises(ValueError, match="finite"):
+            NestedRun(M, [1.0, bad], [-np.inf, 1.0], [0.0, 0.0], [1.0, 1.0],
+                      [-1.0, -2.0], [0, 0], presorted=True)
+
     def test_sorted_on_entry(self):
         run = build_run({0: (-np.inf, [3.0, 5.0]), 1: (-np.inf, [1.0, 4.0])})
         assert run.log_l.tolist() == [1.0, 3.0, 4.0, 5.0]
@@ -292,6 +344,19 @@ class TestCombine:
                                       brute_counts(both))
         assert len(both) == len(r1) + len(r2)
 
+    @settings(deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n_runs=st.integers(1, 4),
+           censor=st.booleans(), ties=st.booleans())
+    def test_counts_add_exactly(self, seed, n_runs, censor, ties):
+        rng = np.random.default_rng(seed)
+        make = tied_run if ties else random_run
+        parts = [make(rng, censor=censor) for _ in range(n_runs)]
+        both = combine_runs(parts)
+        counts = live_point_counts(both)
+        np.testing.assert_array_equal(
+            counts, sum(brute_counts(p, both.log_l) for p in parts))
+        np.testing.assert_array_equal(counts, brute_counts(both))
+
     def test_order_independent(self):
         rng = np.random.default_rng(42)
         r1, r2, r3 = (random_run(rng, censor=True) for _ in range(3))
@@ -486,6 +551,13 @@ class TestRunDoc:
             log_l[i], log_l[j] = log_l[j], log_l[i]
             with pytest.raises(ValueError):
                 run_from_dict(swapped)
+        # a non-finite log_l anywhere
+        k = data.draw(st.integers(0, len(run) - 1))
+        non_finite = run_to_dict(run)
+        non_finite["points"]["log_l"][k] = data.draw(
+            st.sampled_from(["nan", "inf", "-inf"]))
+        with pytest.raises(ValueError):
+            run_from_dict(non_finite)
         if run.n_open:
             # a second open interval for a censored thread
             k = data.draw(st.integers(0, run.n_open - 1))

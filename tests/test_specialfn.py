@@ -10,6 +10,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import special as sp
 
 from varlive import specialfn as sf
@@ -109,11 +111,28 @@ class TestRegLowerIncGamma:
         for a in a_vals:
             assert np.all(sf.reg_lower_inc_gamma(a, x2) >= sf.reg_lower_inc_gamma(a, x1))
 
+    @settings(deadline=None)
+    @given(a=st.floats(0.5, 600.0), data=st.data())
+    def test_0d_equals_array_path_bitwise(self, a, data):
+        x = data.draw(st.one_of(
+            st.just(0.0),
+            st.floats(5e-324, 1e-8),                      # tiny
+            st.floats(0.0, a + 1.0),                      # series side
+            st.floats(a + 1.0, 4.0 * a + 60.0),           # fraction side
+            st.sampled_from([a + 1.0, math.nextafter(a + 1.0, math.inf)])))
+        got = sf.log_reg_lower_inc_gamma(a, np.asarray(x))
+        want = sf.log_reg_lower_inc_gamma(a, np.array([x]))
+        assert type(got) is float
+        assert np.float64(got).tobytes() == want[0].tobytes(), (a, x)
+
     def test_rejects_negative_x(self):
         with pytest.raises(ValueError):
             sf.reg_lower_inc_gamma(1.0, -0.1)
         with pytest.raises(ValueError):
             sf.log_reg_lower_inc_gamma(1.0, [-1.0, 2.0])
+        for bad in (-1.0, math.nan):
+            with pytest.raises(ValueError):
+                sf.log_reg_lower_inc_gamma(1.0, np.asarray(bad))
 
 
 class TestInverse:
