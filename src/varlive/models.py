@@ -134,16 +134,6 @@ def radius_from_log_likelihood(m: ModelSpec, logl):
 def log_x_from_radius(m: ModelSpec, r):
     """ln of the prior mass enclosed by radius r; r=0 -> -inf, r=inf -> 0."""
     r_arr = np.asarray(r, dtype=float)
-    if r_arr.ndim == 0:
-        # one contour (a region end): numpy scalar arithmetic, the same
-        # operations as below, and the 0-d path of log_reg_lower_inc_gamma
-        r = r_arr[()]
-        if not r >= 0.0:
-            raise ValueError("radius must be nonnegative")
-        if r == math.inf:
-            return 0.0
-        return sf.log_reg_lower_inc_gamma(
-            0.5 * m.d, np.asarray(0.5 * (r / m.sigma_pi) ** 2))
     if np.any(r_arr < 0.0) or np.any(np.isnan(r_arr)):
         raise ValueError("radius must be nonnegative")
     t = 0.5 * (r_arr / m.sigma_pi) ** 2

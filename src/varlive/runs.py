@@ -111,19 +111,23 @@ class NestedRun:
         if np.any(log_l <= birth_log_l):
             raise ValueError("every point must lie strictly above its birth contour")
         if not presorted and n > 1:
-            # without ties the stable order is the (log_l, thread_id,
-            # arrival) order; timsort merges presorted parts in linear time
+            # the stable order is the (log_l, thread_id, arrival) order
+            # unless thread_id falls inside some tie group; timsort merges
+            # presorted parts in linear time
             order = np.argsort(log_l, kind="stable")
             sorted_l = log_l[order]
-            if np.any(sorted_l[1:] == sorted_l[:-1]):
+            sorted_tid = thread_id[order]
+            if np.any((sorted_l[1:] == sorted_l[:-1])
+                      & (sorted_tid[1:] < sorted_tid[:-1])):
                 order = np.lexsort((np.arange(n), thread_id, log_l))
                 sorted_l = log_l[order]
+                sorted_tid = thread_id[order]
             log_l = sorted_l
             birth_log_l = birth_log_l[order]
             theta1 = theta1[order]
             radius = radius[order]
             true_log_x = true_log_x[order]
-            thread_id = thread_id[order]
+            thread_id = sorted_tid
         self.model = model
         self.log_l = log_l
         self.birth_log_l = birth_log_l

@@ -113,9 +113,9 @@ class TestConstruction:
     @settings(deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(0, 200),
            n_parts=st.integers(1, 4), ties=st.booleans(),
-           presorted_parts=st.booleans())
+           presorted_parts=st.booleans(), tid_rising=st.booleans())
     def test_order_equals_lexsort_reference(self, seed, n, n_parts, ties,
-                                            presorted_parts):
+                                            presorted_parts, tid_rising):
         rng = np.random.default_rng(seed)
         log_l = (rng.integers(0, max(n // 3, 1), n).astype(float) if ties
                  else rng.standard_normal(n))
@@ -127,6 +127,10 @@ class TestConstruction:
             idx = np.concatenate([p[np.argsort(log_l[p], kind="stable")]
                                   for p in parts])
             log_l, tid = log_l[idx], tid[idx]
+        if tid_rising:
+            # thread ids nondecreasing in arrival order, as a bootstrap
+            # replicate's rows are: ties need no lexsort
+            tid = np.sort(tid)
         arrival = np.arange(n, dtype=float)
         run = NestedRun(M, log_l, log_l - 1.0, arrival, np.ones(n),
                         np.zeros(n), tid)
