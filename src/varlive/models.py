@@ -10,18 +10,19 @@ regularized lower incomplete gamma function from `specialfn`.
 Because the maps are strictly monotone, expensive inverse solves can be
 avoided almost everywhere: `ContourMap` tabulates exact forward evaluations
 of ln X on an adaptive grid once per model and serves interpolated
-ln X -> ln L and ln X -> radius queries from monotone cubic (PCHIP) fits.
+ln X -> ln L and ln X -> radius queries from monotone piecewise cubic
+Hermite (PCHIP, Fritsch-Carlson) tables, built and evaluated in numpy.
 Samplers and quadrature oracles all read from that shared cache.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from . import specialfn as sf
 
@@ -82,8 +83,18 @@ class ModelSpec:
 
     @classmethod
     def from_dict(cls, data):
-        return cls(family=data["family"], d=int(data["d"]),
+        return cls(family=data["family"], d=as_int(data["d"], "d"),
                    sigma_pi=float(data["sigma_pi"]), b=float(data.get("b", 1.0)))
+
+
+def as_int(value, what: str) -> int:
+    """An integer field of a document (run file, config) as an int.  A bool
+    or a non-integral number raises ValueError instead of being truncated."""
+    if isinstance(value, bool) or not (
+            isinstance(value, numbers.Integral)
+            or (isinstance(value, float) and value.is_integer())):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return int(value)
 
 
 def _log_norm_const(m: ModelSpec) -> float:
@@ -178,6 +189,109 @@ def log_x_from_log_likelihood(m: ModelSpec, logl):
 # Cached monotone contour tables
 
 
+def _pchip_end_slope(h0: float, h1: float, m0: float, m1: float) -> float:
+    """One-sided three-point slope at an end node, with the two shape masks
+    of Moler's pchiptx (Numerical Computing with MATLAB, sec. 3.6)."""
+    d = ((2.0 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if np.sign(d) != np.sign(m0):
+        return 0.0
+    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+        return 3.0 * m0
+    return d
+
+
+def _pchip_table(x: np.ndarray, y: np.ndarray):
+    """Coefficients (c0, c1, c2, c3) of the monotone cubic Hermite
+    interpolant through (x, y), for strictly increasing x with at least
+    three nodes.  Entry k of each array holds interval k, [x[k], x[k+1]],
+    where the value at s = q - x[k] is ((c3 + c2 s) + c1 s^2) + c0 s^3.
+    The last entry has no interval and is NaN; `_pchip_eval` sends every
+    query outside the nodes there.
+
+    Node slopes follow Fritsch and Carlson (SIAM J. Numer. Anal. 17, 238,
+    1980): the weighted harmonic mean of the neighbouring interval slopes,
+    or 0 where they change sign or one is 0.  Every expression repeats
+    scipy's PchipInterpolator and CubicHermiteSpline in the same order, so
+    tables and queries give scipy's bits; temporaries are reused in place.
+    """
+    h = np.diff(x)
+    c0, c1, c3 = (np.full(len(x), np.nan) for _ in range(3))
+    d = c2 = np.zeros(len(x))  # node slopes, c2 once the last is dropped
+    m = c1[:-1]  # interval slopes, turned into c1 in place below
+    np.subtract(y[1:], y[:-1], out=m)
+    m /= h
+    # a zero interval slope divides by zero and is masked out below; a tiny
+    # one overflows to inf and leaves a node slope of 0, as in scipy
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        w1 = 2.0 * h[1:]
+        w1 += h[:-1]
+        w2 = 2.0 * h[:-1]
+        w2 += h[1:]
+        den = w1 + w2
+        w1 /= m[:-1]
+        w2 /= m[1:]
+        w1 += w2
+        w1 /= den
+    del w2, den
+    same_sign = (m[:-1] > 0.0) & (m[1:] > 0.0)
+    same_sign |= (m[:-1] < 0.0) & (m[1:] < 0.0)
+    np.divide(1.0, w1, out=d[1:-1], where=same_sign)
+    del w1, same_sign
+    d[0] = _pchip_end_slope(h.item(0), h.item(1), m.item(0), m.item(1))
+    d[-1] = _pchip_end_slope(h.item(-1), h.item(-2), m.item(-1), m.item(-2))
+
+    t = c0[:-1]
+    np.add(d[:-1], d[1:], out=t)
+    t -= 2.0 * m
+    t /= h
+    m -= d[:-1]
+    m /= h
+    m -= t
+    t /= h
+    c2[-1] = np.nan
+    # the evaluation sums from 0.0, which turns a -0.0 node value into 0.0
+    np.add(y[:-1], 0.0, out=c3[:-1])
+    return c0, c1, c2, c3
+
+
+def _pchip_nodes(x: np.ndarray) -> np.ndarray:
+    """Search array of `_pchip_eval` for nodes x: the interval starts, then
+    the float just above x[-1].  q == x[-1] falls in the last interval;
+    q beyond it or NaN falls in the NaN entry, and so does q below x[0],
+    whose index -1 wraps around to it."""
+    return np.append(x[:-1], np.nextafter(x[-1], np.inf))
+
+
+_QUERY_BLOCK = 8192  # a long query runs in blocks whose temporaries stay in cache
+
+
+def _pchip_eval(nodes: np.ndarray, tables, q: np.ndarray) -> list:
+    """Values at q of `_pchip_table` interpolants over the same nodes, one
+    array per table, from one interval search: the power sum in the order
+    of scipy's PPoly evaluation, NaN outside the nodes."""
+    if q.size <= _QUERY_BLOCK:
+        return _pchip_block(nodes, tables, q)
+    flat = q.reshape(-1)
+    blocks = [_pchip_block(nodes, tables, flat[lo:lo + _QUERY_BLOCK])
+              for lo in range(0, flat.size, _QUERY_BLOCK)]
+    return [np.concatenate(parts).reshape(q.shape) for parts in zip(*blocks)]
+
+
+def _pchip_block(nodes, tables, q):
+    k = np.searchsorted(nodes, q, side="right") - 1
+    s = q - nodes[k]
+    s2 = s * s
+    s3 = s2 * s
+    values = []
+    for c0, c1, c2, c3 in tables:
+        value = c2[k] * s
+        value += c3[k]
+        value += c1[k] * s2
+        value += c0[k] * s3
+        values.append(value)
+    return values
+
+
 class ContourMap:
     """Tabulated ln X -> ln L and ln X -> radius maps for one model.
 
@@ -185,8 +299,9 @@ class ContourMap:
     a coarse pass in ln t locates the ln X values, a second pass re-grids to
     near-uniform ln X spacing (`nodes_per_unit` per ln-unit) plus a stack of
     geometrically spaced levels hugging ln X = 0 where uniform spacing cannot
-    reach.  Queries outside the tabulated range raise rather than
-    extrapolate; `get_contour_map` rebuilds deeper on demand.
+    reach.  Both maps share one node array and are monotone cubic Hermite
+    tables (`_pchip_table`).  Queries outside the tabulated range raise
+    rather than extrapolate; `get_contour_map` rebuilds deeper on demand.
     """
 
     COARSE_NODES = 20_001
@@ -221,24 +336,31 @@ class ContourMap:
 
         t_nodes = np.exp(u_nodes)
         r_nodes = model.sigma_pi * np.sqrt(2.0 * t_nodes)
-        logl_nodes = log_likelihood_at_radius(model, r_nodes)
+        del u_nodes, t_nodes  # a d=1000 map has 2.1M nodes: free before the tables
 
         self.log_x_top = float(lnx_nodes[-1])
-        self._logl_of_lnx = PchipInterpolator(lnx_nodes, logl_nodes, extrapolate=False)
-        self._radius_of_lnx = PchipInterpolator(lnx_nodes, r_nodes, extrapolate=False)
+        self._nodes = _pchip_nodes(lnx_nodes)
+        self._logl_table = _pchip_table(
+            lnx_nodes, log_likelihood_at_radius(model, r_nodes))
+        self._radius_table = _pchip_table(lnx_nodes, r_nodes)
 
-    def _check(self, out, what):
-        if np.any(np.isnan(out)):
+    def _query(self, tables, logx, what):
+        out = _pchip_eval(self._nodes, tables, np.asarray(logx, dtype=float))
+        # an outside query reads the NaN entry of every table
+        if np.isnan(out[0]).any():
             raise ValueError(f"{what} query outside tabulated contour range")
         return out
 
     def log_l(self, logx):
-        out = self._logl_of_lnx(logx)
-        return self._check(out, "log_l")
+        return self._query((self._logl_table,), logx, "log_l")[0]
 
     def radius(self, logx):
-        out = self._radius_of_lnx(logx)
-        return self._check(out, "radius")
+        return self._query((self._radius_table,), logx, "radius")[0]
+
+    def log_l_and_radius(self, logx):
+        """(log_l(logx), radius(logx)) from one interval search."""
+        return tuple(self._query((self._logl_table, self._radius_table),
+                                 logx, "log_l and radius"))
 
 
 _MAP_CACHE: dict[ModelSpec, ContourMap] = {}
@@ -369,8 +491,7 @@ def posterior_grid(m: ModelSpec, n_nodes: int = 400_001) -> PosteriorGrid:
     fine_floor = _posterior_support_floor(m) - 60.0
     cmap = get_contour_map(m, fine_floor)
     grid = np.linspace(fine_floor, min(-1e-9, cmap.log_x_top), n_nodes)
-    logl = cmap.log_l(grid)
-    radius = cmap.radius(grid)
+    logl, radius = cmap.log_l_and_radius(grid)
     h = grid[1] - grid[0]
     logw = logl + grid + math.log(h)
     logw[0] -= math.log(2.0)

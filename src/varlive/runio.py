@@ -12,7 +12,7 @@ import os
 
 import numpy as np
 
-from .models import ModelSpec
+from .models import ModelSpec, as_int
 from .runs import NestedRun, RunProvenance
 
 __all__ = ["save_run", "load_run", "FORMAT_VERSION"]
@@ -36,6 +36,14 @@ def _dec(values) -> np.ndarray:
     if any(values[i] != "nan" for i in np.flatnonzero(np.isnan(out)).tolist()):
         raise ValueError("run file array holds a null or a bare NaN")
     return out
+
+
+def _dec_ids(values) -> np.ndarray:
+    if not isinstance(values, list):
+        raise ValueError("run file thread ids must be a flat list")
+    if not set(map(type, values)) <= {int}:
+        values = [as_int(v, "run file thread id") for v in values]
+    return np.array(values, dtype=np.int64)
 
 
 def run_to_dict(run: NestedRun) -> dict:
@@ -72,10 +80,10 @@ def run_from_dict(doc: dict) -> NestedRun:
         model,
         _dec(pts["log_l"]), _dec(pts["birth_log_l"]), _dec(pts["theta1"]),
         _dec(pts["radius"]), _dec(pts["true_log_x"]),
-        np.array(pts["thread_id"], dtype=np.int64),
+        _dec_ids(pts["thread_id"]),
         open_birth_log_l=_dec(opens["birth_log_l"]),
         open_end_log_l=_dec(opens["end_log_l"]),
-        open_thread_id=np.array(opens["thread_id"], dtype=np.int64),
+        open_thread_id=_dec_ids(opens["thread_id"]),
         provenance=RunProvenance.from_dict(doc["provenance"]),
         presorted=True)
     run.validate()

@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .models import ModelSpec
+from .models import ModelSpec, as_int
 
 __all__ = [
     "RunProvenance",
@@ -70,7 +70,8 @@ class RunProvenance:
             goal_g=data.get("goal_g"),
             sample_budget=data.get("sample_budget"),
             importance_variant=data.get("importance_variant"),
-            init_thread_ids=None if ids is None else tuple(int(i) for i in ids),
+            init_thread_ids=None if ids is None else tuple(
+                as_int(i, "init thread id") for i in ids),
         )
 
 

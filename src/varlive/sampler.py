@@ -98,9 +98,8 @@ def sample_thread_batch(m: ModelSpec, start_log_l: float, end_log_l: float,
 
     if lnx_flat.size:
         cm = get_contour_map(m, float(lnx_flat.min()) - 1.0)
-        top = cm.log_x_top
-        lnl_flat = np.asarray(cm.log_l(np.minimum(lnx_flat, top)))
-        radius_flat = np.asarray(cm.radius(np.minimum(lnx_flat, top)))
+        lnl_flat, radius_flat = cm.log_l_and_radius(
+            np.minimum(lnx_flat, cm.log_x_top))
     else:
         lnl_flat = radius_flat = lnx_flat
     theta_flat = radius_flat * sample_beta_first_coordinate(

@@ -13,7 +13,6 @@ import math
 import numpy as np
 import pytest
 
-from varlive import models
 from varlive.accept_gen import EST_KEYS, block_config, load_block, run_row
 from varlive.analysis import (efficiency_gain, estimate, estimator_from_key,
                               information_content, weighted_quantile)
@@ -336,15 +335,6 @@ class TestCriterion8:
 # cache replay: committed rows recomputed through the per-run code
 
 
-@pytest.fixture
-def fresh_contour_maps(monkeypatch):
-    """Empty the per-process contour-map cache for one test.  Sampled values
-    depend in their last bits on the deepest map the process has built for
-    the model, so a bit-exact replay starts from an empty cache and runs the
-    arms in block order, as a block build does."""
-    monkeypatch.setattr(models, "_MAP_CACHE", {})
-
-
 def replayed_rows(block_name, run_index):
     """(arm name, cached entry, recomputed row) for every arm of one run of
     a block, run in block order after checking the cached settings."""
@@ -367,7 +357,9 @@ def replayed_rows(block_name, run_index):
     return out
 
 
-@pytest.mark.usefixtures("fresh_contour_maps")
+# a bit-exact replay starts from empty model caches and runs the arms in
+# block order, as a block build does
+@pytest.mark.usefixtures("fresh_model_caches")
 class TestCacheReplay:
     @pytest.mark.parametrize("block_name,run_index",
                              [("c4", 0), ("c4", 7), ("c3_d2", 3), ("c5", 0)])

@@ -26,7 +26,7 @@ from varlive.analysis import (
     jackknife_std_sigma,
     weighted_quantile,
 )
-from varlive import analysis, models, runs
+from varlive import analysis, runs
 from varlive.dynamic import (AlgorithmOneConfig, AlgorithmTwoConfig,
                              GoalConfig, dynamic_run_algorithm1,
                              dynamic_run_algorithm2)
@@ -215,11 +215,10 @@ class TestEstimates:
             with pytest.raises(ValueError, match="all posterior weights"):
                 estimates(chain_run([1.0, 2.0]), [LOG_Z, MEAN_THETA1])
 
-    def test_pinned_digests(self, monkeypatch):
+    def test_pinned_digests(self, fresh_model_caches):
         # sha256 of the seven estimates, recorded before estimates() shared
         # one weight pass between them; an empty map cache fixes the
         # sampled bits (they depend on the deepest map built so far)
-        monkeypatch.setattr(models, "_MAP_CACHE", {})
         std = standard_run(M3, SamplerConfig(n_live=30, keep_final_live=False,
                                              seed=2024))
         dyn = dynamic_run_algorithm1(
@@ -389,12 +388,11 @@ class TestBootstrapGather:
             init_thread_ids=tuple(range(len(classes[0]))) if separate
             else None)
 
-    def test_pinned_stratified_replicate(self, monkeypatch):
+    def test_pinned_stratified_replicate(self, fresh_model_caches):
         # sha256 over every array and the provenance of one stratified
         # replicate of a censored Algorithm 2 run, recorded while the
         # bootstrap still split the run into Thread objects; an empty map
         # cache fixes the sampled bits
-        monkeypatch.setattr(models, "_MAP_CACHE", {})
         dyn = dynamic_run_algorithm2(
             M3, GoalConfig(goal_g=0.5),
             AlgorithmTwoConfig(n_init=10, total_budget=800), seed=2024)

@@ -23,7 +23,7 @@ from varlive.dynamic import (
     importance_tuned,
     savitzky_golay_smooth,
 )
-from varlive import dynamic, models, runs
+from varlive import dynamic, runs
 from varlive.models import (
     ModelSpec,
     argmax_log_x_relative_posterior_mass,
@@ -199,11 +199,10 @@ class TestCombinedImportance:
                     goal_g=g, importance_variant=variant))
                 assert len(calls) == 1, (g, variant)
 
-    def test_pinned_digests(self, monkeypatch):
+    def test_pinned_digests(self, fresh_model_caches):
         # sha256 over the importance of a censored standard run followed by
         # that of an Algorithm 1 run, recorded before a zero-weight term
         # stopped being computed; an empty map cache fixes the sampled bits
-        monkeypatch.setattr(models, "_MAP_CACHE", {})
         std = censored_standard(M3, 30, seed=2024)
         dyn = dynamic_run_algorithm1(
             M3, GoalConfig(goal_g=1.0),
@@ -311,10 +310,10 @@ class TestAlgorithmOne:
         (1.0, "tuned",
          "bba6cdabbd1811efb10bc9856d70aca01930764774db0f51d46350e99937baf0"),
     ])
-    def test_seeded_run_pinned(self, monkeypatch, goal_g, variant, digest):
+    def test_seeded_run_pinned(self, fresh_model_caches, goal_g, variant,
+                               digest):
         # recorded before region ends were converted in Python floats and
         # merges stopped lexsorting; replay from an empty map cache
-        monkeypatch.setattr(models, "_MAP_CACHE", {})
         run = dynamic_run_algorithm1(
             M3, GoalConfig(goal_g=goal_g, importance_variant=variant),
             AlgorithmOneConfig(n_init=10, sample_budget=1500, n_batch=5),
@@ -431,10 +430,9 @@ class TestAlgorithmTwo:
         (0.0, "2ed6fb995e2058ae41997ac92a95a3016f963a2b85eeffefa697ace0e963a751"),
         (1.0, "678fc67a013ee9ae335e6a4c37e3a104e1fc0e3ab64f02ac1fddff670bdc8e5e"),
     ])
-    def test_seeded_run_pinned(self, monkeypatch, goal_g, digest):
+    def test_seeded_run_pinned(self, fresh_model_caches, goal_g, digest):
         # sampled bits depend in their last digits on the contour maps the
         # process built before, so replay from an empty map cache
-        monkeypatch.setattr(models, "_MAP_CACHE", {})
         run = dynamic_run_algorithm2(
             M3, GoalConfig(goal_g=goal_g),
             AlgorithmTwoConfig(n_init=5, total_budget=2000), seed=2017)

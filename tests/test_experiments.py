@@ -1,7 +1,6 @@
 """Ensemble generation, manifests, and the three report builders."""
 
 import csv
-import functools
 import hashlib
 import json
 import math
@@ -10,7 +9,6 @@ import os
 import numpy as np
 import pytest
 
-from varlive import models
 from varlive.analysis import estimator_from_key
 from varlive.experiments import (ArmConfig, ExperimentConfig,
                                  MissingRunsError, alloc_profile_rows,
@@ -305,15 +303,11 @@ def rows_digest(rows) -> str:
     return hashlib.sha256(json.dumps(rows, sort_keys=True).encode()).hexdigest()
 
 
-def test_pinned_report_rows(tmp_path, monkeypatch):
+def test_pinned_report_rows(tmp_path, fresh_model_caches):
     # sha256 of the compare and alloc-profile rows of a seeded gaussian d=3
     # ensemble, recorded while efficiency_gain drew one replicate at a time
     # and the profile summed its areas in a Python loop; an empty map cache
     # and empty posterior-grid caches fix the sampled bits and the curves
-    monkeypatch.setattr(models, "_MAP_CACHE", {})
-    for name in ("posterior_grid", "_remaining_table"):
-        monkeypatch.setattr(models, name, functools.lru_cache(maxsize=None)(
-            getattr(models, name).__wrapped__))
     cfg = config_from_dict({
         "model": {"family": "gaussian", "d": 3, "sigma_pi": 10.0},
         "n_runs": 6, "seed": 3,

@@ -3,15 +3,25 @@
 Truth routes used here, in decreasing independence from the implementation:
 closed forms (Gaussian evidence, posterior moments via the conjugate
 posterior width), scipy distribution functions, and the radius-domain
-quadrature which shares no code with the ln X route.
+quadrature which shares no code with the ln X route.  The contour tables
+are checked bit for bit against scipy's PchipInterpolator.
 """
 
+import hashlib
+import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
+from scipy.interpolate import PchipInterpolator
 from scipy.stats import chi2
 
+import varlive
 from varlive import models as md
 from varlive.models import ModelSpec
 
@@ -39,6 +49,15 @@ class TestModelSpec:
     def test_round_trip_dict(self):
         for m in [G10, EP2, C10]:
             assert ModelSpec.from_dict(m.to_dict()) == m
+
+    @pytest.mark.parametrize("d", [2.5, True, "3", None])
+    def test_from_dict_rejects_non_integer_d(self, d):
+        # before from_dict checked this, 2.5 read as d=2 and true as d=1
+        with pytest.raises(ValueError, match="d must be an integer"):
+            ModelSpec.from_dict({**G3.to_dict(), "d": d})
+
+    def test_from_dict_accepts_integral_float_d(self):
+        assert ModelSpec.from_dict({**G3.to_dict(), "d": 3.0}) == G3
 
     def test_hashable_immutable(self):
         assert len({G10, ModelSpec(md.GAUSSIAN, 10, 10.0)}) == 1
@@ -232,6 +251,22 @@ class TestContourMap:
         cmap = md.get_contour_map(G10, -60.0)
         with pytest.raises(ValueError):
             cmap.log_l(cmap.log_x_floor - 50.0)
+        lowest = cmap._nodes[0]
+        top = cmap.log_x_top
+        for query in (math.nextafter(lowest, -math.inf),
+                      math.nextafter(top, math.inf), 0.0, math.nan,
+                      np.array([-5.0, math.nan]), np.array([top, 1.0])):
+            for method in (cmap.log_l, cmap.radius, cmap.log_l_and_radius):
+                with pytest.raises(ValueError, match="outside tabulated"):
+                    method(query)
+        # both end nodes are inside; the paired query repeats the single ones
+        ends = np.array([lowest, top])
+        logl, radius = cmap.log_l_and_radius(ends)
+        assert logl.tobytes() == cmap.log_l(ends).tobytes()
+        assert radius.tobytes() == cmap.radius(ends).tobytes()
+        assert np.all(np.isfinite(logl)) and np.all(np.isfinite(radius))
+        for method in (cmap.log_l, cmap.radius):
+            assert method(np.empty(0)).shape == (0,)
 
     def test_cache_reuses_deepest(self):
         a = md.get_contour_map(G3, -40.0)
@@ -240,6 +275,129 @@ class TestContourMap:
         c = md.get_contour_map(G3, 2.0 * a.log_x_floor)
         assert c is not a
         assert c.log_x_floor <= 2.0 * a.log_x_floor
+
+    # sha256 of log_l then radius on a fixed grid, from empty caches;
+    # recorded while the tables were scipy PchipInterpolator objects
+    @pytest.mark.parametrize("m,digest", [
+        (G3, "525b0a4e3670e3ac63ca9d8a4361c5a3b36bdc84798417565cf5abc581ef7008"),
+        (C10, "7c27e4ffa00ef3076b6f54ed12fa9f00608e4eade77595dce8b8f58f09449684"),
+    ])
+    def test_tables_pinned(self, fresh_model_caches, m, digest):
+        cmap = md.get_contour_map(m, -60.0)
+        grid = np.append(np.linspace(-90.0, -1e-9, 50_001), cmap.log_x_top)
+        h = hashlib.sha256()
+        h.update(cmap.log_l(grid).tobytes())
+        h.update(cmap.radius(grid).tobytes())
+        assert h.hexdigest() == digest
+
+    def test_no_scipy_interpolate_at_run_time(self):
+        # a fresh interpreter: importing varlive, building a map and
+        # sampling a run load no scipy.interpolate module
+        code = "\n".join([
+            "import json, sys",
+            "import varlive",
+            "from varlive.models import ModelSpec, get_contour_map",
+            "from varlive.sampler import SamplerConfig, standard_run",
+            "m = ModelSpec('gaussian', 3, 10.0)",
+            "get_contour_map(m, -60.0)",
+            "standard_run(m, SamplerConfig(n_live=20, seed=1))",
+            "print(json.dumps(sorted(k for k in sys.modules"
+            " if k.startswith('scipy.interpolate'))))"])
+        src = os.path.dirname(os.path.dirname(os.path.abspath(varlive.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src, os.environ.get("PYTHONPATH", "")]))
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, timeout=300,
+                             check=True)
+        assert json.loads(out.stdout.splitlines()[-1]) == []
+
+
+def same_bits(a, b) -> bool:
+    """Equal arrays, NaN where the other is NaN and equal bits elsewhere."""
+    a, b = np.asarray(a), np.asarray(b)
+    nan = np.isnan(a)
+    return (np.array_equal(nan, np.isnan(b))
+            and a[~nan].tobytes() == b[~nan].tobytes())
+
+
+@st.composite
+def pchip_nodes(draw):
+    """(x, y, fracs): strictly increasing nodes with gaps over eight
+    decades, values with flat runs, sign changes and monotone stretches,
+    and query positions as fractions of the node range."""
+    n = draw(st.integers(3, 40))
+    gaps = draw(st.lists(st.one_of(st.floats(1e-6, 1e-3), st.floats(1e-3, 1.0),
+                                   st.floats(1.0, 100.0)),
+                         min_size=n - 1, max_size=n - 1))
+    x = draw(st.floats(-1e3, 1e3)) + np.cumsum([0.0] + gaps)
+    shape = draw(st.sampled_from(["increasing", "decreasing", "any"]))
+    steps = np.array(draw(st.lists(
+        st.one_of(st.just(0.0), st.floats(-50.0, 50.0)),
+        min_size=n - 1, max_size=n - 1)))
+    if shape == "increasing":
+        steps = np.abs(steps)
+    elif shape == "decreasing":
+        steps = -np.abs(steps)
+    y = draw(st.floats(-1e3, 1e3)) + np.cumsum(np.concatenate([[0.0], steps]))
+    fracs = draw(st.lists(st.floats(0.0, 1.0), max_size=50))
+    return x.tolist(), y.tolist(), fracs
+
+
+class TestPchipTable:
+    """The numpy tables and their evaluation against scipy's
+    PchipInterpolator(x, y, extrapolate=False), bit for bit."""
+
+    @settings(deadline=None)
+    @given(data=pchip_nodes())
+    # interior: a flat run and a sign change set node slopes to 0
+    @example(data=([0.0, 1.0, 2.0, 3.0, 4.0], [0.0, 1.0, 1.0, 2.0, 0.0], []))
+    # both end-slope masks (see test_end_slope_masks)
+    @example(data=([0.0, 1.0, 2.0, 3.0], [0.0, 1.0, 11.0, 10.0], [0.5]))
+    @example(data=([-3.0, -1.0, -0.5], [-0.0, -0.0, 2.0], [0.0]))
+    def test_matches_scipy_bitwise(self, data):
+        x, y, fracs = (np.array(v, dtype=float) for v in data)
+        assume(np.all(np.diff(x) > 0.0))
+        with np.errstate(over="ignore"):  # slopes near the underflow limit
+            refs = [PchipInterpolator(x, v, extrapolate=False)
+                    for v in (y, -y)]
+        tables = [md._pchip_table(x, v) for v in (y, -y)]
+        for table, ref in zip(tables, refs):
+            for got, want in zip(table[:3], ref.c):
+                assert got[:-1].tobytes() == want.tobytes()
+            assert np.array_equal(table[3][:-1], ref.c[3])
+            assert all(np.isnan(c[-1]) for c in table)
+
+        mid = 0.5 * (x[:-1] + x[1:])
+        inside = np.minimum(x[0] + fracs * (x[-1] - x[0]), x[-1])
+        outside = [np.nextafter(x[0], -np.inf), np.nextafter(x[-1], np.inf),
+                   x[0] - 1.0, x[-1] + 1.0, -np.inf, np.inf, np.nan]
+        nodes = md._pchip_nodes(x)
+        for q in (x, mid, inside, x[-1:], np.array(outside),
+                  *map(np.asarray, x)):
+            for got, ref in zip(md._pchip_eval(nodes, tables, q), refs):
+                assert same_bits(got, ref(q)), q
+
+    def test_long_query_matches_scipy_bitwise(self):
+        # more than one block of queries, in a 2-d shape, some outside
+        rng = np.random.default_rng(7)
+        x = np.cumsum(rng.uniform(1e-3, 1.0, 500))
+        y = np.cumsum(rng.normal(size=500))
+        q = rng.uniform(x[0] - 1.0, x[-1] + 1.0, (3, md._QUERY_BLOCK + 11))
+        q[0, :5] = [np.nan, x[0], x[-1], -np.inf, np.inf]
+        got, = md._pchip_eval(md._pchip_nodes(x), [md._pchip_table(x, y)], q)
+        ref = PchipInterpolator(x, y, extrapolate=False)
+        assert got.shape == q.shape
+        assert same_bits(got, ref(q))
+
+    def test_end_slope_masks(self):
+        # unit spacing, so the three-point estimate is (3 m0 - m1) / 2
+        assert md._pchip_end_slope(1.0, 1.0, 1.0, 2.0) == 0.5
+        # its sign differs from m0's: 0
+        assert md._pchip_end_slope(1.0, 1.0, 1.0, 10.0) == 0.0
+        # m0 and m1 differ in sign and |d| = 6.5 > 3 |m0|: 3 m0
+        assert md._pchip_end_slope(1.0, 1.0, -1.0, 10.0) == -3.0
+        # the same sign pattern with |d| = 2 <= 3 |m0| keeps d
+        assert md._pchip_end_slope(1.0, 1.0, -1.0, 1.0) == -2.0
 
 
 class TestPosteriorGridTruths:

@@ -139,6 +139,29 @@ def test_second_open_interval_rejected_on_load(tmp_path):
         load_run(str(path))
 
 
+@pytest.mark.parametrize("field,value", [
+    ("d", 2.5), ("d", True), ("thread_id", 5.25), ("thread_id", True),
+    ("open_thread_id", 2.5), ("init_thread_ids", 0.5)])
+def test_non_integer_field_rejected_on_load(tmp_path, field, value):
+    # before load checked these, the file loaded: d 2.5 as a d=2 model, true
+    # as d=1, thread id 5.25 as 5 (true as 1) and init id 0.5 as 0
+    run = standard_run(M3, SamplerConfig(n_live=20, seed=1,
+                                         keep_final_live=False))
+    doc = run_to_dict(run)
+    if field == "d":
+        doc["model"]["d"] = value
+    elif field == "init_thread_ids":
+        doc["provenance"]["init_thread_ids"] = [value]
+    else:
+        ids = doc["points" if field == "thread_id"
+                  else "open_intervals"]["thread_id"]
+        ids[ids.index(int(value))] = value
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(ValueError, match="must be an integer"):
+        load_run(str(path))
+
+
 @pytest.mark.parametrize("value", ["nan", "inf"])
 def test_non_finite_log_l_rejected_on_load(tmp_path, value):
     # before NestedRun checked this, either file loaded and ln Z read nan

@@ -570,3 +570,20 @@ class TestRunDoc:
                 values.append(values[k])
             with pytest.raises(ValueError):
                 run_from_dict(duplicated)
+        # an integer field holding a bool, a non-integral number or a string
+        bad = data.draw(st.one_of(st.booleans(), st.sampled_from(
+            [0.5, 5.25, -1.5, math.inf, math.nan, "3"])))
+        target = data.draw(st.sampled_from(
+            ["d", "thread_id", "init_thread_ids"]
+            + (["open_thread_id"] if run.n_open else [])))
+        wrong = run_to_dict(run)
+        if target == "d":
+            wrong["model"]["d"] = bad
+        elif target == "init_thread_ids":
+            wrong["provenance"]["init_thread_ids"] = [0, bad]
+        else:
+            ids = wrong["points" if target == "thread_id"
+                        else "open_intervals"]["thread_id"]
+            ids[data.draw(st.integers(0, len(ids) - 1))] = bad
+        with pytest.raises(ValueError):
+            run_from_dict(wrong)

@@ -125,6 +125,24 @@ class TestRegLowerIncGamma:
         assert type(got) is float
         assert np.float64(got).tobytes() == want[0].tobytes(), (a, x)
 
+    @settings(deadline=None)
+    @given(a=st.floats(0.5, 600.0),
+           fracs=st.lists(st.floats(0.0, 1.0, exclude_min=True),
+                          min_size=1, max_size=30))
+    def test_series_array_equals_each_element_bitwise(self, a, fracs):
+        # The array series runs until its slowest element converges, so the
+        # other elements add terms they would not add alone.  Those terms
+        # cannot move a converged sum: once term <= 1e-17 * total, every
+        # later term is smaller still (x / (a + k) < 1 for x <= a + 1 and
+        # k >= 2) and below half an ulp of the sum (at least 2**-54 * total),
+        # so each addition rounds back to the same sum.  A series that stops
+        # per element therefore gives the same bits.
+        x = np.array(fracs) * (a + 1.0)
+        got = sf._log_p_series(a, x)
+        for xi, gi in zip(x, got):
+            want = sf._log_p_series(a, np.asarray(xi))
+            assert want.tobytes() == gi.tobytes(), (a, xi)
+
     def test_rejects_negative_x(self):
         with pytest.raises(ValueError):
             sf.reg_lower_inc_gamma(1.0, -0.1)
