@@ -13,7 +13,6 @@ import csv
 import json
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,7 +22,7 @@ from .analysis import (EstimatorId, GainEstimate, bootstrap_replicates,
                        jackknife_std_sigma, weighted_quantile)
 from .dynamic import (AlgorithmOneConfig, AlgorithmTwoConfig, GoalConfig,
                       dynamic_run_algorithm1, dynamic_run_algorithm2)
-from .models import (GAUSSIAN, ModelSpec, analytic_log_evidence,
+from .models import (GAUSSIAN, ModelSpec, analytic_log_evidence, as_int,
                      posterior_mass_remaining, relative_posterior_mass)
 from .runio import load_run, save_run
 from .runs import NestedRun, live_point_counts, log_prior_volumes
@@ -104,7 +103,8 @@ class ArmConfig:
         extra = set(data) - known
         if extra:
             raise ValueError(f"unknown arm keys: {sorted(extra)}")
-        return cls(**data)
+        return cls(**_int_fields(cls, data, (
+            "n_live", "n_init", "budget", "n_batch", "seed"), "arm"))
 
     def to_dict(self) -> dict:
         out = {"name": self.name, "method": self.method}
@@ -163,8 +163,22 @@ class ExperimentConfig:
         raise KeyError(name)
 
 
+def _int_fields(cls, data: dict, keys, where: str) -> dict:
+    """data with each of keys that it holds passed through as_int, so a
+    bool or a fractional count fails here and not inside a sampler; None
+    stays only where the field's default is None (unset)."""
+    out = dict(data)
+    for key in keys:
+        if key in out and not (out[key] is None
+                               and cls.__dataclass_fields__[key].default is None):
+            out[key] = as_int(out[key], f"{where} {key}")
+    return out
+
+
 def config_from_dict(data: dict) -> ExperimentConfig:
-    data = dict(data)
+    data = _int_fields(ExperimentConfig, data, (
+        "n_runs", "seed", "workers", "gain_boot", "bootstrap_reps",
+        "profile_runs"), "experiment")
     model = ModelSpec.from_dict(data.pop("model"))
     arms = tuple(ArmConfig.from_dict(a) for a in data.pop("arms"))
     estimators = tuple(estimator_from_key(k) for k in data.pop("estimators"))
@@ -257,6 +271,9 @@ def _map_tasks(fn, tasks: list[tuple], workers: int) -> list:
     """fn(*task) for every task, in order, over a process pool when
     workers > 1."""
     if workers > 1:
+        # imported here: concurrent.futures and multiprocessing add to the
+        # start-up of every process that never uses a pool
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(fn, *zip(*tasks)))
     return [fn(*t) for t in tasks]

@@ -13,14 +13,21 @@ The split follows the standard numeric treatment: a power series for the lower
 function when x <= a + 1, a modified Lentz continued fraction for the upper
 function otherwise.  The inverse is a bracketed bisection/Newton hybrid in
 u = ln x, which stays stable however deep the requested tail is.
+
+ln Gamma is a port of the Cephes `lgam` routine (S. L. Moshier, 1989) for
+x > 0 in Python floats: the same constants and the same operations in the
+same order, so its bits equal those of scipy.special.gammaln, which calls the
+same routine, while the package needs no scipy at run time.  math.lgamma is a
+different algorithm and differs from it in the last bit on about half of
+the shapes d/2.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
-from scipy.special import gammaln as _gammaln
 
 __all__ = [
     "log_gamma",
@@ -37,14 +44,82 @@ _CF_MAX_ITER = 20000
 _CF_TINY = 1e-300
 _LN_HALF = math.log(0.5)
 
+# Cephes lgam: _LGAM_A is the Stirling correction series in 1/x^2, _LGAM_B
+# and _LGAM_C the numerator and monic denominator of the rational on [2, 3).
+_LGAM_A = (8.11614167470508450300E-4, -5.95061904284301438324E-4,
+           7.93650340457716943945E-4, -2.77777777730099687205E-3,
+           8.33333333333331927722E-2)
+_LGAM_B = (-1.37825152569120859100E3, -3.88016315134637840924E4,
+           -3.31612992738871184744E5, -1.16237097492762307383E6,
+           -1.72173700820839662146E6, -8.53555664245765465627E5)
+_LGAM_C = (-3.51815701436523470549E2, -1.70642106651881159223E4,
+           -2.20528590553854454839E5, -1.13933444367982507207E6,
+           -2.53252307177582951285E6, -2.01889141433532773231E6)
+_LS2PI = 0.91893853320467274178     # ln sqrt(2 pi)
+_MAXLGM = 2.556348e305              # ln Gamma overflows above this
+
+
+def _lgam(x: float) -> float:
+    """ln Gamma(x) for x > 0 (or NaN/inf, returned as given), Cephes lgam
+    operation for operation."""
+    if not math.isfinite(x):
+        return x
+    if x < 13.0:
+        # shift into [2, 3) keeping the product of the shifts in z
+        z = 1.0
+        p = 0.0
+        u = x
+        while u >= 3.0:
+            p -= 1.0
+            u = x + p
+            z *= u
+        while u < 2.0:
+            z /= u
+            p += 1.0
+            u = x + p
+        if u == 2.0:
+            return math.log(z)
+        p -= 2.0
+        x = x + p
+        num = _LGAM_B[0]                # polevl(x, B, 5)
+        for c in _LGAM_B[1:]:
+            num = num * x + c
+        den = x + _LGAM_C[0]            # p1evl(x, C, 6)
+        for c in _LGAM_C[1:]:
+            den = den * x + c
+        return math.log(z) + x * num / den
+    if x > _MAXLGM:
+        return math.inf
+    q = (x - 0.5) * math.log(x) - x + _LS2PI
+    if x > 1.0e8:
+        return q
+    p = 1.0 / (x * x)
+    if x >= 1000.0:
+        q += ((7.9365079365079365079365e-4 * p
+               - 2.7777777777777777777778e-3) * p
+              + 0.0833333333333333333333) / x
+    else:
+        series = _LGAM_A[0]             # polevl(p, A, 4)
+        for c in _LGAM_A[1:]:
+            series = series * p + c
+        q += series / x
+    return q
+
+
+# the kernels ask for ln Gamma of the same one or two shapes on every
+# series, continued-fraction and Newton evaluation
+_gammaln = functools.lru_cache(maxsize=256)(_lgam)
+
 
 def log_gamma(x):
     """ln Gamma(x) for positive real x, scalar or array."""
     x = np.asarray(x, dtype=float)
     if np.any(x <= 0.0):
         raise ValueError("log_gamma requires x > 0")
-    out = _gammaln(x)
-    return float(out) if out.ndim == 0 else out
+    if x.ndim == 0:
+        return _lgam(float(x))
+    return np.fromiter(map(_lgam, x.ravel().tolist()), dtype=float,
+                       count=x.size).reshape(x.shape)
 
 
 def _series_sum(a: float, x: float) -> float:
@@ -186,8 +261,8 @@ def log_reg_lower_inc_gamma(a, x):
 
 def _log_p_0d(a: float, x: float) -> float:
     """log_reg_lower_inc_gamma of a 0-d array: the loops run in Python
-    floats and the final value takes the array path's numpy and gammaln
-    calls, so the result equals the array path's bit for bit."""
+    floats and the final value takes the array path's numpy and ln Gamma
+    (_gammaln) calls, so the result equals the array path's bit for bit."""
     if math.isnan(x) or x < 0.0:
         raise ValueError("x must be nonnegative")
     if x == 0.0:

@@ -81,6 +81,41 @@ class TestConfig:
         with pytest.raises(ValueError, match="profile_runs"):
             small_config(profile_runs=0)
 
+    @pytest.mark.parametrize("bad", [2.5, True, "3", None])
+    @pytest.mark.parametrize("key", ["n_runs", "seed", "workers", "gain_boot",
+                                     "bootstrap_reps", "profile_runs"])
+    def test_experiment_counts_must_be_integers(self, key, bad):
+        # a fractional count used to load and fail later inside a sampler
+        with pytest.raises(ValueError, match=f"experiment {key} must be an integer"):
+            small_config(**{key: bad})
+
+    @pytest.mark.parametrize("bad", [20.5, True, "3"])
+    @pytest.mark.parametrize("key", ["n_live", "n_init", "budget", "n_batch",
+                                     "seed"])
+    def test_arm_counts_must_be_integers(self, key, bad):
+        arm = {"name": "a", "method": "dyn1", "n_init": 5, key: bad}
+        with pytest.raises(ValueError, match=f"arm {key} must be an integer"):
+            ArmConfig.from_dict(arm)
+
+    def test_integral_counts_load_as_int(self):
+        cfg = small_config(n_runs=4.0, seed=1234.0, arms=[
+            {"name": "std", "method": "standard", "n_live": 40.0,
+             "seed": None},
+            {"name": "dyn", "method": "dyn1", "n_init": 5.0, "budget": 300.0,
+             "n_batch": 2.0, "seed": 9.0}])
+        assert cfg == small_config(arms=[
+            {"name": "std", "method": "standard", "n_live": 40},
+            {"name": "dyn", "method": "dyn1", "n_init": 5, "budget": 300,
+             "n_batch": 2, "seed": 9}])
+        for value in (cfg.n_runs, cfg.seed, cfg.arms[0].n_live,
+                      *(getattr(cfg.arms[1], k)
+                        for k in ("n_init", "budget", "n_batch", "seed"))):
+            assert type(value) is int
+        assert cfg.arms[0].seed is None
+        with pytest.raises(ValueError, match="arm n_batch must be an integer"):
+            ArmConfig.from_dict({"name": "a", "method": "dyn1", "n_init": 5,
+                                 "n_batch": None})
+
 
 class TestGenerate:
     def test_manifest_deterministic(self, ensemble, tmp_path):

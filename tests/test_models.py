@@ -290,26 +290,49 @@ class TestContourMap:
         h.update(cmap.radius(grid).tobytes())
         assert h.hexdigest() == digest
 
-    def test_no_scipy_interpolate_at_run_time(self):
-        # a fresh interpreter: importing varlive, building a map and
-        # sampling a run load no scipy.interpolate module
+    def test_no_scipy_interpolate_at_run_time(self, tmp_path):
+        # a fresh interpreter: importing varlive and varlive.cli, building a
+        # map and sampling a run load no scipy module at all; then, with
+        # scipy made unimportable, every CLI stage runs on a gaussian d=3
+        # ensemble
+        config = {
+            "model": {"family": "gaussian", "d": 3, "sigma_pi": 10.0},
+            "n_runs": 2, "seed": 7, "estimators": ["log_z", "mean_theta1"],
+            "bootstrap_reps": 4, "gain_boot": 4, "profile_runs": 2,
+            "arms": [{"name": "std", "method": "standard", "n_live": 20},
+                     {"name": "dyn", "method": "dyn1", "goal_g": 1.0,
+                      "n_init": 5, "budget": 600}]}
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config))
+        stages = [[stage, "--config", str(config_path),
+                   "--out", str(tmp_path / "out")]
+                  for stage in ("generate", "compare", "alloc-profile",
+                                "bootstrap-table")]
         code = "\n".join([
             "import json, sys",
-            "import varlive",
+            "import varlive, varlive.cli",
             "from varlive.models import ModelSpec, get_contour_map",
             "from varlive.sampler import SamplerConfig, standard_run",
             "m = ModelSpec('gaussian', 3, 10.0)",
             "get_contour_map(m, -60.0)",
             "standard_run(m, SamplerConfig(n_live=20, seed=1))",
-            "print(json.dumps(sorted(k for k in sys.modules"
-            " if k.startswith('scipy.interpolate'))))"])
+            "loaded = sorted(k for k in sys.modules"
+            " if k.partition('.')[0] == 'scipy')",
+            "sys.modules['scipy'] = None",
+            f"codes = [varlive.cli.main(argv) for argv in {stages!r}]",
+            "loaded += sorted(k for k, v in sys.modules.items()"
+            " if k.partition('.')[0] == 'scipy' and v is not None)",
+            "print(json.dumps([loaded, codes]))"])
         src = os.path.dirname(os.path.dirname(os.path.abspath(varlive.__file__)))
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             [src, os.environ.get("PYTHONPATH", "")]))
         out = subprocess.run([sys.executable, "-c", code], env=env,
                              capture_output=True, text=True, timeout=300,
                              check=True)
-        assert json.loads(out.stdout.splitlines()[-1]) == []
+        assert json.loads(out.stdout.splitlines()[-1]) == [[], [0, 0, 0, 0]]
+        for name in ("manifest.json", "report.csv", "alloc_profile.csv",
+                     "bootstrap_table.csv"):
+            assert (tmp_path / "out" / name).is_file()
 
 
 def same_bits(a, b) -> bool:

@@ -46,6 +46,46 @@ class TestLogGamma:
         with pytest.raises(ValueError):
             sf.log_gamma(-1.5)
 
+    def test_scalar_float_and_shape_kept(self):
+        assert type(sf.log_gamma(2.5)) is float
+        assert type(sf.log_gamma(np.float64(2.5))) is float
+        out = sf.log_gamma(np.full((2, 3), 2.5))
+        assert out.shape == (2, 3) and out.dtype == np.float64
+        assert sf.log_gamma(np.empty(0)).shape == (0,)
+
+
+def same_bits(a: float, b: float) -> bool:
+    return float(a).hex() == float(b).hex()
+
+
+class TestLogGammaMatchesScipy:
+    """The Cephes lgam port against scipy.special.gammaln, which runs the
+    same routine in C: equal bits, not merely close values."""
+
+    @given(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False))
+    def test_positive_floats_bitwise(self, x):
+        ref = float(sp.gammaln(x))
+        assert same_bits(sf.log_gamma(x), ref)
+        assert same_bits(sf._gammaln(x), ref)
+
+    @pytest.mark.parametrize("x", [
+        # branch edges of lgam: the [2, 3) interval, the switch to Stirling
+        # at 13, the short series from 1000 and the bare form above 1e8
+        2.0, 3.0, 13.0, 1000.0, 1e8, 0.5, 1.0,
+        # subnormals, the smallest normal, the overflow threshold and the
+        # largest finite argument
+        5e-324, 1e-310, 2.2250738585072014e-308, 2.556348e305,
+        1.7976931348623157e308])
+    def test_edges_bitwise(self, x):
+        for v in (math.nextafter(x, 0.0), x, math.nextafter(x, math.inf)):
+            if v > 0.0:
+                assert same_bits(sf.log_gamma(v), float(sp.gammaln(v)))
+
+    def test_every_half_integer_shape_bitwise(self):
+        # the radial shapes a = d/2 and a + 1 for every dimension to 2e5
+        x = np.arange(1, 200_001) * 0.5
+        assert np.flatnonzero(sf.log_gamma(x) != sp.gammaln(x)).size == 0
+
 
 class TestRegLowerIncGamma:
     def test_frozen_values(self):
