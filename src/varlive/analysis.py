@@ -110,15 +110,20 @@ def weighted_quantile(values, weights, q: float) -> float:
         raise ValueError("values and weights must be equal-length, nonempty")
     if np.any(weights < 0.0) or weights.sum() <= 0.0:
         raise ValueError("weights must be nonnegative with positive total")
+    return float(np.interp(q, *_quantile_nodes(values, weights)))
+
+
+def _quantile_nodes(values: np.ndarray, weights: np.ndarray):
+    """(positions, sorted values) that weighted_quantile interpolates."""
     order = np.argsort(values, kind="stable")
     v = values[order]
     w = weights[order] / weights.sum()
-    positions = np.cumsum(w) - 0.5 * w
-    return float(np.interp(q, positions, v))
+    return np.cumsum(w) - 0.5 * w, v
 
 
 def _values_for(run: NestedRun, eid: EstimatorId) -> np.ndarray:
-    if eid.kind in ("mean_theta1", "median_theta1", "credible_theta1"):
+    """The values whose posterior mean is eid, a mean kind."""
+    if eid.kind == "mean_theta1":
         return run.theta1
     if eid.kind == "second_moment_theta1":
         return run.theta1 * run.theta1
@@ -128,7 +133,7 @@ def _values_for(run: NestedRun, eid: EstimatorId) -> np.ndarray:
 def estimates(run: NestedRun, eids) -> np.ndarray:
     """Every estimator in eids, in order, from one weight pass: ln Z is the
     quadrature evidence over the dead points, the rest are posterior-weighted
-    statistics."""
+    statistics.  Quantiles of one value column share one sort."""
     if len(run) == 0:
         raise ValueError("empty run has no estimates")
     lw = run.log_l + point_log_weights(run)
@@ -136,6 +141,7 @@ def estimates(run: NestedRun, eids) -> np.ndarray:
     e = np.exp(lw - mx)
     total = e.sum()
     p = None
+    quantile_nodes = {}  # value column -> _quantile_nodes
     out = np.empty(len(eids))
     for k, eid in enumerate(eids):
         if eid.kind == "log_z":
@@ -145,12 +151,14 @@ def estimates(run: NestedRun, eids) -> np.ndarray:
             if not math.isfinite(mx):
                 raise ValueError("all posterior weights are zero")
             p = e / total
-        vals = _values_for(run, eid)
         if eid.kind in ("mean_theta1", "second_moment_theta1", "mean_radius"):
-            out[k] = np.sum(p * vals)
-        else:
-            q = eid.q if eid.kind == "credible_theta1" else 0.5
-            out[k] = weighted_quantile(vals, p, q)
+            out[k] = np.sum(p * _values_for(run, eid))
+            continue
+        column = "radius" if eid.kind == "median_radius" else "theta1"
+        if column not in quantile_nodes:
+            quantile_nodes[column] = _quantile_nodes(getattr(run, column), p)
+        q = eid.q if eid.kind == "credible_theta1" else 0.5
+        out[k] = np.interp(q, *quantile_nodes[column])
     return out
 
 

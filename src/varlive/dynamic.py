@@ -229,7 +229,7 @@ def dynamic_run_algorithm1(m: ModelSpec, goal: GoalConfig,
     run = standard_run(m, init_cfg, rng)
     while len(run) < cfg.sample_budget:
         prof = combined_importance(run, goal)
-        high = np.flatnonzero(prof > cfg.fraction * prof.max())
+        high = (prof > cfg.fraction * prof.max()).nonzero()[0]
         j, k = int(high[0]), int(high[-1])
         start = -np.inf if j == 0 else float(run.log_l[j - 1])
         # one point past the top of the region; when the region reaches the

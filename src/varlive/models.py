@@ -132,14 +132,18 @@ def radius_from_log_likelihood(m: ModelSpec, logl):
     c = _log_norm_const(m)
     if np.any(logl_arr > c):
         raise ValueError("log-likelihood above the peak value")
-    drop = c - logl_arr  # >= 0
-    if m.family == GAUSSIAN:
-        out = np.sqrt(2.0 * drop)
-    elif m.family == EXP_POWER:
-        out = np.power(2.0 * drop, 1.0 / (2.0 * m.b))
-    else:
-        out = np.sqrt(np.expm1(2.0 * drop / (m.d + 1)))
+    out = _radius_below_peak(m, c - logl_arr)
     return float(out) if out.ndim == 0 else out
+
+
+def _radius_below_peak(m: ModelSpec, drop):
+    """Radius of the contour drop = ln L(0) - ln L >= 0 below the peak, for
+    a float or an array, through the same numpy ufuncs either way."""
+    if m.family == GAUSSIAN:
+        return np.sqrt(2.0 * drop)
+    if m.family == EXP_POWER:
+        return np.power(2.0 * drop, 1.0 / (2.0 * m.b))
+    return np.sqrt(np.expm1(2.0 * drop / (m.d + 1)))
 
 
 def log_x_from_radius(m: ModelSpec, r):
@@ -181,8 +185,26 @@ def log_likelihood_from_log_x(m: ModelSpec, logx):
 
 
 def log_x_from_log_likelihood(m: ModelSpec, logl):
-    """Enclosed prior mass of the contour at height logl (exact composition)."""
-    return log_x_from_radius(m, radius_from_log_likelihood(m, logl))
+    """Enclosed prior mass of the contour at height logl (exact composition).
+
+    A float takes a scalar path with the bits of a 0-d array: the array
+    path's numpy ufuncs, then `specialfn._log_p_0d`, with none of the array
+    checks and conversions around them.  A 1-element array can differ from
+    both in the last bit, since the array path squares r with the array
+    `** 2`."""
+    if not isinstance(logl, float):
+        return log_x_from_radius(m, radius_from_log_likelihood(m, logl))
+    c = _log_norm_const(m)
+    if logl > c:
+        raise ValueError("log-likelihood above the peak value")
+    if math.isnan(logl):
+        raise ValueError("log-likelihood is NaN")
+    r = _radius_below_peak(m, c - logl)
+    if r == math.inf:
+        return 0.0
+    # r is a numpy float64, so ** 2 is the 0-d path's scalar pow, which can
+    # differ from r * r in the last bit
+    return sf._log_p_0d(0.5 * m.d, float(0.5 * (r / m.sigma_pi) ** 2))
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +300,7 @@ def _pchip_eval(nodes: np.ndarray, tables, q: np.ndarray) -> list:
 
 
 def _pchip_block(nodes, tables, q):
-    k = np.searchsorted(nodes, q, side="right") - 1
+    k = nodes.searchsorted(q, side="right") - 1
     s = q - nodes[k]
     s2 = s * s
     s3 = s2 * s

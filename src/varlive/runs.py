@@ -15,6 +15,7 @@ at a target contour.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -78,6 +79,7 @@ class RunProvenance:
 _EMPTY_F = np.empty(0, dtype=np.float64)
 _EMPTY_I = np.empty(0, dtype=np.int64)
 _LOG_HALF = float(np.log(0.5))
+_THREADS_PROVENANCE = RunProvenance(algorithm="combined", init_thread_ids=())
 
 
 class NestedRun:
@@ -107,19 +109,18 @@ class NestedRun:
         for arr in (birth_log_l, theta1, radius, true_log_x, thread_id):
             if arr.shape != (n,):
                 raise ValueError("point arrays must share one length")
-        if not np.all(np.isfinite(log_l)):
+        if not np.isfinite(log_l).all():
             raise ValueError("every point must have a finite log_l")
-        if np.any(log_l <= birth_log_l):
+        if (log_l <= birth_log_l).any():
             raise ValueError("every point must lie strictly above its birth contour")
         if not presorted and n > 1:
             # the stable order is the (log_l, thread_id, arrival) order
             # unless thread_id falls inside some tie group; timsort merges
             # presorted parts in linear time
-            order = np.argsort(log_l, kind="stable")
+            order = log_l.argsort(kind="stable")
             sorted_l = log_l[order]
             sorted_tid = thread_id[order]
-            if np.any((sorted_l[1:] == sorted_l[:-1])
-                      & (sorted_tid[1:] < sorted_tid[:-1])):
+            if _tie_ids_fall(sorted_l, sorted_tid):
                 order = np.lexsort((np.arange(n), thread_id, log_l))
                 sorted_l = log_l[order]
                 sorted_tid = thread_id[order]
@@ -146,10 +147,10 @@ class NestedRun:
             ot = np.ascontiguousarray(open_thread_id, dtype=np.int64)
             if not (ob.shape == oe.shape == ot.shape):
                 raise ValueError("open-interval arrays must share one length")
-            if np.any(oe < ob):
+            if (oe < ob).any():
                 raise ValueError("open intervals must have end >= birth")
             keep = oe > ob  # (b, b] covers nothing; drop silently
-            if not np.all(keep):
+            if not keep.all():
                 ob, oe, ot = ob[keep], oe[keep], ot[keep]
             self.open_birth_log_l = ob
             self.open_end_log_l = oe
@@ -198,6 +199,14 @@ class NestedRun:
             raise ValueError("orphan sample with zero live count")
 
 
+def _tie_ids_fall(log_l: np.ndarray, thread_id: np.ndarray) -> bool:
+    """Whether thread ids fall inside some tie group of sorted log_l, so
+    that the stable order is not the (log_l, thread_id, arrival) order."""
+    tie = log_l[1:] == log_l[:-1]
+    return bool(tie.any()
+                and (thread_id[1:][tie] < thread_id[:-1][tie]).any())
+
+
 @dataclass(frozen=True)
 class Thread:
     """One live point's trajectory: a chain of points from a start contour,
@@ -226,19 +235,22 @@ def live_point_counts(run: NestedRun) -> np.ndarray:
     n = len(run)
     if n == 0:
         return _EMPTY_I.copy()
-    births = np.sort(run.birth_log_l)
+    births = run.birth_log_l.copy()
+    births.sort()
     # points strictly below L_i: the first index of L_i's value in log_l
-    first = np.arange(n)
-    first[1:][run.log_l[1:] == run.log_l[:-1]] = 0
-    deaths_below = np.maximum.accumulate(first)
-    births_below = np.searchsorted(births, run.log_l, side="left")
-    counts = births_below - deaths_below
+    deaths_below = np.arange(n)
+    tie = run.log_l[1:] == run.log_l[:-1]
+    if tie.any():
+        deaths_below[1:][tie] = 0
+        np.maximum.accumulate(deaths_below, out=deaths_below)
+    counts = births.searchsorted(run.log_l, side="left")
+    counts -= deaths_below
     if run.n_open:
         ob = np.sort(run.open_birth_log_l)
         oe = np.sort(run.open_end_log_l)
-        counts = counts + (np.searchsorted(ob, run.log_l, side="left")
-                           - np.searchsorted(oe, run.log_l, side="left"))
-    return counts.astype(np.int64)
+        counts += ob.searchsorted(run.log_l, side="left")
+        counts -= oe.searchsorted(run.log_l, side="left")
+    return counts.astype(np.int64, copy=False)
 
 
 def log_prior_volumes(run: NestedRun) -> np.ndarray:
@@ -260,9 +272,14 @@ def point_log_weights(run: NestedRun) -> np.ndarray:
 
 def _log_weights(counts: np.ndarray) -> np.ndarray:
     """point_log_weights from a nonempty run's live counts."""
-    lnx = -np.cumsum(1.0 / counts)
-    prev = np.concatenate([[0.0], lnx[:-1]])
-    nxt = np.concatenate([lnx[1:], [-np.inf]])
+    # ln X_0 = 0, ln X_1 .. ln X_N, ln X_{N+1} = -inf
+    lnx = np.empty(counts.shape[0] + 2)
+    lnx[0] = 0.0
+    lnx[-1] = -np.inf
+    np.cumsum(1.0 / counts, out=lnx[1:-1])
+    np.negative(lnx[1:-1], out=lnx[1:-1])
+    prev = lnx[:-2]
+    nxt = lnx[2:]
     # w = (X_prev - X_next)/2 = X_prev (1 - e^(nxt - prev)) / 2; nxt < prev
     return _LOG_HALF + prev + np.log1p(-np.exp(nxt - prev))
 
@@ -274,54 +291,87 @@ def posterior_weights(run: NestedRun) -> np.ndarray:
 
 def _normalised_weights(lw: np.ndarray) -> np.ndarray:
     """posterior_weights from ln(w_i L_i)."""
-    mx = np.max(lw)
-    if not np.isfinite(mx):
+    mx = lw.max()
+    if not math.isfinite(mx):
         raise ValueError("all posterior weights are zero")
     p = np.exp(lw - mx)
-    return p / np.sum(p)
+    p /= p.sum()
+    return p
 
 
 def combine_runs(runs: Sequence[NestedRun]) -> NestedRun:
     """Merge runs over one model; counts of the result are the pointwise sum
     of the constituents' counts at every likelihood.  Thread ids are
-    relabelled to be disjoint."""
+    relabelled to be disjoint, each run's above the previous run's.
+
+    Every run is sorted, so merging them one after another into the sorted
+    result gives the stable sort of their concatenated points in linear
+    time.  When thread ids fall inside a tie group of that order (possible
+    for a run loaded from a file), the concatenation is sorted by
+    (log_l, thread_id, arrival) instead, as NestedRun does."""
     runs = list(runs)
     if not runs:
         raise ValueError("nothing to combine")
     model = runs[0].model
     for r in runs[1:]:
-        if r.model != model:
+        if r.model is not model and r.model != model:
             raise ValueError("cannot combine runs over different models")
     parts = []
+    open_parts = []
+    merged = None
     offset = 0
     all_init: list[int] = []
     have_init = True
     for r in runs:
-        ids = np.concatenate([r.thread_id, r.open_thread_id])
-        shift = offset - (int(ids.min()) if ids.size else 0)
-        parts.append((r, shift))
-        if ids.size:
-            offset = int(ids.max()) + shift + 1
+        ids = [a for a in (r.thread_id, r.open_thread_id) if a.size]
+        shift = offset
+        if ids:
+            shift -= min([int(a.min()) for a in ids])
+            offset = max([int(a.max()) for a in ids]) + shift + 1
         prov_ids = r.provenance.init_thread_ids
         if prov_ids is None:
             have_init = False
         elif have_init:
-            all_init.extend(int(i) + shift for i in prov_ids)
-    log_l = np.concatenate([r.log_l for r, _ in parts])
-    birth = np.concatenate([r.birth_log_l for r, _ in parts])
-    theta1 = np.concatenate([r.theta1 for r, _ in parts])
-    radius = np.concatenate([r.radius for r, _ in parts])
-    tlx = np.concatenate([r.true_log_x for r, _ in parts])
-    tid = np.concatenate([r.thread_id + s for r, s in parts])
-    ob = np.concatenate([r.open_birth_log_l for r, _ in parts])
-    oe = np.concatenate([r.open_end_log_l for r, _ in parts])
-    ot = np.concatenate([r.open_thread_id + s for r, s in parts])
+            all_init.extend([int(i) + shift for i in prov_ids])
+        part = (r.log_l, r.birth_log_l, r.theta1, r.radius, r.true_log_x,
+                r.thread_id + shift)
+        parts.append(part)
+        merged = part if merged is None else _merge_sorted(merged, part)
+        if r.n_open:
+            open_parts.append((r, shift))
+    presorted = not _tie_ids_fall(merged[0], merged[5])
+    if not presorted:
+        merged = [np.concatenate(cols) for cols in zip(*parts)]
+    open_kwargs = {}
+    if open_parts:
+        open_kwargs = dict(
+            open_birth_log_l=np.concatenate(
+                [r.open_birth_log_l for r, _ in open_parts]),
+            open_end_log_l=np.concatenate(
+                [r.open_end_log_l for r, _ in open_parts]),
+            open_thread_id=np.concatenate(
+                [r.open_thread_id + s for r, s in open_parts]))
     prov = RunProvenance(
         algorithm="combined",
         init_thread_ids=tuple(all_init) if have_init else None)
-    return NestedRun(model, log_l, birth, theta1, radius, tlx, tid,
-                     open_birth_log_l=ob, open_end_log_l=oe, open_thread_id=ot,
-                     provenance=prov)
+    return NestedRun(model, *merged, provenance=prov, presorted=presorted,
+                     **open_kwargs)
+
+
+def _merge_sorted(a, b):
+    """Point columns (log_l first) of two likelihood-sorted point sets,
+    merged stably: among equal log_l, a's points come first."""
+    pos_b = a[0].searchsorted(b[0], side="right")
+    pos_b += np.arange(b[0].shape[0])
+    from_a = np.ones(a[0].shape[0] + b[0].shape[0], dtype=bool)
+    from_a[pos_b] = False
+    out = []
+    for col_a, col_b in zip(a, b):
+        col = np.empty(from_a.shape[0], dtype=col_a.dtype)
+        col[from_a] = col_a
+        col[pos_b] = col_b
+        out.append(col)
+    return out
 
 
 def combine_threads(model: ModelSpec, threads: Sequence[Thread]) -> NestedRun:
@@ -330,23 +380,24 @@ def combine_threads(model: ModelSpec, threads: Sequence[Thread]) -> NestedRun:
     none) through its open_end_log_l.  The run carries an empty initial-
     thread set, so combining it onto a run keeps that run's initial ids."""
     threads = list(threads)
-
-    def cat(attr):
-        return np.concatenate([_EMPTY_F, *(getattr(th, attr) for th in threads)])
-
+    arrays = [(th.log_l, th.birth_log_l, th.theta1, th.radius, th.true_log_x)
+              for th in threads]
+    log_l, birth, theta1, radius, tlx = (
+        [np.concatenate([_EMPTY_F, *col]) for col in zip(*arrays)]
+        if threads else [_EMPTY_F] * 5)
     tid = np.repeat(np.arange(len(threads), dtype=np.int64),
-                    [len(th) for th in threads])
+                    [a[0].shape[0] for a in arrays])
     censored = [k for k, th in enumerate(threads)
                 if th.open_end_log_l is not None]
-    open_birth = [threads[k].log_l[-1] if len(threads[k])
-                  else threads[k].start_log_l for k in censored]
-    open_end = [threads[k].open_end_log_l for k in censored]
-    return NestedRun(model, cat("log_l"), cat("birth_log_l"), cat("theta1"),
-                     cat("radius"), cat("true_log_x"), tid,
-                     open_birth_log_l=open_birth, open_end_log_l=open_end,
-                     open_thread_id=censored,
-                     provenance=RunProvenance(algorithm="combined",
-                                              init_thread_ids=()))
+    open_kwargs = {}
+    if censored:
+        open_kwargs = dict(
+            open_birth_log_l=[threads[k].log_l[-1] if len(threads[k])
+                              else threads[k].start_log_l for k in censored],
+            open_end_log_l=[threads[k].open_end_log_l for k in censored],
+            open_thread_id=censored)
+    return NestedRun(model, log_l, birth, theta1, radius, tlx, tid,
+                     provenance=_THREADS_PROVENANCE, **open_kwargs)
 
 
 def thread_index(run: NestedRun):

@@ -35,6 +35,9 @@ __all__ = ["SamplerConfig", "sample_thread_batch", "standard_run"]
 
 # 15-nat steps below sampling_log_x_floor (which covers the posterior bulk)
 MAX_DEEPENINGS = 20
+# blocks of shrinkage draws one _ensure_depth call may add; the first block
+# already reaches its target with a margin of 12 standard deviations
+MAX_TOP_UPS = 50
 
 
 @dataclass(frozen=True)
@@ -80,18 +83,16 @@ def sample_thread_batch(m: ModelSpec, start_log_l: float, end_log_l: float,
         return []
     if not start_log_l < end_log_l:
         raise ValueError("need start_log_l < end_log_l")
-    log_x0 = 0.0 if start_log_l == -np.inf else float(
-        log_x_from_log_likelihood(m, start_log_l))
+    log_x0 = log_x_from_log_likelihood(m, float(start_log_l))
 
     if end_log_l == np.inf:
         # one point above the start contour per thread
-        lnx = log_x0 - rng.standard_exponential(nb)
+        lnx_flat = log_x0 - rng.standard_exponential(nb)
         counts = np.ones(nb, dtype=np.int64)
-        lnx_flat = lnx
     else:
-        span = log_x0 - float(log_x_from_log_likelihood(m, end_log_l))
+        span = log_x0 - log_x_from_log_likelihood(m, float(end_log_l))
         depth = _ensure_depth(rng, nb, None, span + 40.0)
-        cross = np.argmax(depth > span, axis=1)  # first point past the end
+        cross = (depth > span).argmax(axis=1)  # first point past the end
         counts = cross + (0 if censor_at_end else 1)
         keep = np.arange(depth.shape[1])[None, :] < counts[:, None]
         lnx_flat = log_x0 - depth[keep]
@@ -105,27 +106,33 @@ def sample_thread_batch(m: ModelSpec, start_log_l: float, end_log_l: float,
     theta_flat = radius_flat * sample_beta_first_coordinate(
         m.d, rng, size=lnx_flat.shape)
 
-    threads = []
-    offsets = np.concatenate([[0], np.cumsum(counts)])
-    for i, tid in enumerate(ids):
-        sel = slice(int(offsets[i]), int(offsets[i + 1]))
-        lnl = lnl_flat[sel]
-        birth = np.concatenate([[start_log_l], lnl[:-1]]) if lnl.size \
-            else np.empty(0)
-        threads.append(Thread(
-            thread_id=tid, start_log_l=start_log_l,
-            log_l=lnl, birth_log_l=birth, theta1=theta_flat[sel],
-            radius=radius_flat[sel], true_log_x=lnx_flat[sel],
-            open_end_log_l=end_log_l if censor_at_end else None))
-    return threads
+    # every thread is a slice of the flat arrays; a point is born on its
+    # predecessor's contour, a thread's first point on the start contour
+    ends = counts.cumsum()
+    starts = ends - counts
+    birth_flat = np.empty_like(lnl_flat)
+    birth_flat[1:] = lnl_flat[:-1]
+    birth_flat[starts[counts > 0]] = start_log_l
+    open_end = end_log_l if censor_at_end else None
+    return [Thread(thread_id=tid, start_log_l=start_log_l,
+                   log_l=lnl_flat[a:b], birth_log_l=birth_flat[a:b],
+                   theta1=theta_flat[a:b], radius=radius_flat[a:b],
+                   true_log_x=lnx_flat[a:b], open_end_log_l=open_end)
+            for tid, a, b in zip(ids, starts.tolist(), ends.tolist())]
 
 
 def _ensure_depth(rng, n: int, depth: np.ndarray | None, target: float):
     """Per-thread cumulative -ln X samples covering depth >= target."""
     if depth is None:
         k0 = int(target + 12.0 * math.sqrt(max(target, 1.0)) + 16.0)
-        depth = np.cumsum(rng.standard_exponential((n, k0)), axis=1)
-    while np.any(depth[:, -1] < target):
+        depth = rng.standard_exponential((n, k0)).cumsum(axis=1)
+    top_ups = 0
+    while (depth[:, -1] < target).any():
+        if top_ups == MAX_TOP_UPS:
+            raise RuntimeError(
+                f"_ensure_depth: depth {target:g} not reached after "
+                f"MAX_TOP_UPS = {MAX_TOP_UPS} blocks of shrinkage draws")
+        top_ups += 1
         short = float(np.max(target - depth[:, -1]))
         k = int(short + 8.0 * math.sqrt(max(short, 1.0)) + 16.0)
         block = np.cumsum(rng.standard_exponential((n, k)), axis=1)

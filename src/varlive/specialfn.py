@@ -14,6 +14,19 @@ function when x <= a + 1, a modified Lentz continued fraction for the upper
 function otherwise.  The inverse is a bracketed bisection/Newton hybrid in
 u = ln x, which stays stable however deep the requested tail is.
 
+The functions of x take three kinds of x, each with its own bit contract:
+
+* a Python float runs the series or continued fraction in Python floats
+  and finishes with `math` calls, so its last bit may differ from the
+  array path's;
+* a 0-d array gives the bits of a 1-element array; in
+  log_reg_lower_inc_gamma it runs the Python-float loops and finishes
+  with the array path's numpy and ln Gamma calls (`_log_p_0d`), at a few
+  microseconds per call;
+* an array iterates until every element has converged, so an element
+  that converged early takes further factors close to 1 in the continued
+  fraction, and its last bit can depend on the other elements.
+
 ln Gamma is a port of the Cephes `lgam` routine (S. L. Moshier, 1989) for
 x > 0 in Python floats: the same constants and the same operations in the
 same order, so its bits equal those of scipy.special.gammaln, which calls the

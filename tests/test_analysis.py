@@ -208,6 +208,20 @@ class TestEstimates:
         estimates(run, ALL_ESTIMATORS)
         assert len(calls) == 1
 
+    def test_one_sort_per_quantile_column(self, monkeypatch):
+        # median_theta1 and credible_theta1 share the theta1 sort
+        calls = []
+        argsort = np.argsort
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return argsort(*args, **kwargs)
+
+        run = standard_run(M3, SamplerConfig(n_live=20, seed=5))
+        monkeypatch.setattr(np, "argsort", counted)
+        estimates(run, ALL_ESTIMATORS)
+        assert len(calls) == 2
+
     def test_zero_posterior_weights_rejected(self, monkeypatch):
         monkeypatch.setattr(analysis, "point_log_weights",
                             lambda run: np.full(len(run), -np.inf))

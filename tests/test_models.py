@@ -165,6 +165,39 @@ class TestVolumeMaps:
         with pytest.raises(ValueError):
             md.radius_from_log_x(G10, 0.5)
 
+    @settings(deadline=None)
+    @given(family=st.sampled_from(md.FAMILIES),
+           d=st.sampled_from([1, 2, 3, 10, 1000]),
+           b=st.sampled_from([0.75, 2.0]), frac=st.floats(0.0, 1.0))
+    # contours whose square r * r rounds differently from pow(r, 2)
+    @example(family=md.EXP_POWER, d=1000, b=2.0, frac=0.3883333333333333)
+    @example(family=md.EXP_POWER, d=10, b=0.75, frac=0.4473333333333333)
+    def test_float_log_x_has_the_0d_array_bits(self, family, d, b, frac):
+        # a float takes the scalar path; the sampler's region ends took the
+        # 0-d array path before it, so these are the bits to keep.  (A
+        # 1-element array squares with r * r where a 0-d one calls pow,
+        # which moves a few exp_power contours by an ulp.)
+        m = ModelSpec(family, d, 10.0, b)
+        a = 0.5 * d
+        r_hi = m.sigma_pi * math.sqrt(2.0 * (a + 45.0 * math.sqrt(a) + 300.0))
+        logl = md.log_likelihood_at_radius(m, frac * r_hi)
+        got = md.log_x_from_log_likelihood(m, logl)
+        assert type(got) is float
+        assert same_bits(got, md.log_x_from_log_likelihood(m, np.array(logl)))
+
+    @pytest.mark.parametrize("m", [G3, EP2, EP34, C10,
+                                   ModelSpec(md.EXP_POWER, 1000, 10.0, 2.0)])
+    def test_float_log_x_edges(self, m):
+        peak = md.log_likelihood_at_radius(m, 0.0)
+        for logl, want in ((peak, -np.inf), (-np.inf, 0.0)):
+            assert md.log_x_from_log_likelihood(m, logl) == want
+            assert md.log_x_from_log_likelihood(m, np.array(logl)) == want
+        for bad in (peak + 1.0, math.nextafter(peak, math.inf), math.nan):
+            with pytest.raises(ValueError):
+                md.log_x_from_log_likelihood(m, bad)
+            with pytest.raises(ValueError):
+                md.log_x_from_log_likelihood(m, np.array(bad))
+
 
 class TestEvidence:
     def test_closed_form_d10(self):

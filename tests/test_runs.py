@@ -109,6 +109,69 @@ def tied_run(rng, n_threads=6, censor=False, model=M):
     return build_run(threads, opens=opens or None, model=model)
 
 
+def falling_ties(run):
+    """The run's points in (log_l, falling thread id) order, built presorted
+    as a run file is loaded: it validates, but its tie groups are not in
+    thread order."""
+    order = np.lexsort((-run.thread_id, run.log_l))
+    out = NestedRun(run.model, run.log_l[order], run.birth_log_l[order],
+                    run.theta1[order], run.radius[order],
+                    run.true_log_x[order], run.thread_id[order],
+                    open_birth_log_l=run.open_birth_log_l,
+                    open_end_log_l=run.open_end_log_l,
+                    open_thread_id=run.open_thread_id,
+                    provenance=run.provenance, presorted=True)
+    out.validate()
+    return out
+
+
+def combine_reference(runs):
+    """combine_runs by concatenation and one sort: relabelled ids, then the
+    stable log_l order, or the (log_l, thread_id, arrival) order where thread
+    ids fall inside a tie group of it."""
+    offset = 0
+    shifted = []
+    init = []
+    for r in runs:
+        ids = np.concatenate([r.thread_id, r.open_thread_id])
+        shift = offset - (int(ids.min()) if ids.size else 0)
+        if ids.size:
+            offset = int(ids.max()) + shift + 1
+        shifted.append((r, shift))
+        if init is not None and r.provenance.init_thread_ids is not None:
+            init.extend(i + shift for i in r.provenance.init_thread_ids)
+        else:
+            init = None
+
+    def cat(get):
+        return np.concatenate([get(r, s) for r, s in shifted])
+
+    log_l = cat(lambda r, s: r.log_l)
+    tid = cat(lambda r, s: r.thread_id + s)
+    order = np.argsort(log_l, kind="stable")
+    if np.any((log_l[order][1:] == log_l[order][:-1])
+              & (tid[order][1:] < tid[order][:-1])):
+        order = np.lexsort((np.arange(log_l.size), tid, log_l))
+    ob = cat(lambda r, s: r.open_birth_log_l)
+    oe = cat(lambda r, s: r.open_end_log_l)
+    ot = cat(lambda r, s: r.open_thread_id + s)
+    keep = oe > ob
+    return {
+        "log_l": log_l[order],
+        "birth_log_l": cat(lambda r, s: r.birth_log_l)[order],
+        "theta1": cat(lambda r, s: r.theta1)[order],
+        "radius": cat(lambda r, s: r.radius)[order],
+        "true_log_x": cat(lambda r, s: r.true_log_x)[order],
+        "thread_id": tid[order],
+        "open_birth_log_l": ob[keep],
+        "open_end_log_l": oe[keep],
+        "open_thread_id": ot[keep],
+        "provenance": RunProvenance(
+            algorithm="combined",
+            init_thread_ids=None if init is None else tuple(init)),
+    }
+
+
 class TestConstruction:
     @settings(deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(0, 200),
@@ -360,6 +423,37 @@ class TestCombine:
         np.testing.assert_array_equal(
             counts, sum(brute_counts(p, both.log_l) for p in parts))
         np.testing.assert_array_equal(counts, brute_counts(both))
+
+    @settings(deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n_runs=st.integers(1, 4),
+           censor=st.booleans(), ties=st.booleans(),
+           empty_at=st.none() | st.integers(0, 4),
+           falling=st.booleans(), with_init=st.booleans())
+    def test_equals_concatenate_and_sort_reference(
+            self, seed, n_runs, censor, ties, empty_at, falling, with_init):
+        rng = np.random.default_rng(seed)
+        make = tied_run if ties else random_run
+        parts = [make(rng, n_threads=int(rng.integers(1, 8)), censor=censor)
+                 for _ in range(n_runs)]
+        if falling:
+            parts = [falling_ties(r) for r in parts]
+        if with_init:
+            parts = [r.with_provenance(RunProvenance(
+                init_thread_ids=tuple(np.unique(r.thread_id)[:2].tolist())))
+                for r in parts]
+        if empty_at is not None:
+            parts.insert(min(empty_at, n_runs),
+                         NestedRun(M, [], [], [], [], [], []))
+        both = combine_runs(parts)
+        ref = combine_reference(parts)
+        for name, want in ref.items():
+            got = getattr(both, name)
+            if name == "provenance":
+                assert got == want
+            else:
+                assert got.dtype == want.dtype, name
+                np.testing.assert_array_equal(got, want, err_msg=name)
+        both.validate()
 
     def test_order_independent(self):
         rng = np.random.default_rng(42)

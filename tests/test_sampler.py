@@ -171,6 +171,39 @@ class TestSampleThreadBatch:
         assert sample_thread_batch(M3, -np.inf, 0.0,
                                    np.random.default_rng(0), []) == []
 
+    def test_censored_threads_without_points(self):
+        # a region far thinner than one shrinkage step leaves most censored
+        # threads with no point; each thread is a slice of the batch arrays
+        rng = np.random.default_rng(34)
+        start = float(log_likelihood_from_log_x(M3, -3.0))
+        end = float(log_likelihood_from_log_x(M3, -3.05))
+        ths = sample_thread_batch(M3, start, end, rng, range(40),
+                                  censor_at_end=True)
+        empty = [th for th in ths if len(th) == 0]
+        assert 0 < len(empty) < len(ths)
+        for th in ths:
+            assert th.birth_log_l.dtype == np.float64
+            assert th.birth_log_l.shape == th.log_l.shape
+            if len(th):
+                assert th.birth_log_l[0] == start
+                np.testing.assert_array_equal(th.birth_log_l[1:],
+                                              th.log_l[:-1])
+        run = combine_threads(M3, ths)
+        run.validate()
+        assert np.all(live_point_counts(run) == 40)
+
+    def test_depth_top_ups_are_bounded(self):
+        # shrinkage draws that are all zero never reach the region end
+        class ZeroDraws:
+            def standard_exponential(self, size):
+                return np.zeros(size)
+
+        end = float(log_likelihood_from_log_x(M3, -2.0))
+        with pytest.raises(RuntimeError, match="MAX_TOP_UPS"):
+            sample_thread_batch(M3, -np.inf, end, ZeroDraws(), range(3))
+        with pytest.raises(RuntimeError, match="MAX_TOP_UPS"):
+            standard_run(M3, SamplerConfig(n_live=3), ZeroDraws())
+
 
 class TestStandardRun:
     def test_published_run_length_gaussian(self):
