@@ -22,8 +22,8 @@ from .analysis import (EstimatorId, GainEstimate, bootstrap_replicates,
                        jackknife_std_sigma, weighted_quantile)
 from .dynamic import (AlgorithmOneConfig, AlgorithmTwoConfig, GoalConfig,
                       dynamic_run_algorithm1, dynamic_run_algorithm2)
-from .models import (GAUSSIAN, ModelSpec, analytic_log_evidence, as_int,
-                     posterior_mass_remaining, relative_posterior_mass)
+from .models import (GAUSSIAN, ModelSpec, analytic_log_evidence, as_float,
+                     as_int, posterior_mass_remaining, relative_posterior_mass)
 from .runio import load_run, save_run
 from .runs import NestedRun, live_point_counts, log_prior_volumes
 from .sampler import SamplerConfig, standard_run
@@ -96,6 +96,8 @@ class ArmConfig:
                 raise ValueError("dynamic arms need n_init or a gain_vs arm to derive it")
         if self.n_batch < 1:
             raise ValueError("n_batch must be >= 1")
+        if not 0.0 < self.termination_fraction < 1.0:
+            raise ValueError("termination_fraction must be in (0, 1)")
 
     @classmethod
     def from_dict(cls, data: dict) -> "ArmConfig":
@@ -103,8 +105,10 @@ class ArmConfig:
         extra = set(data) - known
         if extra:
             raise ValueError(f"unknown arm keys: {sorted(extra)}")
-        return cls(**_int_fields(cls, data, (
-            "n_live", "n_init", "budget", "n_batch", "seed"), "arm"))
+        data = _typed_fields(cls, data, as_int, (
+            "n_live", "n_init", "budget", "n_batch", "seed"), "arm")
+        return cls(**_typed_fields(cls, data, as_float, (
+            "goal_g", "termination_fraction"), "arm"))
 
     def to_dict(self) -> dict:
         out = {"name": self.name, "method": self.method}
@@ -163,20 +167,21 @@ class ExperimentConfig:
         raise KeyError(name)
 
 
-def _int_fields(cls, data: dict, keys, where: str) -> dict:
-    """data with each of keys that it holds passed through as_int, so a
-    bool or a fractional count fails here and not inside a sampler; None
-    stays only where the field's default is None (unset)."""
+def _typed_fields(cls, data: dict, convert, keys, where: str) -> dict:
+    """data with each of keys that it holds passed through convert (as_int
+    or as_float), so a bool, a string or a fractional count fails here and
+    not inside a sampler; None stays only where the field's default is None
+    (unset)."""
     out = dict(data)
     for key in keys:
         if key in out and not (out[key] is None
                                and cls.__dataclass_fields__[key].default is None):
-            out[key] = as_int(out[key], f"{where} {key}")
+            out[key] = convert(out[key], f"{where} {key}")
     return out
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
-    data = _int_fields(ExperimentConfig, data, (
+    data = _typed_fields(ExperimentConfig, data, as_int, (
         "n_runs", "seed", "workers", "gain_boot", "bootstrap_reps",
         "profile_runs"), "experiment")
     model = ModelSpec.from_dict(data.pop("model"))

@@ -84,7 +84,8 @@ class ModelSpec:
     @classmethod
     def from_dict(cls, data):
         return cls(family=data["family"], d=as_int(data["d"], "d"),
-                   sigma_pi=float(data["sigma_pi"]), b=float(data.get("b", 1.0)))
+                   sigma_pi=as_float(data["sigma_pi"], "sigma_pi"),
+                   b=as_float(data.get("b", 1.0), "b"))
 
 
 def as_int(value, what: str) -> int:
@@ -95,6 +96,16 @@ def as_int(value, what: str) -> int:
             or (isinstance(value, float) and value.is_integer())):
         raise ValueError(f"{what} must be an integer, got {value!r}")
     return int(value)
+
+
+def as_float(value, what: str) -> float:
+    """A real field of a document (run file, config) as a finite float.  A
+    bool, a string or a non-finite number raises ValueError instead of
+    being converted."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) \
+            or not math.isfinite(value):
+        raise ValueError(f"{what} must be a finite number, got {value!r}")
+    return float(value)
 
 
 def _log_norm_const(m: ModelSpec) -> float:
@@ -210,6 +221,15 @@ def log_x_from_log_likelihood(m: ModelSpec, logl):
 # ---------------------------------------------------------------------------
 # Cached monotone contour tables
 
+# long queries and the table builds run in blocks whose temporaries stay in
+# cache
+_QUERY_BLOCK = 8192
+
+
+def _blocks(n: int):
+    """Slices that cover range(n) in runs of _QUERY_BLOCK."""
+    return (slice(lo, lo + _QUERY_BLOCK) for lo in range(0, n, _QUERY_BLOCK))
+
 
 def _pchip_end_slope(h0: float, h1: float, m0: float, m1: float) -> float:
     """One-sided three-point slope at an end node, with the two shape masks
@@ -222,69 +242,73 @@ def _pchip_end_slope(h0: float, h1: float, m0: float, m1: float) -> float:
     return d
 
 
-def _pchip_table(x: np.ndarray, y: np.ndarray):
+def _pchip_table(h: np.ndarray, y: np.ndarray):
     """Coefficients (c0, c1, c2, c3) of the monotone cubic Hermite
-    interpolant through (x, y), for strictly increasing x with at least
-    three nodes.  Entry k of each array holds interval k, [x[k], x[k+1]],
-    where the value at s = q - x[k] is ((c3 + c2 s) + c1 s^2) + c0 s^3.
-    The last entry has no interval and is NaN; `_pchip_eval` sends every
-    query outside the nodes there.
+    interpolant through nodes x with spacings h = diff(x) > 0 and values y,
+    for at least three nodes.  Entry k of each array holds interval k,
+    [x[k], x[k+1]], where the value at s = q - x[k] is
+    ((c3 + c2 s) + c1 s^2) + c0 s^3.  The last entry has no interval and is
+    NaN; `_pchip_eval` sends every query outside the nodes there.  y is
+    taken over as c3, so the caller passes an array it owns.
 
     Node slopes follow Fritsch and Carlson (SIAM J. Numer. Anal. 17, 238,
     1980): the weighted harmonic mean of the neighbouring interval slopes,
     or 0 where they change sign or one is 0.  Every expression repeats
     scipy's PchipInterpolator and CubicHermiteSpline in the same order, so
-    tables and queries give scipy's bits; temporaries are reused in place.
+    tables and queries give scipy's bits.  Besides c0, c1 and c2 it
+    allocates only block-sized temporaries: the interval slopes are built
+    in c1, and the node slopes and the cubic terms in blocks of
+    _QUERY_BLOCK.
     """
-    h = np.diff(x)
-    c0, c1, c3 = (np.full(len(x), np.nan) for _ in range(3))
-    d = c2 = np.zeros(len(x))  # node slopes, c2 once the last is dropped
+    c0, c1 = np.empty(y.size), np.empty(y.size)
+    d = c2 = np.zeros(y.size)  # node slopes, c2 once the last is dropped
     m = c1[:-1]  # interval slopes, turned into c1 in place below
     np.subtract(y[1:], y[:-1], out=m)
     m /= h
+    h0, h1, m0, m1, slopes = h[:-1], h[1:], m[:-1], m[1:], d[1:-1]
     # a zero interval slope divides by zero and is masked out below; a tiny
     # one overflows to inf and leaves a node slope of 0, as in scipy
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        w1 = 2.0 * h[1:]
-        w1 += h[:-1]
-        w2 = 2.0 * h[:-1]
-        w2 += h[1:]
-        den = w1 + w2
-        w1 /= m[:-1]
-        w2 /= m[1:]
-        w1 += w2
-        w1 /= den
-    del w2, den
-    same_sign = (m[:-1] > 0.0) & (m[1:] > 0.0)
-    same_sign |= (m[:-1] < 0.0) & (m[1:] < 0.0)
-    np.divide(1.0, w1, out=d[1:-1], where=same_sign)
-    del w1, same_sign
+        for b in _blocks(slopes.size):
+            w1 = 2.0 * h1[b]
+            w1 += h0[b]
+            w2 = 2.0 * h0[b]
+            w2 += h1[b]
+            den = w1 + w2
+            w1 /= m0[b]
+            w2 /= m1[b]
+            w1 += w2
+            w1 /= den
+            same_sign = (m0[b] > 0.0) & (m1[b] > 0.0)
+            same_sign |= (m0[b] < 0.0) & (m1[b] < 0.0)
+            np.divide(1.0, w1, out=slopes[b], where=same_sign)
     d[0] = _pchip_end_slope(h.item(0), h.item(1), m.item(0), m.item(1))
     d[-1] = _pchip_end_slope(h.item(-1), h.item(-2), m.item(-1), m.item(-2))
 
-    t = c0[:-1]
-    np.add(d[:-1], d[1:], out=t)
-    t -= 2.0 * m
-    t /= h
-    m -= d[:-1]
-    m /= h
-    m -= t
-    t /= h
-    c2[-1] = np.nan
+    d_left, d_right, cubic = d[:-1], d[1:], c0[:-1]
+    for b in _blocks(m.size):
+        t, mb, hb = cubic[b], m[b], h[b]
+        np.add(d_left[b], d_right[b], out=t)
+        t -= 2.0 * mb
+        t /= hb
+        mb -= d_left[b]
+        mb /= hb
+        mb -= t
+        t /= hb
+    c0[-1] = c1[-1] = c2[-1] = np.nan
     # the evaluation sums from 0.0, which turns a -0.0 node value into 0.0
-    np.add(y[:-1], 0.0, out=c3[:-1])
-    return c0, c1, c2, c3
+    np.add(y[:-1], 0.0, out=y[:-1])
+    y[-1] = np.nan
+    return c0, c1, c2, y
 
 
 def _pchip_nodes(x: np.ndarray) -> np.ndarray:
-    """Search array of `_pchip_eval` for nodes x: the interval starts, then
-    the float just above x[-1].  q == x[-1] falls in the last interval;
-    q beyond it or NaN falls in the NaN entry, and so does q below x[0],
-    whose index -1 wraps around to it."""
-    return np.append(x[:-1], np.nextafter(x[-1], np.inf))
-
-
-_QUERY_BLOCK = 8192  # a long query runs in blocks whose temporaries stay in cache
+    """Turns nodes x, in place, into the search array of `_pchip_eval`:
+    the interval starts, then the float just above x[-1].  q == x[-1] falls
+    in the last interval; q beyond it or NaN falls in the NaN entry, and so
+    does q below x[0], whose index -1 wraps around to it."""
+    x[-1] = np.nextafter(x[-1], np.inf)
+    return x
 
 
 def _pchip_eval(nodes: np.ndarray, tables, q: np.ndarray) -> list:
@@ -294,8 +318,7 @@ def _pchip_eval(nodes: np.ndarray, tables, q: np.ndarray) -> list:
     if q.size <= _QUERY_BLOCK:
         return _pchip_block(nodes, tables, q)
     flat = q.reshape(-1)
-    blocks = [_pchip_block(nodes, tables, flat[lo:lo + _QUERY_BLOCK])
-              for lo in range(0, flat.size, _QUERY_BLOCK)]
+    blocks = [_pchip_block(nodes, tables, flat[b]) for b in _blocks(flat.size)]
     return [np.concatenate(parts).reshape(q.shape) for parts in zip(*blocks)]
 
 
@@ -324,6 +347,11 @@ class ContourMap:
     reach.  Both maps share one node array and are monotone cubic Hermite
     tables (`_pchip_table`).  Queries outside the tabulated range raise
     rather than extrapolate; `get_contour_map` rebuilds deeper on demand.
+
+    Memory: a map of n nodes holds 9 arrays of n * 8 bytes (the search
+    nodes and two four-array tables), and its build peaks at no more than
+    11.  At d=1000 that is 2.1M nodes and about 145 MiB held, in every
+    `--workers` process.
     """
 
     COARSE_NODES = 20_001
@@ -350,21 +378,28 @@ class ContourMap:
         levels = -np.geomspace(0.05, 1e-14, 400)[1:]
         targets = np.concatenate([targets, levels])
         u_nodes = np.interp(targets, lnx_coarse, u_coarse)
+        del targets, u_coarse, lnx_coarse
         lnx_nodes = sf.log_reg_lower_inc_gamma(a, np.exp(u_nodes))
         # exact forward values may collide after interpolation; enforce strict order
         keep = np.concatenate([[True], np.diff(lnx_nodes) > 0.0])
         lnx_nodes = lnx_nodes[keep]
         u_nodes = u_nodes[keep]
+        del keep
 
-        t_nodes = np.exp(u_nodes)
-        r_nodes = model.sigma_pi * np.sqrt(2.0 * t_nodes)
-        del u_nodes, t_nodes  # a d=1000 map has 2.1M nodes: free before the tables
+        # r = sigma_pi sqrt(2 t) with t = e^u, in u's buffer
+        r_nodes = np.exp(u_nodes, out=u_nodes)
+        r_nodes *= 2.0
+        np.sqrt(r_nodes, out=r_nodes)
+        r_nodes *= model.sigma_pi
 
+        # a d=1000 map has 2.1M nodes: both tables share the spacings, take
+        # over their value arrays, and the search array is lnx_nodes itself
         self.log_x_top = float(lnx_nodes[-1])
-        self._nodes = _pchip_nodes(lnx_nodes)
+        h = np.diff(lnx_nodes)
         self._logl_table = _pchip_table(
-            lnx_nodes, log_likelihood_at_radius(model, r_nodes))
-        self._radius_table = _pchip_table(lnx_nodes, r_nodes)
+            h, log_likelihood_at_radius(model, r_nodes))
+        self._radius_table = _pchip_table(h, r_nodes)
+        self._nodes = _pchip_nodes(lnx_nodes)
 
     def _query(self, tables, logx, what):
         out = _pchip_eval(self._nodes, tables, np.asarray(logx, dtype=float))
@@ -449,19 +484,18 @@ def log_evidence_quadrature(m: ModelSpec, n_nodes: int = 1_000_001) -> float:
     fine_floor = _posterior_support_floor(m) - 60.0
     cmap = get_contour_map(m, max(fine_floor, deep))
     grid = np.linspace(deep, 0.0, n_nodes)
-    logl = np.full(n_nodes, _log_norm_const(m))
-    inside = grid >= cmap.log_x_floor
-    top = cmap.log_x_top
-    capped = np.minimum(grid[inside], top)
-    logl[inside] = cmap.log_l(capped)
-    logl[-1] = -np.inf  # X = 1 boundary: L -> 0 for every family
-    h = grid[1] - grid[0]
-    logw = np.full(n_nodes, math.log(h))
-    logw[0] += math.log(0.5)
-    logw[-1] += math.log(0.5)
-    terms = logl + grid + logw
+    terms = np.full(n_nodes, _log_norm_const(m))
+    # the grid ascends, so the nodes inside the map are a suffix of it
+    inside = int(grid.searchsorted(cmap.log_x_floor, side="left"))
+    terms[inside:] = cmap.log_l(np.minimum(grid[inside:], cmap.log_x_top))
+    terms[-1] = -np.inf  # X = 1 boundary: L -> 0 for every family
+    log_h = math.log(grid[1] - grid[0])
+    terms += grid
+    terms[1:-1] += log_h
+    terms[[0, -1]] += log_h + math.log(0.5)
     mx = np.max(terms)
-    return float(mx + math.log(np.sum(np.exp(terms - mx))))
+    terms -= mx
+    return float(mx + math.log(np.sum(np.exp(terms, out=terms))))
 
 
 def log_evidence_radius_quadrature(m: ModelSpec, n_nodes: int = 400_001) -> float:
@@ -514,15 +548,18 @@ def posterior_grid(m: ModelSpec, n_nodes: int = 400_001) -> PosteriorGrid:
     cmap = get_contour_map(m, fine_floor)
     grid = np.linspace(fine_floor, min(-1e-9, cmap.log_x_top), n_nodes)
     logl, radius = cmap.log_l_and_radius(grid)
-    h = grid[1] - grid[0]
-    logw = logl + grid + math.log(h)
-    logw[0] -= math.log(2.0)
-    logw[-1] -= math.log(2.0)
+    logw = logl + grid
+    logw += math.log(grid[1] - grid[0])
+    logw[[0, -1]] -= math.log(2.0)
     mx = float(np.max(logw))
-    log_z = mx + math.log(np.sum(np.exp(logw - mx)))
-    weight = np.exp(logw - log_z)
+    # one buffer takes both exp passes and becomes the weights
+    weight = np.subtract(logw, mx)
+    log_z = mx + math.log(np.sum(np.exp(weight, out=weight)))
+    np.subtract(logw, log_z, out=weight)
+    np.exp(weight, out=weight)
+    weight /= float(np.sum(weight))
     return PosteriorGrid(log_x=grid, log_l=logl, radius=radius,
-                         weight=weight / float(np.sum(weight)), log_z=float(log_z))
+                         weight=weight, log_z=float(log_z))
 
 
 def log_relative_posterior_mass(m: ModelSpec, logx):

@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .models import ModelSpec, as_int
+from .models import ModelSpec, as_float, as_int
 
 __all__ = [
     "RunProvenance",
@@ -63,13 +63,16 @@ class RunProvenance:
 
     @classmethod
     def from_dict(cls, data):
+        def field(key, convert):
+            val = data.get(key)
+            return None if val is None else convert(val, f"provenance {key}")
         ids = data.get("init_thread_ids")
         return cls(
             algorithm=data.get("algorithm", "unknown"),
-            seed=data.get("seed"),
-            n_init=data.get("n_init"),
-            goal_g=data.get("goal_g"),
-            sample_budget=data.get("sample_budget"),
+            seed=field("seed", as_int),
+            n_init=field("n_init", as_int),
+            goal_g=field("goal_g", as_float),
+            sample_budget=field("sample_budget", as_int),
             importance_variant=data.get("importance_variant"),
             init_thread_ids=None if ids is None else tuple(
                 as_int(i, "init thread id") for i in ids),

@@ -97,6 +97,30 @@ class TestConfig:
         with pytest.raises(ValueError, match=f"arm {key} must be an integer"):
             ArmConfig.from_dict(arm)
 
+    @pytest.mark.parametrize("bad", [True, "0.5", None, math.nan, math.inf])
+    @pytest.mark.parametrize("key", ["goal_g", "termination_fraction"])
+    def test_arm_reals_must_be_finite_numbers(self, key, bad):
+        # {"goal_g": true} used to run G = 1, and a bool termination_fraction
+        # failed only inside the sampler
+        for arm in ({"name": "a", "method": "dyn1", "n_init": 5},
+                    {"name": "a", "method": "standard", "n_live": 5}):
+            with pytest.raises(ValueError,
+                               match=f"arm {key} must be a finite number"):
+                ArmConfig.from_dict({**arm, key: bad})
+
+    @pytest.mark.parametrize("frac", [0.0, 1.0, -0.25, 1.5])
+    def test_termination_fraction_checked_at_load(self, frac):
+        for arm in ({"name": "a", "method": "dyn2", "n_init": 5},
+                    {"name": "a", "method": "standard", "n_live": 5}):
+            with pytest.raises(ValueError, match=r"termination_fraction must be in \(0, 1\)"):
+                ArmConfig.from_dict({**arm, "termination_fraction": frac})
+
+    def test_integral_reals_load_as_float(self):
+        arm = ArmConfig.from_dict({"name": "a", "method": "dyn1", "n_init": 5,
+                                   "goal_g": 1, "termination_fraction": 0.5})
+        assert type(arm.goal_g) is float and arm.goal_g == 1.0
+        assert arm.termination_fraction == 0.5
+
     def test_integral_counts_load_as_int(self):
         cfg = small_config(n_runs=4.0, seed=1234.0, arms=[
             {"name": "std", "method": "standard", "n_live": 40.0,

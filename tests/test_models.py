@@ -13,6 +13,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -58,6 +59,19 @@ class TestModelSpec:
 
     def test_from_dict_accepts_integral_float_d(self):
         assert ModelSpec.from_dict({**G3.to_dict(), "d": 3.0}) == G3
+
+    @pytest.mark.parametrize("bad", [True, "10", None, math.nan, math.inf])
+    @pytest.mark.parametrize("key", ["sigma_pi", "b"])
+    def test_from_dict_rejects_non_float_fields(self, key, bad):
+        # before from_dict checked these, "10" read as sigma_pi=10.0 and
+        # true as b=1.0
+        with pytest.raises(ValueError, match=f"{key} must be a finite number"):
+            ModelSpec.from_dict({**EP2.to_dict(), key: bad})
+
+    def test_from_dict_accepts_integer_floats(self):
+        m = ModelSpec.from_dict({**EP2.to_dict(), "sigma_pi": 10, "b": 2})
+        assert m == EP2
+        assert type(m.sigma_pi) is float and type(m.b) is float
 
     def test_hashable_immutable(self):
         assert len({G10, ModelSpec(md.GAUSSIAN, 10, 10.0)}) == 1
@@ -309,6 +323,28 @@ class TestContourMap:
         assert c is not a
         assert c.log_x_floor <= 2.0 * a.log_x_floor
 
+    def test_build_memory_budget(self):
+        # numpy reports its buffers to tracemalloc, so the bound counts node
+        # arrays on any machine: a map holds its search nodes and two
+        # four-array tables, and its build peaks at most two node arrays
+        # above that; the slack covers the Python objects around them
+        was_tracing = tracemalloc.is_tracing()
+        if not was_tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            cmap = md.ContourMap(G3, -60.0)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            if not was_tracing:
+                tracemalloc.stop()
+        assert cmap._nodes.size >= 200_000
+        array = cmap._nodes.nbytes
+        slack = 64 * 1024
+        assert held - before <= 9 * array + slack
+        assert peak - before <= 11 * array + slack
+
     # sha256 of log_l then radius on a fixed grid, from empty caches;
     # recorded while the tables were scipy PchipInterpolator objects
     @pytest.mark.parametrize("m,digest", [
@@ -416,7 +452,7 @@ class TestPchipTable:
         with np.errstate(over="ignore"):  # slopes near the underflow limit
             refs = [PchipInterpolator(x, v, extrapolate=False)
                     for v in (y, -y)]
-        tables = [md._pchip_table(x, v) for v in (y, -y)]
+        tables = [md._pchip_table(np.diff(x), v.copy()) for v in (y, -y)]
         for table, ref in zip(tables, refs):
             for got, want in zip(table[:3], ref.c):
                 assert got[:-1].tobytes() == want.tobytes()
@@ -427,7 +463,7 @@ class TestPchipTable:
         inside = np.minimum(x[0] + fracs * (x[-1] - x[0]), x[-1])
         outside = [np.nextafter(x[0], -np.inf), np.nextafter(x[-1], np.inf),
                    x[0] - 1.0, x[-1] + 1.0, -np.inf, np.inf, np.nan]
-        nodes = md._pchip_nodes(x)
+        nodes = md._pchip_nodes(x.copy())
         for q in (x, mid, inside, x[-1:], np.array(outside),
                   *map(np.asarray, x)):
             for got, ref in zip(md._pchip_eval(nodes, tables, q), refs):
@@ -440,10 +476,31 @@ class TestPchipTable:
         y = np.cumsum(rng.normal(size=500))
         q = rng.uniform(x[0] - 1.0, x[-1] + 1.0, (3, md._QUERY_BLOCK + 11))
         q[0, :5] = [np.nan, x[0], x[-1], -np.inf, np.inf]
-        got, = md._pchip_eval(md._pchip_nodes(x), [md._pchip_table(x, y)], q)
+        got, = md._pchip_eval(md._pchip_nodes(x.copy()),
+                              [md._pchip_table(np.diff(x), y.copy())], q)
         ref = PchipInterpolator(x, y, extrapolate=False)
         assert got.shape == q.shape
         assert same_bits(got, ref(q))
+
+    def test_multi_block_table_matches_scipy_bitwise(self):
+        # more nodes than two blocks of the table build: increasing values,
+        # whose node slopes and cubic terms are nonzero at every block edge,
+        # then values with sign changes throughout and flat runs next to
+        # the edges
+        block = md._QUERY_BLOCK
+        rng = np.random.default_rng(11)
+        x = np.cumsum(rng.uniform(1e-3, 1.0, 2 * block + 7))
+        steps = rng.normal(size=x.size - 1)
+        flat = steps.copy()
+        flat[[block - 2, block + 1, 2 * block - 2, 2 * block + 1]] = 0.0
+        for y_steps in (np.abs(steps), flat):
+            y = np.concatenate([[0.0], np.cumsum(y_steps)])
+            ref = PchipInterpolator(x, y, extrapolate=False)
+            table = md._pchip_table(np.diff(x), y.copy())
+            for got, want in zip(table[:3], ref.c):
+                assert got[:-1].tobytes() == want.tobytes()
+            assert np.array_equal(table[3][:-1], ref.c[3])
+            assert all(np.isnan(c[-1]) for c in table)
 
     def test_end_slope_masks(self):
         # unit spacing, so the three-point estimate is (3 m0 - m1) / 2
@@ -454,6 +511,68 @@ class TestPchipTable:
         assert md._pchip_end_slope(1.0, 1.0, -1.0, 10.0) == -3.0
         # the same sign pattern with |d| = 2 <= 3 |m0| keeps d
         assert md._pchip_end_slope(1.0, 1.0, -1.0, 1.0) == -2.0
+
+
+def reference_log_evidence_quadrature(m, n_nodes=1_000_001):
+    """log_evidence_quadrature as it was before it ran in place: a boolean
+    gather of the nodes inside the map and one array per pass."""
+    deep = md._quad_floor(m)
+    fine_floor = md._posterior_support_floor(m) - 60.0
+    cmap = md.get_contour_map(m, max(fine_floor, deep))
+    grid = np.linspace(deep, 0.0, n_nodes)
+    logl = np.full(n_nodes, md._log_norm_const(m))
+    inside = grid >= cmap.log_x_floor
+    top = cmap.log_x_top
+    capped = np.minimum(grid[inside], top)
+    logl[inside] = cmap.log_l(capped)
+    logl[-1] = -np.inf
+    h = grid[1] - grid[0]
+    logw = np.full(n_nodes, math.log(h))
+    logw[0] += math.log(0.5)
+    logw[-1] += math.log(0.5)
+    terms = logl + grid + logw
+    mx = np.max(terms)
+    return float(mx + math.log(np.sum(np.exp(terms - mx))))
+
+
+def reference_posterior_grid(m, n_nodes=400_001):
+    """posterior_grid as it was before it ran in place."""
+    fine_floor = md._posterior_support_floor(m) - 60.0
+    cmap = md.get_contour_map(m, fine_floor)
+    grid = np.linspace(fine_floor, min(-1e-9, cmap.log_x_top), n_nodes)
+    logl, radius = cmap.log_l_and_radius(grid)
+    h = grid[1] - grid[0]
+    logw = logl + grid + math.log(h)
+    logw[0] -= math.log(2.0)
+    logw[-1] -= math.log(2.0)
+    mx = float(np.max(logw))
+    log_z = mx + math.log(np.sum(np.exp(logw - mx)))
+    weight = np.exp(logw - log_z)
+    return md.PosteriorGrid(log_x=grid, log_l=logl, radius=radius,
+                            weight=weight / float(np.sum(weight)),
+                            log_z=float(log_z))
+
+
+class TestQuadratureReference:
+    """The in-place quadratures give their reference's bytes on the same
+    map, from empty caches."""
+
+    @pytest.mark.parametrize("m", [G3, C10, EP34])
+    def test_log_evidence_quadrature(self, fresh_model_caches, m):
+        got = md.log_evidence_quadrature(m)
+        # the grid starts below the map, so the suffix is a proper one
+        assert md._quad_floor(m) < md.get_contour_map(m, 0.0).log_x_floor
+        assert got.hex() == reference_log_evidence_quadrature(m).hex()
+        got = md.log_evidence_quadrature(m, 1001)
+        assert got.hex() == reference_log_evidence_quadrature(m, 1001).hex()
+
+    @pytest.mark.parametrize("m", [G3, C10, EP34])
+    def test_posterior_grid(self, fresh_model_caches, m):
+        got = md.posterior_grid(m)
+        want = reference_posterior_grid(m)
+        for name in ("log_x", "log_l", "radius", "weight"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+        assert got.log_z.hex() == want.log_z.hex()
 
 
 class TestPosteriorGridTruths:

@@ -272,6 +272,16 @@ class TestConstruction:
         assert RunProvenance.from_dict(prov.to_dict()) == prov
         assert RunProvenance.from_dict({"algorithm": "standard"}).seed is None
 
+    @pytest.mark.parametrize("key,bad", [
+        ("seed", True), ("seed", 1.5), ("n_init", 2.5), ("n_init", "5"),
+        ("sample_budget", False), ("sample_budget", "100"),
+        ("goal_g", "1"), ("goal_g", True), ("goal_g", math.nan),
+        ("goal_g", [0.5])])
+    def test_provenance_fields_fail_loudly(self, key, bad):
+        # {"seed": true, "n_init": 2.5, "goal_g": "1"} used to load as is
+        with pytest.raises(ValueError, match=f"provenance {key} must be"):
+            RunProvenance.from_dict({"algorithm": "dynamic", key: bad})
+
 
 class TestLiveCounts:
     def test_two_threads_retained_tail(self):
@@ -664,15 +674,23 @@ class TestRunDoc:
                 values.append(values[k])
             with pytest.raises(ValueError):
                 run_from_dict(duplicated)
-        # an integer field holding a bool, a non-integral number or a string
-        bad = data.draw(st.one_of(st.booleans(), st.sampled_from(
-            [0.5, 5.25, -1.5, math.inf, math.nan, "3"])))
+        # an integer field holding a bool, a non-integral number or a string,
+        # or a real field holding a bool, a string or a non-finite number
         target = data.draw(st.sampled_from(
-            ["d", "thread_id", "init_thread_ids"]
+            ["d", "thread_id", "init_thread_ids", "seed", "n_init",
+             "sample_budget", "goal_g", "sigma_pi", "b"]
             + (["open_thread_id"] if run.n_open else [])))
+        if target in ("goal_g", "sigma_pi", "b"):
+            bad = data.draw(st.one_of(st.booleans(), st.sampled_from(
+                [math.inf, -math.inf, math.nan, "3"])))
+        else:
+            bad = data.draw(st.one_of(st.booleans(), st.sampled_from(
+                [0.5, 5.25, -1.5, math.inf, math.nan, "3"])))
         wrong = run_to_dict(run)
-        if target == "d":
-            wrong["model"]["d"] = bad
+        if target in ("d", "sigma_pi", "b"):
+            wrong["model"][target] = bad
+        elif target in ("seed", "n_init", "sample_budget", "goal_g"):
+            wrong["provenance"][target] = bad
         elif target == "init_thread_ids":
             wrong["provenance"]["init_thread_ids"] = [0, bad]
         else:
