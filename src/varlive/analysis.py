@@ -108,6 +108,8 @@ def weighted_quantile(values, weights, q: float) -> float:
     weights = np.asarray(weights, dtype=float)
     if values.shape != weights.shape or values.size == 0:
         raise ValueError("values and weights must be equal-length, nonempty")
+    if not (np.isfinite(values).all() and np.isfinite(weights).all()):
+        raise ValueError("values and weights must be finite")
     if np.any(weights < 0.0) or weights.sum() <= 0.0:
         raise ValueError("weights must be nonnegative with positive total")
     return float(np.interp(q, *_quantile_nodes(values, weights)))
@@ -315,6 +317,8 @@ def efficiency_gain(std_results, dyn_results, mean_samples_std: float,
     b = np.asarray(dyn_results, dtype=float)
     if a.size < 2 or b.size < 2:
         raise ValueError("need at least 2 results per arm")
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise ValueError("every result of both arms must be finite")
     var_a = float(np.var(a, ddof=1))
     var_b = float(np.var(b, ddof=1))
     if var_b == 0.0:

@@ -32,6 +32,7 @@ import numpy as np
 
 from .models import ModelSpec
 from .runs import (
+    IMPORTANCE_VARIANTS,
     NestedRun,
     RunProvenance,
     _log_weights,
@@ -56,8 +57,6 @@ __all__ = [
     "dynamic_run_algorithm2",
 ]
 
-_VARIANTS = ("standard", "exact", "tuned")
-
 
 @dataclass(frozen=True)
 class GoalConfig:
@@ -76,8 +75,9 @@ class GoalConfig:
     def __post_init__(self):
         if not 0.0 <= self.goal_g <= 1.0:
             raise ValueError("goal_g must lie in [0, 1]")
-        if self.importance_variant not in _VARIANTS:
-            raise ValueError(f"importance_variant must be one of {_VARIANTS}")
+        if self.importance_variant not in IMPORTANCE_VARIANTS:
+            raise ValueError("importance_variant must be one of "
+                             f"{IMPORTANCE_VARIANTS}")
 
 
 @dataclass(frozen=True)

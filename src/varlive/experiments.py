@@ -25,7 +25,8 @@ from .dynamic import (AlgorithmOneConfig, AlgorithmTwoConfig, GoalConfig,
 from .models import (GAUSSIAN, ModelSpec, analytic_log_evidence, as_float,
                      as_int, posterior_mass_remaining, relative_posterior_mass)
 from .runio import load_run, save_run
-from .runs import NestedRun, live_point_counts, log_prior_volumes
+from .runs import (IMPORTANCE_VARIANTS, NestedRun, live_point_counts,
+                   log_prior_volumes)
 from .sampler import SamplerConfig, standard_run
 
 __all__ = [
@@ -41,7 +42,6 @@ __all__ = [
 MANIFEST_NAME = "manifest.json"
 
 _METHODS = ("standard", "dyn1", "dyn2")
-_VARIANTS = ("standard", "exact", "tuned")
 
 # spawn-key stream tags; keep stable so ensembles are reproducible
 _STREAM_GENERATE = 0
@@ -80,7 +80,7 @@ class ArmConfig:
             raise ValueError(f"bad arm name {self.name!r}")
         if self.method not in _METHODS:
             raise ValueError(f"unknown method {self.method!r}")
-        if self.importance_variant not in _VARIANTS:
+        if self.importance_variant not in IMPORTANCE_VARIANTS:
             raise ValueError(f"unknown importance variant {self.importance_variant!r}")
         if self.method == "standard":
             if self.n_live is None or self.n_live < 1:

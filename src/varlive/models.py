@@ -314,22 +314,27 @@ def _pchip_nodes(x: np.ndarray) -> np.ndarray:
 def _pchip_eval(nodes: np.ndarray, tables, q: np.ndarray) -> list:
     """Values at q of `_pchip_table` interpolants over the same nodes, one
     array per table, from one interval search: the power sum in the order
-    of scipy's PPoly evaluation, NaN outside the nodes."""
+    of scipy's PPoly evaluation, NaN outside the nodes.  A long query runs
+    in blocks that write into one preallocated output per table."""
     if q.size <= _QUERY_BLOCK:
-        return _pchip_block(nodes, tables, q)
+        return _pchip_block(nodes, tables, q, [None] * len(tables))
     flat = q.reshape(-1)
-    blocks = [_pchip_block(nodes, tables, flat[b]) for b in _blocks(flat.size)]
-    return [np.concatenate(parts).reshape(q.shape) for parts in zip(*blocks)]
+    out = [np.empty(flat.size) for _ in tables]
+    for b in _blocks(flat.size):
+        _pchip_block(nodes, tables, flat[b], [o[b] for o in out])
+    return [o.reshape(q.shape) for o in out]
 
 
-def _pchip_block(nodes, tables, q):
+def _pchip_block(nodes, tables, q, out):
+    """`_pchip_eval` of one block into out, one array (or None, for a new
+    one) per table."""
     k = nodes.searchsorted(q, side="right") - 1
     s = q - nodes[k]
     s2 = s * s
     s3 = s2 * s
     values = []
-    for c0, c1, c2, c3 in tables:
-        value = c2[k] * s
+    for (c0, c1, c2, c3), value in zip(tables, out):
+        value = np.multiply(c2[k], s, out=value)
         value += c3[k]
         value += c1[k] * s2
         value += c0[k] * s3
@@ -542,22 +547,43 @@ class PosteriorGrid:
     log_z: float
 
 
-@lru_cache(maxsize=None)
-def posterior_grid(m: ModelSpec, n_nodes: int = 400_001) -> PosteriorGrid:
+_POSTERIOR_GRID_NODES = 400_001
+
+
+def _posterior_grid_nodes(m: ModelSpec, n_nodes: int):
+    """(contour map, uniform ln X grid) of the posterior quadrature grid:
+    n_nodes from 60 below the posterior support floor up to the map's top."""
     fine_floor = _posterior_support_floor(m) - 60.0
     cmap = get_contour_map(m, fine_floor)
-    grid = np.linspace(fine_floor, min(-1e-9, cmap.log_x_top), n_nodes)
-    logl, radius = cmap.log_l_and_radius(grid)
-    logw = logl + grid
+    return cmap, np.linspace(fine_floor, min(-1e-9, cmap.log_x_top), n_nodes)
+
+
+def _posterior_weights(logw: np.ndarray, grid: np.ndarray):
+    """(normalised weights, ln Z) of the trapezoid rule on the grid.
+
+    logw holds ln L + ln X on the grid and takes the trapezoid ln weights
+    in place; the weights are one new array, which takes both exp passes."""
     logw += math.log(grid[1] - grid[0])
     logw[[0, -1]] -= math.log(2.0)
     mx = float(np.max(logw))
-    # one buffer takes both exp passes and becomes the weights
     weight = np.subtract(logw, mx)
     log_z = mx + math.log(np.sum(np.exp(weight, out=weight)))
     np.subtract(logw, log_z, out=weight)
     np.exp(weight, out=weight)
     weight /= float(np.sum(weight))
+    return weight, log_z
+
+
+@lru_cache(maxsize=None)
+def posterior_grid(m: ModelSpec,
+                   n_nodes: int = _POSTERIOR_GRID_NODES) -> PosteriorGrid:
+    """The posterior as trapezoid weights on a uniform ln X grid, with the
+    contour's ln L and radius at each node.  It holds five n_nodes arrays
+    (ln w is a temporary); tests and `argmax_log_x_relative_posterior_mass`
+    read it."""
+    cmap, grid = _posterior_grid_nodes(m, n_nodes)
+    logl, radius = cmap.log_l_and_radius(grid)
+    weight, log_z = _posterior_weights(logl + grid, grid)
     return PosteriorGrid(log_x=grid, log_l=logl, radius=radius,
                          weight=weight, log_z=float(log_z))
 
@@ -580,11 +606,21 @@ def relative_posterior_mass(m: ModelSpec, logx):
 
 @lru_cache(maxsize=None)
 def _remaining_table(m: ModelSpec):
-    g = posterior_grid(m)
+    """(ln X grid, ln of the posterior mass below each node) on the
+    `posterior_grid` nodes, with its bits: the running log-sum of the
+    normalised weights times Z.  Built from one ln L query, whose buffer
+    becomes ln w and then the table, so it holds two grid arrays and peaks
+    at three."""
+    cmap, grid = _posterior_grid_nodes(m, _POSTERIOR_GRID_NODES)
+    log_cum = cmap.log_l(grid)
+    log_cum += grid
+    weight, log_z = _posterior_weights(log_cum, grid)
     with np.errstate(divide="ignore"):
-        logw = np.log(g.weight) + g.log_z
-    log_cum = np.logaddexp.accumulate(logw)
-    return g.log_x, log_cum
+        np.log(weight, out=log_cum)
+    del weight
+    log_cum += log_z
+    np.logaddexp.accumulate(log_cum, out=log_cum)
+    return grid, log_cum
 
 
 def log_posterior_mass_remaining(m: ModelSpec, logx):

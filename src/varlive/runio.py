@@ -67,15 +67,27 @@ def run_to_dict(run: NestedRun) -> dict:
     }
 
 
+def _section(doc: dict, key: str) -> dict:
+    value = doc.get(key)
+    if not isinstance(value, dict):
+        raise ValueError(f"run file {key} must be a JSON object, "
+                         f"got {type(value).__name__}")
+    return value
+
+
 def run_from_dict(doc: dict) -> NestedRun:
     """The run a document describes; raises ValueError when the document
-    breaks a run invariant (NestedRun.validate)."""
+    is not a run document or breaks a run invariant (NestedRun.validate)."""
+    if not isinstance(doc, dict):
+        raise ValueError("run file must hold a JSON object, "
+                         f"got {type(doc).__name__}")
     version = doc.get("version")
     if version != FORMAT_VERSION:
         raise ValueError(f"unsupported run file version {version!r}")
-    model = ModelSpec.from_dict(doc["model"])
-    pts = doc["points"]
-    opens = doc["open_intervals"]
+    model = ModelSpec.from_dict(_section(doc, "model"))
+    pts = _section(doc, "points")
+    opens = _section(doc, "open_intervals")
+    provenance = RunProvenance.from_dict(_section(doc, "provenance"))
     run = NestedRun(
         model,
         _dec(pts["log_l"]), _dec(pts["birth_log_l"]), _dec(pts["theta1"]),
@@ -84,7 +96,7 @@ def run_from_dict(doc: dict) -> NestedRun:
         open_birth_log_l=_dec(opens["birth_log_l"]),
         open_end_log_l=_dec(opens["end_log_l"]),
         open_thread_id=_dec_ids(opens["thread_id"]),
-        provenance=RunProvenance.from_dict(doc["provenance"]),
+        provenance=provenance,
         presorted=True)
     run.validate()
     return run

@@ -38,6 +38,10 @@ __all__ = [
 ]
 
 
+# how a dynamic run weighted its points (`dynamic.GoalConfig`)
+IMPORTANCE_VARIANTS = ("standard", "exact", "tuned")
+
+
 @dataclass(frozen=True)
 class RunProvenance:
     """Where a run came from; init_thread_ids marks the constant-count seed
@@ -67,13 +71,21 @@ class RunProvenance:
             val = data.get(key)
             return None if val is None else convert(val, f"provenance {key}")
         ids = data.get("init_thread_ids")
+        algorithm = data.get("algorithm", "unknown")
+        if not isinstance(algorithm, str):
+            raise ValueError("provenance algorithm must be a string, "
+                             f"got {algorithm!r}")
+        variant = data.get("importance_variant")
+        if variant is not None and variant not in IMPORTANCE_VARIANTS:
+            raise ValueError("provenance importance_variant must be one of "
+                             f"{IMPORTANCE_VARIANTS}, got {variant!r}")
         return cls(
-            algorithm=data.get("algorithm", "unknown"),
+            algorithm=algorithm,
             seed=field("seed", as_int),
             n_init=field("n_init", as_int),
             goal_g=field("goal_g", as_float),
             sample_budget=field("sample_budget", as_int),
-            importance_variant=data.get("importance_variant"),
+            importance_variant=variant,
             init_thread_ids=None if ids is None else tuple(
                 as_int(i, "init thread id") for i in ids),
         )

@@ -56,6 +56,9 @@ _SERIES_MAX_TERMS = 20000
 _CF_MAX_ITER = 20000
 _CF_TINY = 1e-300
 _LN_HALF = math.log(0.5)
+# the bracket of the inverse solve reaches ln x = -745 (x = 0) or 709 (x
+# overflows) from its start in at most about ten doublings
+_BRACKET_DOUBLINGS = 64
 
 # Cephes lgam: _LGAM_A is the Stirling correction series in 1/x^2, _LGAM_B
 # and _LGAM_C the numerator and monic denominator of the rational on [2, 3).
@@ -425,18 +428,23 @@ def inv_log_reg_lower_inc_gamma(a, log_p):
     if u0 < -730.0:
         raise ValueError("tail too deep: preimage x underflows double precision")
     u0 = min(u0, math.log(a) + 5.0)
-    lo, hi = u0 - 2.0, u0 + 2.0
-    step = 2.0
-    while f(lo) > target:
-        lo -= step
-        step *= 2.0
-    step = 2.0
-    while f(hi) < target:
-        hi += step
-        step *= 2.0
-
+    lo = _expand_bracket(lambda u: f(u) > target, u0 - 2.0, -2.0)
+    hi = _expand_bracket(lambda u: f(u) < target, u0 + 2.0, 2.0)
     u = _solve_monotone(f, df, target, lo, hi, tol=1e-12)
     return math.exp(u)
+
+
+def _expand_bracket(outside, u, step):
+    """The first of u, u + step, u + 3 step, ... (the step doubling each
+    time) where outside is false; RuntimeError after _BRACKET_DOUBLINGS
+    doublings."""
+    for _ in range(_BRACKET_DOUBLINGS + 1):
+        if not outside(u):
+            return u
+        u += step
+        step *= 2.0
+    raise RuntimeError("inverse incomplete gamma: no bracket after "
+                       f"{_BRACKET_DOUBLINGS} doublings")
 
 
 def inv_reg_lower_inc_gamma(a, p):

@@ -7,6 +7,7 @@ gives a test empty model caches.
 
 import functools
 import os
+import sys
 
 import pytest
 from hypothesis import settings
@@ -18,14 +19,28 @@ settings.register_profile("ci", derandomize=True, deadline=None,
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
+def use_fresh_model_caches(monkeypatch) -> None:
+    """Through monkeypatch: an empty contour-map cache and an empty copy of
+    every lru_cache of varlive.models, under every name a varlive module
+    binds it to."""
+    monkeypatch.setattr(models, "_MAP_CACHE", {})
+    caches = {name: obj for name, obj in vars(models).items()
+              if hasattr(obj, "cache_info")}
+    modules = [module for name, module in list(sys.modules.items())
+               if name.partition(".")[0] == "varlive"]
+    for name, cached in caches.items():
+        fresh = functools.lru_cache(**cached.cache_parameters())(
+            cached.__wrapped__)
+        for module in modules:
+            if getattr(module, name, None) is cached:
+                monkeypatch.setattr(module, name, fresh)
+
+
 @pytest.fixture
 def fresh_model_caches(monkeypatch):
-    """An empty contour-map cache and empty posterior_grid and
-    _remaining_table caches for one test; the process's caches come back
-    afterwards.  Sampled values and posterior curves depend in their last
+    """Empty model caches (`use_fresh_model_caches`) for one test; the
+    process's caches come back afterwards.  Sampled values, posterior
+    curves, ln Z quadratures and the posterior peak depend in their last
     bits on the deepest map the process has built for the model, so a
     bit-exact pin starts from empty caches."""
-    monkeypatch.setattr(models, "_MAP_CACHE", {})
-    for name in ("posterior_grid", "_remaining_table"):
-        monkeypatch.setattr(models, name, functools.lru_cache(maxsize=None)(
-            getattr(models, name).__wrapped__))
+    use_fresh_model_caches(monkeypatch)

@@ -148,6 +148,17 @@ class TestWeightedQuantile:
         with pytest.raises(ValueError):
             weighted_quantile([1.0, 2.0], [1.0, -1.0], 0.5)
 
+    @pytest.mark.parametrize("values,weights", [
+        ([1.0, math.nan, 3.0], [1.0, 1.0, 1.0]),
+        ([1.0, math.inf, 3.0], [1.0, 1.0, 1.0]),
+        ([1.0, 2.0, 3.0], [1.0, math.nan, 1.0]),
+        ([1.0, 2.0, 3.0], [1.0, math.inf, 1.0])])
+    def test_non_finite_rejected(self, values, weights):
+        # the equal-weight median of [1, nan, 3] used to read 3.0, and a NaN
+        # weight gave nan
+        with pytest.raises(ValueError, match="finite"):
+            weighted_quantile(values, weights, 0.5)
+
 
 class TestEstimate:
     def test_mean_and_median_hand_case(self):
@@ -466,6 +477,15 @@ class TestEfficiencyGain:
     def test_zero_dynamic_variance_rejected(self):
         with pytest.raises(ValueError):
             efficiency_gain([1.0, 2.0], [3.0, 3.0], 1.0, 1.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("arm", [0, 1])
+    def test_non_finite_result_rejected(self, bad, arm):
+        # a NaN in either arm used to give GainEstimate(nan, nan)
+        arms = [[1.0, 2.0, 4.0], [3.0, 5.0, 6.0]]
+        arms[arm][1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            efficiency_gain(*arms, 1.0, 1.0, n_boot=10)
 
     def test_degenerate_redraws_bounded(self):
         class FirstPick:  # every resample repeats the first result

@@ -23,6 +23,8 @@ from scipy.interpolate import PchipInterpolator
 from scipy.stats import chi2
 
 import varlive
+import varlive.cli  # every varlive module that binds a models cache
+from conftest import use_fresh_model_caches
 from varlive import models as md
 from varlive.models import ModelSpec
 
@@ -31,6 +33,11 @@ G3 = ModelSpec(md.GAUSSIAN, 3, 10.0)
 EP2 = ModelSpec(md.EXP_POWER, 10, 10.0, b=2.0)
 EP34 = ModelSpec(md.EXP_POWER, 10, 10.0, b=0.75)
 C10 = ModelSpec(md.CAUCHY, 10, 10.0)
+
+# every lru_cache of varlive.models as the process holds it, taken when this
+# module is collected, before any test swaps one in
+PROCESS_CACHES = {name: obj for name, obj in vars(md).items()
+                  if hasattr(obj, "cache_info")}
 
 # ln Gamma(5.5) - 5.5 ln(pi), evaluated independently with math.lgamma
 CAUCHY_D10_PEAK = -2.3382004045529845
@@ -328,22 +335,12 @@ class TestContourMap:
         # arrays on any machine: a map holds its search nodes and two
         # four-array tables, and its build peaks at most two node arrays
         # above that; the slack covers the Python objects around them
-        was_tracing = tracemalloc.is_tracing()
-        if not was_tracing:
-            tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            before = tracemalloc.get_traced_memory()[0]
-            cmap = md.ContourMap(G3, -60.0)
-            held, peak = tracemalloc.get_traced_memory()
-        finally:
-            if not was_tracing:
-                tracemalloc.stop()
+        cmap, held, peak = traced_memory(lambda: md.ContourMap(G3, -60.0))
         assert cmap._nodes.size >= 200_000
         array = cmap._nodes.nbytes
         slack = 64 * 1024
-        assert held - before <= 9 * array + slack
-        assert peak - before <= 11 * array + slack
+        assert held <= 9 * array + slack
+        assert peak <= 11 * array + slack
 
     # sha256 of log_l then radius on a fixed grid, from empty caches;
     # recorded while the tables were scipy PchipInterpolator objects
@@ -402,6 +399,47 @@ class TestContourMap:
         for name in ("manifest.json", "report.csv", "alloc_profile.csv",
                      "bootstrap_table.csv"):
             assert (tmp_path / "out" / name).is_file()
+
+
+def reference_pchip_eval(nodes, tables, q):
+    """_pchip_eval as it was when a long query kept a list of blocks per
+    table and concatenated them."""
+    def block(q):
+        k = nodes.searchsorted(q, side="right") - 1
+        s = q - nodes[k]
+        s2 = s * s
+        s3 = s2 * s
+        values = []
+        for c0, c1, c2, c3 in tables:
+            value = c2[k] * s
+            value += c3[k]
+            value += c1[k] * s2
+            value += c0[k] * s3
+            values.append(value)
+        return values
+
+    if q.size <= md._QUERY_BLOCK:
+        return block(q)
+    flat = q.reshape(-1)
+    blocks = [block(flat[b]) for b in md._blocks(flat.size)]
+    return [np.concatenate(parts).reshape(q.shape) for parts in zip(*blocks)]
+
+
+def traced_memory(func):
+    """(func(), bytes held after it, peak bytes during it) under
+    tracemalloc, both above what was traced before the call."""
+    was_tracing = tracemalloc.is_tracing()
+    if not was_tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        out = func()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+    return out, held - before, peak - before
 
 
 def same_bits(a, b) -> bool:
@@ -482,6 +520,27 @@ class TestPchipTable:
         assert got.shape == q.shape
         assert same_bits(got, ref(q))
 
+    @pytest.mark.parametrize("shape", [(2 * md._QUERY_BLOCK + 123,),
+                                       (3, md._QUERY_BLOCK + 11)])
+    def test_long_query_matches_block_concatenation(self, shape):
+        # the preallocated outputs hold the bytes the block list and
+        # np.concatenate gave, NaN outside the nodes included, for one and
+        # for two tables
+        rng = np.random.default_rng(5)
+        x = np.cumsum(rng.uniform(1e-3, 1.0, 700))
+        tables = [md._pchip_table(np.diff(x), v.copy())
+                  for v in (np.cumsum(rng.normal(size=700)), np.sqrt(x))]
+        nodes = md._pchip_nodes(x.copy())
+        q = rng.uniform(x[0] - 2.0, x[-1] + 2.0, shape)
+        q.reshape(-1)[:5] = [np.nan, x[0], x[-1], -np.inf, np.inf]
+        for use in (tables[:1], tables):
+            got = md._pchip_eval(nodes, use, q)
+            want = reference_pchip_eval(nodes, use, q)
+            assert len(got) == len(want) == len(use)
+            for g, w in zip(got, want):
+                assert g.shape == q.shape
+                assert g.tobytes() == w.tobytes()
+
     def test_multi_block_table_matches_scipy_bitwise(self):
         # more nodes than two blocks of the table build: increasing values,
         # whose node slopes and cubic terms are nonzero at every block edge,
@@ -553,6 +612,15 @@ def reference_posterior_grid(m, n_nodes=400_001):
                             log_z=float(log_z))
 
 
+def reference_remaining_table(m):
+    """_remaining_table as it was when it read a whole posterior grid."""
+    g = reference_posterior_grid(m)
+    with np.errstate(divide="ignore"):
+        logw = np.log(g.weight) + g.log_z
+    log_cum = np.logaddexp.accumulate(logw)
+    return g.log_x, log_cum
+
+
 class TestQuadratureReference:
     """The in-place quadratures give their reference's bytes on the same
     map, from empty caches."""
@@ -573,6 +641,37 @@ class TestQuadratureReference:
         for name in ("log_x", "log_l", "radius", "weight"):
             assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
         assert got.log_z.hex() == want.log_z.hex()
+
+    @pytest.mark.parametrize("m", [G3, C10, EP34])
+    def test_remaining_table(self, fresh_model_caches, m):
+        got_x, got_cum = md._remaining_table(m)
+        want_x, want_cum = reference_remaining_table(m)
+        assert got_x.tobytes() == want_x.tobytes()
+        assert got_cum.tobytes() == want_cum.tobytes()
+        # the alloc-profile grid: 513 points from below the table to 0
+        grid = np.linspace(want_x[0] - 5.0, 0.0, 513)
+        got = md.log_posterior_mass_remaining(m, grid)
+        want = np.interp(grid, want_x, want_cum, left=-np.inf,
+                         right=float(want_cum[-1]))
+        assert got.tobytes() == want.tobytes()
+
+    def test_remaining_table_memory_budget(self, fresh_model_caches):
+        # with the map and the support floor cached, the table holds its
+        # grid and one value array, and peaks at one weight array above
+        # that; a long two-table query holds no block list beside its
+        # outputs
+        fine_floor = md._posterior_support_floor(G3) - 60.0
+        cmap = md.get_contour_map(G3, fine_floor)
+        table, held, peak = traced_memory(lambda: md._remaining_table(G3))
+        array = table[0].nbytes
+        assert table[0].size == 400_001
+        slack = 64 * 1024
+        assert held <= 2 * array + slack
+        assert peak <= 3.2 * array
+        grid = np.linspace(fine_floor, cmap.log_x_top, 400_001)
+        _, held, peak = traced_memory(lambda: cmap.log_l_and_radius(grid))
+        assert held <= 2 * array + slack
+        assert peak <= 2.5 * array
 
 
 class TestPosteriorGridTruths:
@@ -600,3 +699,35 @@ class TestPosteriorGridTruths:
             g = md.posterior_grid(m)
             assert float(np.sum(g.weight)) == pytest.approx(1.0, abs=1e-12)
             assert g.log_z == pytest.approx(md.analytic_log_evidence(m), abs=1e-6)
+
+
+class TestFreshModelCaches:
+    """The fixture that bit-exact pins start from."""
+
+    def test_covers_every_cache(self, fresh_model_caches):
+        # the process caches stay on the module under test while the
+        # fixture holds; a cache it missed would still be there
+        assert {"_posterior_support_floor", "analytic_log_evidence",
+                "posterior_grid", "_remaining_table",
+                "argmax_log_x_relative_posterior_mass"} <= set(PROCESS_CACHES)
+        modules = [module for name, module in list(sys.modules.items())
+                   if name.partition(".")[0] == "varlive"]
+        assert varlive.experiments in modules
+        for name, cached in PROCESS_CACHES.items():
+            fresh = getattr(md, name)
+            assert fresh is not cached, name
+            assert fresh.cache_info().currsize == 0, name
+            for module in modules:
+                assert getattr(module, name, None) is not cached, \
+                    (module.__name__, name)
+        assert md._MAP_CACHE == {}
+
+    def test_forgets_a_deeper_map(self, monkeypatch):
+        # ln Z of exp_power d=10 b=2 moves in its last bit when a deeper map
+        # was built first; empty caches give a fresh process's value
+        use_fresh_model_caches(monkeypatch)
+        md.get_contour_map(EP2, -1000.0)
+        deeper = md.analytic_log_evidence(EP2)
+        use_fresh_model_caches(monkeypatch)
+        assert md.analytic_log_evidence(EP2).hex() == "-0x1.01ce944efe5bbp+5"
+        assert deeper.hex() == "-0x1.01ce944efe5bcp+5"

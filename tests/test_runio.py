@@ -172,3 +172,37 @@ def test_non_finite_log_l_rejected_on_load(tmp_path, value):
     path.write_text(json.dumps(doc), encoding="utf-8")
     with pytest.raises(ValueError, match="finite log_l"):
         load_run(str(path))
+
+
+@pytest.mark.parametrize("doc", [[], "run", 5, None])
+def test_non_object_document_rejected(doc):
+    # used to raise AttributeError from doc.get
+    with pytest.raises(ValueError, match="run file must hold a JSON object"):
+        run_from_dict(doc)
+
+
+@pytest.mark.parametrize("section", ["model", "points", "open_intervals",
+                                     "provenance"])
+@pytest.mark.parametrize("value", ["missing", None, [], 3])
+def test_bad_section_rejected(section, value):
+    # used to raise KeyError for a missing section, TypeError or
+    # AttributeError for one that is not an object
+    doc = run_to_dict(standard_run(M3, SamplerConfig(n_live=20, seed=1)))
+    if value == "missing":
+        del doc[section]
+    else:
+        doc[section] = value
+    with pytest.raises(ValueError, match=f"run file {section} must be"):
+        run_from_dict(doc)
+
+
+@pytest.mark.parametrize("key,value", [
+    ("algorithm", 5), ("algorithm", None), ("algorithm", ["standard"]),
+    ("importance_variant", [1]), ("importance_variant", "first_order"),
+    ("importance_variant", 0)])
+def test_bad_provenance_label_rejected(key, value):
+    # {"algorithm": 5} and {"importance_variant": [1]} used to load as is
+    doc = run_to_dict(standard_run(M3, SamplerConfig(n_live=20, seed=1)))
+    doc["provenance"][key] = value
+    with pytest.raises(ValueError, match=f"provenance {key} must be"):
+        run_from_dict(doc)

@@ -267,7 +267,7 @@ class TestConstruction:
     def test_provenance_dict_round_trip(self):
         prov = RunProvenance(algorithm="dynamic", seed=11, n_init=5,
                              goal_g=0.25, sample_budget=1000,
-                             importance_variant="first_order",
+                             importance_variant="tuned",
                              init_thread_ids=(0, 1, 2))
         assert RunProvenance.from_dict(prov.to_dict()) == prov
         assert RunProvenance.from_dict({"algorithm": "standard"}).seed is None

@@ -249,6 +249,43 @@ class TestInverse:
                                lambda u, f: float("nan"), 0.0, -1.0, 1.0,
                                1e-12)
 
+    def test_unbracketed_solve_raises(self, monkeypatch):
+        # ln P that stays above the target keeps moving the lower end of the
+        # bracket down; the fake gives up after far more calls than the
+        # bound allows, so an unbounded loop fails here instead of hanging
+        calls = []
+
+        class Unbounded(Exception):
+            pass
+
+        def never_brackets(a, x):
+            calls.append(x)
+            if len(calls) > 10_000:
+                raise Unbounded
+            return 0.0
+
+        monkeypatch.setattr(sf, "log_reg_lower_inc_gamma", never_brackets)
+        with pytest.raises(RuntimeError,
+                           match=f"{sf._BRACKET_DOUBLINGS} doublings"):
+            sf.inv_log_reg_lower_inc_gamma(2.0, -5.0)
+        assert len(calls) == sf._BRACKET_DOUBLINGS + 1
+
+    @pytest.mark.parametrize("step", [-2.0, 2.0])
+    def test_bracket_bound(self, step):
+        # the upper end stops earlier in practice: math.exp overflows once
+        # it passes ln x = 709.8
+        seen = []
+
+        def outside(u):
+            seen.append(u)
+            return True
+
+        with pytest.raises(RuntimeError, match="doublings"):
+            sf._expand_bracket(outside, 1.0, step)
+        assert len(seen) == sf._BRACKET_DOUBLINGS + 1
+        assert seen[:4] == [1.0, 1.0 + step, 1.0 + 3 * step, 1.0 + 7 * step]
+        assert sf._expand_bracket(lambda u: u < 5.0, 1.0, 2.0) == 7.0
+
 
 class TestSphereCoordinate:
     def test_d1_is_random_sign(self):
