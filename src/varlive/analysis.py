@@ -317,6 +317,8 @@ def efficiency_gain(std_results, dyn_results, mean_samples_std: float,
     b = np.asarray(dyn_results, dtype=float)
     if a.size < 2 or b.size < 2:
         raise ValueError("need at least 2 results per arm")
+    if n_boot < 2:
+        raise ValueError("n_boot must be >= 2: one replicate has no spread")
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
         raise ValueError("every result of both arms must be finite")
     var_a = float(np.var(a, ddof=1))

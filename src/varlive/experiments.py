@@ -23,7 +23,8 @@ from .analysis import (EstimatorId, GainEstimate, bootstrap_replicates,
 from .dynamic import (AlgorithmOneConfig, AlgorithmTwoConfig, GoalConfig,
                       dynamic_run_algorithm1, dynamic_run_algorithm2)
 from .models import (GAUSSIAN, ModelSpec, analytic_log_evidence, as_float,
-                     as_int, posterior_mass_remaining, relative_posterior_mass)
+                     as_int, as_object, posterior_mass_remaining,
+                     relative_posterior_mass)
 from .runio import load_run, save_run
 from .runs import (IMPORTANCE_VARIANTS, NestedRun, live_point_counts,
                    log_prior_volumes)
@@ -101,6 +102,7 @@ class ArmConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ArmConfig":
+        as_object(data, "arm", ("name", "method"))
         known = {f for f in cls.__dataclass_fields__}
         extra = set(data) - known
         if extra:
@@ -181,6 +183,8 @@ def _typed_fields(cls, data: dict, convert, keys, where: str) -> dict:
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
+    as_object(data, "experiment config",
+              ("model", "arms", "n_runs", "seed", "estimators"))
     data = _typed_fields(ExperimentConfig, data, as_int, (
         "n_runs", "seed", "workers", "gain_boot", "bootstrap_reps",
         "profile_runs"), "experiment")

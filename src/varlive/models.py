@@ -48,8 +48,6 @@ __all__ = [
     "argmax_log_x_relative_posterior_mass",
     "ContourMap",
     "get_contour_map",
-    "posterior_grid",
-    "PosteriorGrid",
 ]
 
 GAUSSIAN = "gaussian"
@@ -83,6 +81,7 @@ class ModelSpec:
 
     @classmethod
     def from_dict(cls, data):
+        data = as_object(data, "model", ("family", "d", "sigma_pi"))
         return cls(family=data["family"], d=as_int(data["d"], "d"),
                    sigma_pi=as_float(data["sigma_pi"], "sigma_pi"),
                    b=as_float(data.get("b", 1.0), "b"))
@@ -96,6 +95,19 @@ def as_int(value, what: str) -> int:
             or (isinstance(value, float) and value.is_integer())):
         raise ValueError(f"{what} must be an integer, got {value!r}")
     return int(value)
+
+
+def as_object(value, what: str, keys=()) -> dict:
+    """A section of a document (run file, config) that must be a JSON
+    object holding every one of keys.  Anything else raises ValueError,
+    which names the first missing key."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{what} must be a JSON object, "
+                         f"got {type(value).__name__}")
+    for key in keys:
+        if key not in value:
+            raise ValueError(f"{what} has no {key!r}")
+    return value
 
 
 def as_float(value, what: str) -> float:
@@ -221,8 +233,7 @@ def log_x_from_log_likelihood(m: ModelSpec, logl):
 # ---------------------------------------------------------------------------
 # Cached monotone contour tables
 
-# long queries and the table builds run in blocks whose temporaries stay in
-# cache
+# queries and the table builds run in blocks whose temporaries stay in cache
 _QUERY_BLOCK = 8192
 
 
@@ -314,32 +325,22 @@ def _pchip_nodes(x: np.ndarray) -> np.ndarray:
 def _pchip_eval(nodes: np.ndarray, tables, q: np.ndarray) -> list:
     """Values at q of `_pchip_table` interpolants over the same nodes, one
     array per table, from one interval search: the power sum in the order
-    of scipy's PPoly evaluation, NaN outside the nodes.  A long query runs
-    in blocks that write into one preallocated output per table."""
-    if q.size <= _QUERY_BLOCK:
-        return _pchip_block(nodes, tables, q, [None] * len(tables))
+    of scipy's PPoly evaluation, NaN outside the nodes.  The query runs in
+    blocks that write into one preallocated output per table."""
     flat = q.reshape(-1)
     out = [np.empty(flat.size) for _ in tables]
     for b in _blocks(flat.size):
-        _pchip_block(nodes, tables, flat[b], [o[b] for o in out])
+        qb = flat[b]
+        k = nodes.searchsorted(qb, side="right") - 1
+        s = qb - nodes[k]
+        s2 = s * s
+        s3 = s2 * s
+        for (c0, c1, c2, c3), o in zip(tables, out):
+            value = np.multiply(c2[k], s, out=o[b])
+            value += c3[k]
+            value += c1[k] * s2
+            value += c0[k] * s3
     return [o.reshape(q.shape) for o in out]
-
-
-def _pchip_block(nodes, tables, q, out):
-    """`_pchip_eval` of one block into out, one array (or None, for a new
-    one) per table."""
-    k = nodes.searchsorted(q, side="right") - 1
-    s = q - nodes[k]
-    s2 = s * s
-    s3 = s2 * s
-    values = []
-    for (c0, c1, c2, c3), value in zip(tables, out):
-        value = np.multiply(c2[k], s, out=value)
-        value += c3[k]
-        value += c1[k] * s2
-        value += c0[k] * s3
-        values.append(value)
-    return values
 
 
 class ContourMap:
@@ -536,56 +537,17 @@ def analytic_log_evidence(m: ModelSpec) -> float:
     return log_evidence_quadrature(m)
 
 
-@dataclass(frozen=True)
-class PosteriorGrid:
-    """Dense posterior representation on a ln X grid (weights sum to 1)."""
-
-    log_x: np.ndarray
-    log_l: np.ndarray
-    radius: np.ndarray
-    weight: np.ndarray
-    log_z: float
-
-
 _POSTERIOR_GRID_NODES = 400_001
 
 
-def _posterior_grid_nodes(m: ModelSpec, n_nodes: int):
+def _posterior_grid_nodes(m: ModelSpec):
     """(contour map, uniform ln X grid) of the posterior quadrature grid:
-    n_nodes from 60 below the posterior support floor up to the map's top."""
+    _POSTERIOR_GRID_NODES from 60 below the posterior support floor up to
+    the map's top."""
     fine_floor = _posterior_support_floor(m) - 60.0
     cmap = get_contour_map(m, fine_floor)
-    return cmap, np.linspace(fine_floor, min(-1e-9, cmap.log_x_top), n_nodes)
-
-
-def _posterior_weights(logw: np.ndarray, grid: np.ndarray):
-    """(normalised weights, ln Z) of the trapezoid rule on the grid.
-
-    logw holds ln L + ln X on the grid and takes the trapezoid ln weights
-    in place; the weights are one new array, which takes both exp passes."""
-    logw += math.log(grid[1] - grid[0])
-    logw[[0, -1]] -= math.log(2.0)
-    mx = float(np.max(logw))
-    weight = np.subtract(logw, mx)
-    log_z = mx + math.log(np.sum(np.exp(weight, out=weight)))
-    np.subtract(logw, log_z, out=weight)
-    np.exp(weight, out=weight)
-    weight /= float(np.sum(weight))
-    return weight, log_z
-
-
-@lru_cache(maxsize=None)
-def posterior_grid(m: ModelSpec,
-                   n_nodes: int = _POSTERIOR_GRID_NODES) -> PosteriorGrid:
-    """The posterior as trapezoid weights on a uniform ln X grid, with the
-    contour's ln L and radius at each node.  It holds five n_nodes arrays
-    (ln w is a temporary); tests and `argmax_log_x_relative_posterior_mass`
-    read it."""
-    cmap, grid = _posterior_grid_nodes(m, n_nodes)
-    logl, radius = cmap.log_l_and_radius(grid)
-    weight, log_z = _posterior_weights(logl + grid, grid)
-    return PosteriorGrid(log_x=grid, log_l=logl, radius=radius,
-                         weight=weight, log_z=float(log_z))
+    return cmap, np.linspace(fine_floor, min(-1e-9, cmap.log_x_top),
+                             _POSTERIOR_GRID_NODES)
 
 
 def log_relative_posterior_mass(m: ModelSpec, logx):
@@ -604,17 +566,23 @@ def relative_posterior_mass(m: ModelSpec, logx):
     return float(out) if np.ndim(out) == 0 else out
 
 
-@lru_cache(maxsize=None)
 def _remaining_table(m: ModelSpec):
     """(ln X grid, ln of the posterior mass below each node) on the
-    `posterior_grid` nodes, with its bits: the running log-sum of the
-    normalised weights times Z.  Built from one ln L query, whose buffer
+    posterior quadrature grid: the running log-sum of the trapezoid
+    weights, normalised, times Z.  Built from one ln L query, whose buffer
     becomes ln w and then the table, so it holds two grid arrays and peaks
     at three."""
-    cmap, grid = _posterior_grid_nodes(m, _POSTERIOR_GRID_NODES)
+    cmap, grid = _posterior_grid_nodes(m)
     log_cum = cmap.log_l(grid)
     log_cum += grid
-    weight, log_z = _posterior_weights(log_cum, grid)
+    log_cum += math.log(grid[1] - grid[0])
+    log_cum[[0, -1]] -= math.log(2.0)
+    mx = float(np.max(log_cum))
+    weight = np.subtract(log_cum, mx)
+    log_z = mx + math.log(np.sum(np.exp(weight, out=weight)))
+    np.subtract(log_cum, log_z, out=weight)
+    np.exp(weight, out=weight)
+    weight /= float(np.sum(weight))
     with np.errstate(divide="ignore"):
         np.log(weight, out=log_cum)
     del weight
@@ -639,16 +607,17 @@ def posterior_mass_remaining(m: ModelSpec, logx):
     return float(out) if np.ndim(out) == 0 else out
 
 
-@lru_cache(maxsize=None)
 def argmax_log_x_relative_posterior_mass(m: ModelSpec) -> float:
-    """ln X at which L(X) * X peaks (parabolic refinement on the grid)."""
-    g = posterior_grid(m)
-    f = g.log_l + g.log_x
+    """ln X at which L(X) * X peaks (parabolic refinement on the posterior
+    quadrature grid)."""
+    cmap, grid = _posterior_grid_nodes(m)
+    f = cmap.log_l(grid)
+    f += grid
     i = int(np.argmax(f))
     if 0 < i < len(f) - 1:
         denom = f[i - 1] - 2.0 * f[i] + f[i + 1]
         if denom < 0.0:
             shift = 0.5 * (f[i - 1] - f[i + 1]) / denom
-            h = g.log_x[1] - g.log_x[0]
-            return float(g.log_x[i] + shift * h)
-    return float(g.log_x[i])
+            h = grid[1] - grid[0]
+            return float(grid[i] + shift * h)
+    return float(grid[i])

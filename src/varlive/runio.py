@@ -12,7 +12,7 @@ import os
 
 import numpy as np
 
-from .models import ModelSpec, as_int
+from .models import ModelSpec, as_int, as_object
 from .runs import NestedRun, RunProvenance
 
 __all__ = ["save_run", "load_run", "FORMAT_VERSION"]
@@ -67,12 +67,8 @@ def run_to_dict(run: NestedRun) -> dict:
     }
 
 
-def _section(doc: dict, key: str) -> dict:
-    value = doc.get(key)
-    if not isinstance(value, dict):
-        raise ValueError(f"run file {key} must be a JSON object, "
-                         f"got {type(value).__name__}")
-    return value
+def _section(doc: dict, key: str, keys=()) -> dict:
+    return as_object(doc.get(key), f"run file {key}", keys)
 
 
 def run_from_dict(doc: dict) -> NestedRun:
@@ -85,8 +81,10 @@ def run_from_dict(doc: dict) -> NestedRun:
     if version != FORMAT_VERSION:
         raise ValueError(f"unsupported run file version {version!r}")
     model = ModelSpec.from_dict(_section(doc, "model"))
-    pts = _section(doc, "points")
-    opens = _section(doc, "open_intervals")
+    pts = _section(doc, "points", ("log_l", "birth_log_l", "theta1",
+                                   "radius", "true_log_x", "thread_id"))
+    opens = _section(doc, "open_intervals",
+                     ("birth_log_l", "end_log_l", "thread_id"))
     provenance = RunProvenance.from_dict(_section(doc, "provenance"))
     run = NestedRun(
         model,

@@ -14,18 +14,21 @@ function when x <= a + 1, a modified Lentz continued fraction for the upper
 function otherwise.  The inverse is a bracketed bisection/Newton hybrid in
 u = ln x, which stays stable however deep the requested tail is.
 
-The functions of x take three kinds of x, each with its own bit contract:
+The public functions of x take two kinds of x:
 
-* a Python float runs the series or continued fraction in Python floats
-  and finishes with `math` calls, so its last bit may differ from the
-  array path's;
-* a 0-d array gives the bits of a 1-element array; in
-  log_reg_lower_inc_gamma it runs the Python-float loops and finishes
-  with the array path's numpy and ln Gamma calls (`_log_p_0d`), at a few
-  microseconds per call;
+* a scalar (a Python float or a 0-d array) gives the bits of a 1-element
+  array; in log_reg_lower_inc_gamma it runs the series or continued
+  fraction in Python floats and finishes with the array path's numpy and
+  ln Gamma calls (`_log_p_0d`), at a few microseconds per call;
 * an array iterates until every element has converged, so an element
   that converged early takes further factors close to 1 in the continued
   fraction, and its last bit can depend on the other elements.
+
+The inverse solver alone evaluates ln P and ln Q through private kernels
+in Python floats that finish with `math` calls (`_log_p_float`,
+`_log_q_float`), so their last bit may differ from the array path's.
+Contour-map nodes, support floors and estimator truths all rest on the
+inverse's bits.
 
 ln Gamma is a port of the Cephes `lgam` routine (S. L. Moshier, 1989) for
 x > 0 in Python floats: the same constants and the same operations in the
@@ -175,16 +178,23 @@ def _cf_value(a: float, x: float) -> float:
     raise RuntimeError("incomplete gamma continued fraction failed to converge")
 
 
-def _log_p_series_scalar(a: float, x: float) -> float:
-    """Pure-float _log_p_series for the scalar calls of the inverse solver;
-    its math-module final value may differ from the array path's in the
-    last bit."""
-    return (a * math.log(x) - x - math.lgamma(a + 1.0)
-            + math.log(_series_sum(a, x)))
+def _log_p_float(a: float, x: float) -> float:
+    """ln P(a, x) for the inverse solver, in Python floats finished with
+    `math` calls; its last bit may differ from the array path's."""
+    if x == 0.0:
+        return -math.inf
+    if x <= a + 1.0:
+        return (a * math.log(x) - x - math.lgamma(a + 1.0)
+                + math.log(_series_sum(a, x)))
+    return math.log1p(-math.exp(_log_q_float(a, x)))
 
 
-def _log_q_cf_scalar(a: float, x: float) -> float:
-    """Pure-float _log_q_cf, finished like _log_p_series_scalar."""
+def _log_q_float(a: float, x: float) -> float:
+    """ln Q(a, x) for the inverse solver, computed like _log_p_float."""
+    if x == 0.0:
+        return 0.0
+    if x <= a + 1.0:
+        return math.log(-math.expm1(_log_p_float(a, x)))
     return a * math.log(x) - x - math.lgamma(a) + math.log(_cf_value(a, x))
 
 
@@ -248,15 +258,6 @@ def log_reg_lower_inc_gamma(a, x):
     x must be >= 0; x = 0 maps to -inf.
     """
     a = _validate_a(a)
-    if isinstance(x, (float, int)):
-        x = float(x)
-        if math.isnan(x) or x < 0.0:
-            raise ValueError("x must be nonnegative")
-        if x == 0.0:
-            return -math.inf
-        if x <= a + 1.0:
-            return _log_p_series_scalar(a, x)
-        return math.log1p(-math.exp(_log_q_cf_scalar(a, x)))
     x_arr = np.asarray(x, dtype=float)
     if x_arr.ndim == 0:
         return _log_p_0d(a, float(x_arr))
@@ -293,15 +294,6 @@ def _log_p_0d(a: float, x: float) -> float:
 def log_reg_upper_inc_gamma(a, x):
     """ln Q(a, x) = ln(1 - P(a, x)), scalar or array in x."""
     a = _validate_a(a)
-    if isinstance(x, (float, int)):
-        x = float(x)
-        if math.isnan(x) or x < 0.0:
-            raise ValueError("x must be nonnegative")
-        if x == 0.0:
-            return 0.0
-        if x > a + 1.0:
-            return _log_q_cf_scalar(a, x)
-        return math.log(-math.expm1(_log_p_series_scalar(a, x)))
     x_arr = np.asarray(x, dtype=float)
     if np.any(x_arr < 0.0) or np.any(np.isnan(x_arr)):
         raise ValueError("x must be nonnegative")
@@ -323,13 +315,6 @@ def log_reg_upper_inc_gamma(a, x):
 def reg_lower_inc_gamma(a, x):
     """P(a, x) on the probability scale, scalar or array in x."""
     a = _validate_a(a)
-    if isinstance(x, (float, int)):
-        x = float(x)
-        if math.isnan(x) or x < 0.0:
-            raise ValueError("x must be nonnegative")
-        if x <= a + 1.0:
-            return 0.0 if x == 0.0 else math.exp(_log_p_series_scalar(a, x))
-        return -math.expm1(_log_q_cf_scalar(a, x))
     x_arr = np.asarray(x, dtype=float)
     if np.any(x_arr < 0.0) or np.any(np.isnan(x_arr)):
         raise ValueError("x must be nonnegative")
@@ -409,7 +394,7 @@ def inv_log_reg_lower_inc_gamma(a, log_p):
         # Upper half: solve on the Q side where the target is well conditioned.
         log_q = math.log(-math.expm1(log_p))
         def f(u):
-            return -log_reg_upper_inc_gamma(a, math.exp(u))
+            return -_log_q_float(a, math.exp(u))
         def df(u, f_at_u):
             # f_at_u is -ln Q at u, and
             # d(-lnQ)/du = (P'/Q) * x = exp(a u - e^u - lnGamma(a) - lnQ).
@@ -417,7 +402,7 @@ def inv_log_reg_lower_inc_gamma(a, log_p):
         target = -log_q
     else:
         def f(u):
-            return log_reg_lower_inc_gamma(a, math.exp(u))
+            return _log_p_float(a, math.exp(u))
         def df(u, f_at_u):
             return _log_p_derivative_wrt_u(a, u, f_at_u)
         target = log_p

@@ -474,6 +474,13 @@ class TestEfficiencyGain:
         assert up == pytest.approx(9.0 * base, rel=1e-12)
         assert down == pytest.approx(base / 9.0, rel=1e-12)
 
+    @pytest.mark.parametrize("n_boot", [1, 0, -3])
+    def test_too_few_replicates_rejected(self, n_boot):
+        # one replicate (or none) used to give sigma nan and a RuntimeWarning
+        with pytest.raises(ValueError, match="n_boot must be >= 2"):
+            efficiency_gain([1.0, 2.0, 4.0], [3.0, 5.0, 6.0], 1.0, 1.0,
+                            n_boot=n_boot)
+
     def test_zero_dynamic_variance_rejected(self):
         with pytest.raises(ValueError):
             efficiency_gain([1.0, 2.0], [3.0, 3.0], 1.0, 1.0)

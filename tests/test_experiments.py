@@ -18,7 +18,7 @@ from varlive.experiments import (ArmConfig, ExperimentConfig,
 from varlive.models import ModelSpec
 
 
-def small_config(**overrides):
+def small_config_doc(**overrides):
     base = {
         "model": {"family": "gaussian", "d": 2, "sigma_pi": 10.0},
         "n_runs": 4,
@@ -34,7 +34,11 @@ def small_config(**overrides):
         ],
     }
     base.update(overrides)
-    return config_from_dict(base)
+    return base
+
+
+def small_config(**overrides):
+    return config_from_dict(small_config_doc(**overrides))
 
 
 @pytest.fixture(scope="module")
@@ -80,6 +84,29 @@ class TestConfig:
             small_config(bootstrap_reps=1)
         with pytest.raises(ValueError, match="profile_runs"):
             small_config(profile_runs=0)
+        # a missing key or a section that is not an object used to raise
+        # KeyError, TypeError or AttributeError
+        for key in ("model", "arms", "n_runs", "seed", "estimators"):
+            doc = small_config_doc()
+            del doc[key]
+            with pytest.raises(ValueError, match=f"config has no '{key}'"):
+                config_from_dict(doc)
+        for key in ("family", "d", "sigma_pi"):
+            model = {"family": "gaussian", "d": 2, "sigma_pi": 10.0}
+            del model[key]
+            with pytest.raises(ValueError, match=f"model has no '{key}'"):
+                small_config(model=model)
+        for key in ("name", "method"):
+            arm = {"name": "std", "method": "standard", "n_live": 40}
+            del arm[key]
+            with pytest.raises(ValueError, match=f"arm has no '{key}'"):
+                small_config(arms=[arm])
+        with pytest.raises(ValueError, match="config must be a JSON object"):
+            config_from_dict([small_config_doc()])
+        with pytest.raises(ValueError, match="model must be a JSON object"):
+            small_config(model="gaussian")
+        with pytest.raises(ValueError, match="arm must be a JSON object"):
+            small_config(arms=["std"])
 
     @pytest.mark.parametrize("bad", [2.5, True, "3", None])
     @pytest.mark.parametrize("key", ["n_runs", "seed", "workers", "gain_boot",

@@ -14,6 +14,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -275,11 +276,19 @@ class TestPosteriorMass:
         # rough location: within a few units of -d ln(sigma_pi)
         assert -25.0 < xstar < -15.0
 
+    @pytest.mark.parametrize("m, want", [
+        (G3, "-0x1.a6896a2f6f360p+2"), (G10, "-0x1.3d95146333852p+4"),
+        (EP2, "-0x1.b44fa8c974270p+4"), (EP34, "-0x1.c9e339f9e4454p+3"),
+        (C10, "-0x1.4366e8c9139c8p+4")])
+    def test_argmax_bits(self, fresh_model_caches, m, want):
+        # a fresh process's bits
+        assert md.argmax_log_x_relative_posterior_mass(m).hex() == want
+
     def test_integrates_to_evidence(self):
         # direct check that L(X) X integrates (in ln X) to exp(ln Z)
         lx = np.linspace(-90.0, -1e-6, 400_001)
         f = md.relative_posterior_mass(G10, np.array([-20.0]))  # warm the map
-        g = md.posterior_grid(G10)
+        g = reference_posterior_grid(G10)
         total = float(np.sum(np.exp(g.log_l + g.log_x))) * (g.log_x[1] - g.log_x[0])
         assert total == pytest.approx(math.exp(md.analytic_log_evidence(G10)), rel=1e-5)
         assert f[0] > 0.0
@@ -595,7 +604,9 @@ def reference_log_evidence_quadrature(m, n_nodes=1_000_001):
 
 
 def reference_posterior_grid(m, n_nodes=400_001):
-    """posterior_grid as it was before it ran in place."""
+    """The posterior as trapezoid weights on the uniform ln X grid of
+    `_remaining_table`, with the contour's ln L and radius at each node
+    (the package's posterior_grid before it ran in place)."""
     fine_floor = md._posterior_support_floor(m) - 60.0
     cmap = md.get_contour_map(m, fine_floor)
     grid = np.linspace(fine_floor, min(-1e-9, cmap.log_x_top), n_nodes)
@@ -607,9 +618,9 @@ def reference_posterior_grid(m, n_nodes=400_001):
     mx = float(np.max(logw))
     log_z = mx + math.log(np.sum(np.exp(logw - mx)))
     weight = np.exp(logw - log_z)
-    return md.PosteriorGrid(log_x=grid, log_l=logl, radius=radius,
-                            weight=weight / float(np.sum(weight)),
-                            log_z=float(log_z))
+    return SimpleNamespace(log_x=grid, log_l=logl, radius=radius,
+                           weight=weight / float(np.sum(weight)),
+                           log_z=float(log_z))
 
 
 def reference_remaining_table(m):
@@ -633,14 +644,6 @@ class TestQuadratureReference:
         assert got.hex() == reference_log_evidence_quadrature(m).hex()
         got = md.log_evidence_quadrature(m, 1001)
         assert got.hex() == reference_log_evidence_quadrature(m, 1001).hex()
-
-    @pytest.mark.parametrize("m", [G3, C10, EP34])
-    def test_posterior_grid(self, fresh_model_caches, m):
-        got = md.posterior_grid(m)
-        want = reference_posterior_grid(m)
-        for name in ("log_x", "log_l", "radius", "weight"):
-            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
-        assert got.log_z.hex() == want.log_z.hex()
 
     @pytest.mark.parametrize("m", [G3, C10, EP34])
     def test_remaining_table(self, fresh_model_caches, m):
@@ -678,7 +681,7 @@ class TestPosteriorGridTruths:
     """Conjugate-posterior closed forms vs the quadrature grid (Gaussian)."""
 
     def test_d3_moments(self):
-        g = md.posterior_grid(G3)
+        g = reference_posterior_grid(G3)
         sig_post = math.sqrt(100.0 / 101.0)
         mean_r = float(np.sum(g.weight * g.radius))
         expect = sig_post * math.sqrt(2.0) * math.gamma(2.0) / math.gamma(1.5)
@@ -687,7 +690,7 @@ class TestPosteriorGridTruths:
         assert m2 == pytest.approx(sig_post ** 2, rel=1e-8)
 
     def test_d3_median_radius(self):
-        g = md.posterior_grid(G3)
+        g = reference_posterior_grid(G3)
         order = np.argsort(g.radius)
         cw = np.cumsum(g.weight[order])
         med = float(np.interp(0.5, cw, g.radius[order]))
@@ -696,7 +699,7 @@ class TestPosteriorGridTruths:
 
     def test_weights_normalized(self):
         for m in [G10, EP2]:
-            g = md.posterior_grid(m)
+            g = reference_posterior_grid(m)
             assert float(np.sum(g.weight)) == pytest.approx(1.0, abs=1e-12)
             assert g.log_z == pytest.approx(md.analytic_log_evidence(m), abs=1e-6)
 
@@ -707,9 +710,8 @@ class TestFreshModelCaches:
     def test_covers_every_cache(self, fresh_model_caches):
         # the process caches stay on the module under test while the
         # fixture holds; a cache it missed would still be there
-        assert {"_posterior_support_floor", "analytic_log_evidence",
-                "posterior_grid", "_remaining_table",
-                "argmax_log_x_relative_posterior_mass"} <= set(PROCESS_CACHES)
+        assert {"_posterior_support_floor",
+                "analytic_log_evidence"} <= set(PROCESS_CACHES)
         modules = [module for name, module in list(sys.modules.items())
                    if name.partition(".")[0] == "varlive"]
         assert varlive.experiments in modules
@@ -731,3 +733,18 @@ class TestFreshModelCaches:
         use_fresh_model_caches(monkeypatch)
         assert md.analytic_log_evidence(EP2).hex() == "-0x1.01ce944efe5bbp+5"
         assert deeper.hex() == "-0x1.01ce944efe5bcp+5"
+
+    def test_empty_map_cache_resets_remaining_mass(self, monkeypatch):
+        # the remaining-mass table is built from the map on each call, so
+        # emptying the map cache alone gives a fresh process's curve again;
+        # the deeper map moves 260 of these 513 values
+        use_fresh_model_caches(monkeypatch)
+        grid = np.linspace(md._posterior_support_floor(EP2) - 65.0, 0.0, 513)
+        md.get_contour_map(EP2, -1000.0)
+        deeper = md.log_posterior_mass_remaining(EP2, grid)
+        monkeypatch.setattr(md, "_MAP_CACHE", {})
+        again = md.log_posterior_mass_remaining(EP2, grid)
+        use_fresh_model_caches(monkeypatch)
+        fresh = md.log_posterior_mass_remaining(EP2, grid)
+        assert again.tobytes() == fresh.tobytes()
+        assert np.count_nonzero(deeper != fresh) > 0

@@ -650,6 +650,15 @@ class TestRunDoc:
         truncated["points"][field].pop()
         with pytest.raises(ValueError):
             run_from_dict(truncated)
+        # a required key missing from a section (b of the model is optional)
+        doc = run_to_dict(run)
+        section, key = data.draw(st.sampled_from(
+            [("model", k) for k in ("family", "d", "sigma_pi")]
+            + [(name, k) for name in ("points", "open_intervals")
+               for k in sorted(doc[name])]))
+        del doc[section][key]
+        with pytest.raises(ValueError, match=f"has no '{key}'"):
+            run_from_dict(doc)
         if len(run) > 1:
             # random_run draws distinct log_l values
             i, j = data.draw(st.lists(st.integers(0, len(run) - 1),

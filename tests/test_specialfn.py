@@ -6,6 +6,7 @@ implementations inside their representable range, and a log-domain trapezoid
 quadrature of the defining integral for the deep tail where scipy returns 0.
 """
 
+import hashlib
 import math
 
 import numpy as np
@@ -21,6 +22,17 @@ LN_GAMMA_HALF = 0.5723649429247001      # ln sqrt(pi)
 LN_GAMMA_TEN = 12.801827480081469       # ln 9!
 ERF_ONE = 0.8427007929497149
 GAMMA5_MEDIAN = 4.670908882795985
+
+
+def x_values(a):
+    """x at 0, tiny, on both sides of the series / continued-fraction
+    split at a + 1, and on the split itself."""
+    return st.one_of(
+        st.just(0.0),
+        st.floats(5e-324, 1e-8),                      # tiny
+        st.floats(0.0, a + 1.0),                      # series side
+        st.floats(a + 1.0, 4.0 * a + 60.0),           # fraction side
+        st.sampled_from([a + 1.0, math.nextafter(a + 1.0, math.inf)]))
 
 
 class TestLogGamma:
@@ -154,16 +166,24 @@ class TestRegLowerIncGamma:
     @settings(deadline=None)
     @given(a=st.floats(0.5, 600.0), data=st.data())
     def test_0d_equals_array_path_bitwise(self, a, data):
-        x = data.draw(st.one_of(
-            st.just(0.0),
-            st.floats(5e-324, 1e-8),                      # tiny
-            st.floats(0.0, a + 1.0),                      # series side
-            st.floats(a + 1.0, 4.0 * a + 60.0),           # fraction side
-            st.sampled_from([a + 1.0, math.nextafter(a + 1.0, math.inf)])))
+        x = data.draw(x_values(a))
         got = sf.log_reg_lower_inc_gamma(a, np.asarray(x))
         want = sf.log_reg_lower_inc_gamma(a, np.array([x]))
         assert type(got) is float
         assert np.float64(got).tobytes() == want[0].tobytes(), (a, x)
+
+    @settings(deadline=None)
+    @given(a=st.floats(0.5, 600.0), data=st.data())
+    def test_float_equals_array_path_bitwise(self, a, data):
+        # a Python float takes the 0-d path, not a float path of its own
+        x = data.draw(x_values(a))
+        for func in (sf.log_reg_lower_inc_gamma, sf.log_reg_upper_inc_gamma,
+                     sf.reg_lower_inc_gamma):
+            got = func(a, x)
+            want = func(a, np.array([x]))
+            assert type(got) is float
+            assert np.float64(got).tobytes() == want[0].tobytes(), \
+                (func.__name__, a, x)
 
     @settings(deadline=None)
     @given(a=st.floats(0.5, 600.0),
@@ -230,6 +250,24 @@ class TestInverse:
                 x = sf.inv_log_reg_lower_inc_gamma(a, lp)
                 assert sf.log_reg_lower_inc_gamma(a, x) == pytest.approx(lp, abs=1e-10)
 
+    def test_inverse_bits(self):
+        # contour-map nodes, support floors and estimator truths rest on
+        # these bits: a sha256 of every solve's float64 bytes, NaN where
+        # the preimage underflows and the solve raises
+        digest = hashlib.sha256()
+        raised = 0
+        for a in (0.5, 1.5, 5.0, 50.0, 500.0):
+            for lp in np.linspace(-3000.0, -1e-6, 400).tolist():
+                try:
+                    x = sf.inv_log_reg_lower_inc_gamma(a, lp)
+                except ValueError:
+                    x = math.nan
+                    raised += 1
+                digest.update(np.float64(x).tobytes())
+        assert raised == 605
+        assert digest.hexdigest() == ("60a3dcfebb7b1ba4597d005f5e3f7012"
+                                      "a3ae285257c3337179db9de3ace5e3c7")
+
     def test_domain_errors(self):
         with pytest.raises(ValueError):
             sf.inv_reg_lower_inc_gamma(1.0, 1.0)
@@ -264,7 +302,7 @@ class TestInverse:
                 raise Unbounded
             return 0.0
 
-        monkeypatch.setattr(sf, "log_reg_lower_inc_gamma", never_brackets)
+        monkeypatch.setattr(sf, "_log_p_float", never_brackets)
         with pytest.raises(RuntimeError,
                            match=f"{sf._BRACKET_DOUBLINGS} doublings"):
             sf.inv_log_reg_lower_inc_gamma(2.0, -5.0)
