@@ -13,6 +13,7 @@ import csv
 import json
 import math
 import os
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -161,6 +162,10 @@ class ExperimentConfig:
                 raise ValueError(f"arm {arm.name!r} references unknown arm {arm.gain_vs!r}")
             if arm.gain_vs == arm.name:
                 raise ValueError(f"arm {arm.name!r} cannot reference itself")
+        for key in ("profile_arm", "table_arm"):
+            focus = getattr(self, key)
+            if focus is not None and focus not in names:
+                raise ValueError(f"{key} {focus!r} names no arm")
 
     def arm(self, name: str) -> ArmConfig:
         for a in self.arms:
@@ -185,6 +190,9 @@ def _typed_fields(cls, data: dict, convert, keys, where: str) -> dict:
 def config_from_dict(data: dict) -> ExperimentConfig:
     as_object(data, "experiment config",
               ("model", "arms", "n_runs", "seed", "estimators"))
+    extra = set(data) - set(ExperimentConfig.__dataclass_fields__)
+    if extra:
+        raise ValueError(f"unknown experiment keys: {sorted(extra)}")
     data = _typed_fields(ExperimentConfig, data, as_int, (
         "n_runs", "seed", "workers", "gain_boot", "bootstrap_reps",
         "profile_runs"), "experiment")
@@ -398,6 +406,22 @@ def _manifest_arm(manifest: dict, name: str) -> dict:
     raise ValueError(f"arm {name!r} not present in manifest")
 
 
+def _write_csv(path: str, columns, rows: Iterable[dict]) -> None:
+    """Writes a header and rows to path + ".tmp", then renames it to path,
+    so a row source that fails part way leaves no file at path."""
+    tmp = path + ".tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.DictWriter(fh, fieldnames=columns,
+                                    lineterminator="\n")
+            writer.writeheader()
+            writer.writerows(rows)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
 def _default_focus_arm(config: ExperimentConfig) -> str:
     for arm in config.arms:
         if arm.method != "standard":
@@ -461,11 +485,7 @@ class ExperimentReport:
         return rows
 
     def write_csv(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=self._COLUMNS,
-                                    lineterminator="\n")
-            writer.writeheader()
-            writer.writerows(self.to_rows())
+        _write_csv(path, self._COLUMNS, self.to_rows())
 
     def gain(self, arm: str, key: str) -> GainEstimate:
         return self.gains[(arm, key)]
@@ -515,16 +535,21 @@ def compare_report(config: ExperimentConfig, out_dir: str) -> ExperimentReport:
 # allocation profile
 
 
-def alloc_profile_rows(config: ExperimentConfig, out_dir: str) -> list[dict]:
+def alloc_profile_rows(config: ExperimentConfig,
+                       out_dir: str) -> Iterator[dict]:
     """Per-run (log-volume, live count) polylines for one arm, plus the
     relative posterior mass and posterior mass remaining curves scaled so
-    each integrates (over log-volume) to the mean polyline area."""
+    each integrates (over log-volume) to the mean polyline area.
+
+    Every number is computed before this returns, so a failure (a curve
+    whose area is 0 raises ZeroDivisionError) comes before any row; the
+    rows themselves are made one at a time as the iterator is read."""
     manifest = load_manifest(out_dir)
     _check_run_files(out_dir, manifest)
     arm_name = config.profile_arm or _default_focus_arm(config)
     entry = _manifest_arm(manifest, arm_name)
     recs = entry["runs"][:config.profile_runs]
-    rows = []
+    polylines = []
     areas = []
     low = 0.0
     m = config.model
@@ -537,29 +562,31 @@ def alloc_profile_rows(config: ExperimentConfig, out_dir: str) -> list[dict]:
         prev = np.concatenate([[0.0], logv[:-1]])
         areas.append(float(np.cumsum(counts * (prev - logv))[-1]))
         low = min(low, float(logv[-1]))
-        rows.extend({"row": "run", "name": arm_name, "index": rec["index"],
-                     "log_x": repr(v), "value": repr(float(c))}
-                    for v, c in zip(logv.tolist(), counts.tolist()))
+        polylines.append((rec["index"], logv, counts))
     mean_area = float(np.mean(areas))
     grid = np.linspace(low, 0.0, 513)
+    curves = []
     for curve_name, func in (("relative_posterior_mass", relative_posterior_mass),
                              ("posterior_mass_remaining", posterior_mass_remaining)):
         vals = np.asarray(func(m, grid), dtype=float)
         raw_area = float(np.trapezoid(vals, grid))
-        scaled = vals * (mean_area / raw_area)
-        rows.extend({"row": "curve", "name": curve_name, "index": "",
-                     "log_x": repr(v), "value": repr(y)}
-                    for v, y in zip(grid.tolist(), scaled.tolist()))
-    return rows
+        curves.append((curve_name, vals * (mean_area / raw_area)))
+
+    def rows():
+        for index, logv, counts in polylines:
+            for v, c in zip(logv.tolist(), counts.tolist()):
+                yield {"row": "run", "name": arm_name, "index": index,
+                       "log_x": repr(v), "value": repr(float(c))}
+        for curve_name, scaled in curves:
+            for v, y in zip(grid.tolist(), scaled.tolist()):
+                yield {"row": "curve", "name": curve_name, "index": "",
+                       "log_x": repr(v), "value": repr(y)}
+
+    return rows()
 
 
-def write_alloc_profile_csv(rows: list[dict], path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=("row", "name", "index",
-                                                "log_x", "value"),
-                                lineterminator="\n")
-        writer.writeheader()
-        writer.writerows(rows)
+def write_alloc_profile_csv(rows: Iterable[dict], path: str) -> None:
+    _write_csv(path, ("row", "name", "index", "log_x", "value"), rows)
 
 
 # ---------------------------------------------------------------------------
@@ -634,8 +661,4 @@ def bootstrap_table_rows(config: ExperimentConfig, out_dir: str) -> list[dict]:
 
 def write_bootstrap_table_csv(rows: list[dict], config: ExperimentConfig,
                               path: str) -> None:
-    fields = ["statistic"] + [e.key for e in config.estimators]
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fields, lineterminator="\n")
-        writer.writeheader()
-        writer.writerows(rows)
+    _write_csv(path, ["statistic"] + [e.key for e in config.estimators], rows)

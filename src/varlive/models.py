@@ -21,6 +21,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -239,7 +240,8 @@ _QUERY_BLOCK = 8192
 
 def _blocks(n: int):
     """Slices that cover range(n) in runs of _QUERY_BLOCK."""
-    return (slice(lo, lo + _QUERY_BLOCK) for lo in range(0, n, _QUERY_BLOCK))
+    return (slice(lo, min(lo + _QUERY_BLOCK, n))
+            for lo in range(0, n, _QUERY_BLOCK))
 
 
 def _pchip_end_slope(h0: float, h1: float, m0: float, m1: float) -> float:
@@ -253,10 +255,15 @@ def _pchip_end_slope(h0: float, h1: float, m0: float, m1: float) -> float:
     return d
 
 
-def _pchip_table(h: np.ndarray, y: np.ndarray):
+def _spacings(x: np.ndarray, b: slice) -> np.ndarray:
+    """x[k+1] - x[k] for k in the block b, the entries np.diff(x)[b]."""
+    return x[1:][b] - x[:-1][b]
+
+
+def _pchip_table(x: np.ndarray, y: np.ndarray):
     """Coefficients (c0, c1, c2, c3) of the monotone cubic Hermite
-    interpolant through nodes x with spacings h = diff(x) > 0 and values y,
-    for at least three nodes.  Entry k of each array holds interval k,
+    interpolant through strictly increasing nodes x and values y, for at
+    least three nodes.  Entry k of each array holds interval k,
     [x[k], x[k+1]], where the value at s = q - x[k] is
     ((c3 + c2 s) + c1 s^2) + c0 s^3.  The last entry has no interval and is
     NaN; `_pchip_eval` sends every query outside the nodes there.  y is
@@ -268,23 +275,26 @@ def _pchip_table(h: np.ndarray, y: np.ndarray):
     scipy's PchipInterpolator and CubicHermiteSpline in the same order, so
     tables and queries give scipy's bits.  Besides c0, c1 and c2 it
     allocates only block-sized temporaries: the interval slopes are built
-    in c1, and the node slopes and the cubic terms in blocks of
-    _QUERY_BLOCK.
+    in c1, and the spacings, the node slopes and the cubic terms in blocks
+    of _QUERY_BLOCK, so a `ContourMap` build peaks at its 9 node arrays
+    plus blocks.
     """
     c0, c1 = np.empty(y.size), np.empty(y.size)
     d = c2 = np.zeros(y.size)  # node slopes, c2 once the last is dropped
     m = c1[:-1]  # interval slopes, turned into c1 in place below
     np.subtract(y[1:], y[:-1], out=m)
-    m /= h
-    h0, h1, m0, m1, slopes = h[:-1], h[1:], m[:-1], m[1:], d[1:-1]
+    for b in _blocks(m.size):
+        m[b] /= _spacings(x, b)
+    m0, m1, slopes = m[:-1], m[1:], d[1:-1]
     # a zero interval slope divides by zero and is masked out below; a tiny
     # one overflows to inf and leaves a node slope of 0, as in scipy
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for b in _blocks(slopes.size):
-            w1 = 2.0 * h1[b]
-            w1 += h0[b]
-            w2 = 2.0 * h0[b]
-            w2 += h1[b]
+            h0, h1 = _spacings(x[:-1], b), _spacings(x[1:], b)
+            w1 = 2.0 * h1
+            w1 += h0
+            w2 = 2.0 * h0
+            w2 += h1
             den = w1 + w2
             w1 /= m0[b]
             w2 /= m1[b]
@@ -293,12 +303,14 @@ def _pchip_table(h: np.ndarray, y: np.ndarray):
             same_sign = (m0[b] > 0.0) & (m1[b] > 0.0)
             same_sign |= (m0[b] < 0.0) & (m1[b] < 0.0)
             np.divide(1.0, w1, out=slopes[b], where=same_sign)
-    d[0] = _pchip_end_slope(h.item(0), h.item(1), m.item(0), m.item(1))
-    d[-1] = _pchip_end_slope(h.item(-1), h.item(-2), m.item(-1), m.item(-2))
+    xs = x.item
+    d[0] = _pchip_end_slope(xs(1) - xs(0), xs(2) - xs(1), m.item(0), m.item(1))
+    d[-1] = _pchip_end_slope(xs(-1) - xs(-2), xs(-2) - xs(-3),
+                             m.item(-1), m.item(-2))
 
     d_left, d_right, cubic = d[:-1], d[1:], c0[:-1]
     for b in _blocks(m.size):
-        t, mb, hb = cubic[b], m[b], h[b]
+        t, mb, hb = cubic[b], m[b], _spacings(x, b)
         np.add(d_left[b], d_right[b], out=t)
         t -= 2.0 * mb
         t /= hb
@@ -355,9 +367,10 @@ class ContourMap:
     rather than extrapolate; `get_contour_map` rebuilds deeper on demand.
 
     Memory: a map of n nodes holds 9 arrays of n * 8 bytes (the search
-    nodes and two four-array tables), and its build peaks at no more than
-    11.  At d=1000 that is 2.1M nodes and about 145 MiB held, in every
-    `--workers` process.
+    nodes and two four-array tables), and its build peaks at those 9 plus
+    blocks of _QUERY_BLOCK entries: no spacings array is held.  At d=1000
+    that is 2.1M nodes and about 145 MiB held, in every `--workers`
+    process.
     """
 
     COARSE_NODES = 20_001
@@ -398,13 +411,12 @@ class ContourMap:
         np.sqrt(r_nodes, out=r_nodes)
         r_nodes *= model.sigma_pi
 
-        # a d=1000 map has 2.1M nodes: both tables share the spacings, take
-        # over their value arrays, and the search array is lnx_nodes itself
+        # a d=1000 map has 2.1M nodes: both tables take over their value
+        # arrays, and the search array is lnx_nodes itself
         self.log_x_top = float(lnx_nodes[-1])
-        h = np.diff(lnx_nodes)
         self._logl_table = _pchip_table(
-            h, log_likelihood_at_radius(model, r_nodes))
-        self._radius_table = _pchip_table(h, r_nodes)
+            lnx_nodes, log_likelihood_at_radius(model, r_nodes))
+        self._radius_table = _pchip_table(lnx_nodes, r_nodes)
         self._nodes = _pchip_nodes(lnx_nodes)
 
     def _query(self, tables, logx, what):
@@ -479,24 +491,79 @@ def sampling_log_x_floor(m: ModelSpec, n_live: int) -> float:
     return base - 8.0 * math.sqrt(-base / max(n_live, 1)) - 25.0
 
 
+class _UniformGrid(NamedTuple):
+    """np.linspace(start, stop, n), n >= 2, held as its parameters.  Nodes
+    are rebuilt on demand with linspace's own formula, k * step + start
+    with the last node set to stop, so they carry its bits without the
+    grid being held."""
+
+    start: float
+    stop: float
+    n: int
+
+    @property
+    def step(self) -> float:
+        return (self.stop - self.start) / (self.n - 1)
+
+    def nodes(self, k: np.ndarray) -> np.ndarray:
+        """The nodes at the integer indices k."""
+        out = k * self.step
+        out += self.start
+        out[k == self.n - 1] = self.stop
+        return out
+
+    def spacing(self) -> float:
+        """x[1] - x[0], the width the trapezoid rules use."""
+        x0, x1 = self.nodes(np.arange(2))
+        return float(x1 - x0)
+
+    def around(self, q: np.ndarray) -> np.ndarray:
+        """Sorted indices of the last node and of the nodes within two
+        places of each query.  Rounding moves a query's position by far
+        less than one place, so the two nodes that bracket it are among
+        them, and np.interp on these nodes alone gives the bits of the
+        whole grid."""
+        pos = (q.reshape(-1) - self.start) / self.step
+        # fmax and fmin send NaN to node 0, and infinities to the ends
+        k = np.floor(np.fmin(np.fmax(pos, 0.0), self.n - 1)).astype(np.int64)
+        k = np.add.outer(k, np.arange(-2, 3)).reshape(-1)
+        k = np.sort(np.append(k.clip(0, self.n - 1), self.n - 1))
+        return k[np.diff(k, prepend=-1) > 0]
+
+
+def _fill_log_l_plus_x(cmap: ContourMap, grid: _UniformGrid,
+                       out: np.ndarray) -> np.ndarray:
+    """out[k] = ln L(x_k) + x_k on the nodes x_k of grid, with one contour
+    query per block of _QUERY_BLOCK nodes, into a buffer of grid.n entries
+    that the caller owns.  A node above the map's top reads ln L there,
+    and one below its floor reads the peak ln L(0), a bound on the
+    integrand that adds nothing at double precision below a deep floor."""
+    peak = _log_norm_const(cmap.model)
+    for b in _blocks(grid.n):
+        x, o = grid.nodes(np.arange(b.start, b.stop)), out[b]
+        # the grid ascends, so the nodes inside the map are a suffix of it
+        inside = int(x.searchsorted(cmap.log_x_floor, side="left"))
+        o[:inside] = peak
+        o[inside:] = cmap.log_l(np.minimum(x[inside:], cmap.log_x_top))
+        o += x
+    return out
+
+
 def log_evidence_quadrature(m: ModelSpec, n_nodes: int = 1_000_001) -> float:
     """Trapezoid evidence on a uniform ln X grid spanning [-(40 d + 100), 0].
 
     Contour heights are read from the cached exact-node PCHIP table; below
     the table floor the integrand is bounded by peak * X and contributes
-    nothing at double precision.
+    nothing at double precision.  The terms are summed in one buffer of
+    n_nodes entries.
     """
     deep = _quad_floor(m)
     fine_floor = _posterior_support_floor(m) - 60.0
     cmap = get_contour_map(m, max(fine_floor, deep))
-    grid = np.linspace(deep, 0.0, n_nodes)
-    terms = np.full(n_nodes, _log_norm_const(m))
-    # the grid ascends, so the nodes inside the map are a suffix of it
-    inside = int(grid.searchsorted(cmap.log_x_floor, side="left"))
-    terms[inside:] = cmap.log_l(np.minimum(grid[inside:], cmap.log_x_top))
+    grid = _UniformGrid(deep, 0.0, n_nodes)
+    terms = _fill_log_l_plus_x(cmap, grid, np.empty(n_nodes))
     terms[-1] = -np.inf  # X = 1 boundary: L -> 0 for every family
-    log_h = math.log(grid[1] - grid[0])
-    terms += grid
+    log_h = math.log(grid.spacing())
     terms[1:-1] += log_h
     terms[[0, -1]] += log_h + math.log(0.5)
     mx = np.max(terms)
@@ -540,14 +607,14 @@ def analytic_log_evidence(m: ModelSpec) -> float:
 _POSTERIOR_GRID_NODES = 400_001
 
 
-def _posterior_grid_nodes(m: ModelSpec):
-    """(contour map, uniform ln X grid) of the posterior quadrature grid:
+def _posterior_grid(m: ModelSpec):
+    """(contour map, `_UniformGrid`) of the posterior quadrature grid:
     _POSTERIOR_GRID_NODES from 60 below the posterior support floor up to
     the map's top."""
     fine_floor = _posterior_support_floor(m) - 60.0
     cmap = get_contour_map(m, fine_floor)
-    return cmap, np.linspace(fine_floor, min(-1e-9, cmap.log_x_top),
-                             _POSTERIOR_GRID_NODES)
+    return cmap, _UniformGrid(fine_floor, min(-1e-9, cmap.log_x_top),
+                              _POSTERIOR_GRID_NODES)
 
 
 def log_relative_posterior_mass(m: ModelSpec, logx):
@@ -567,25 +634,30 @@ def relative_posterior_mass(m: ModelSpec, logx):
 
 
 def _remaining_table(m: ModelSpec):
-    """(ln X grid, ln of the posterior mass below each node) on the
-    posterior quadrature grid: the running log-sum of the trapezoid
-    weights, normalised, times Z.  Built from one ln L query, whose buffer
-    becomes ln w and then the table, so it holds two grid arrays and peaks
-    at three."""
-    cmap, grid = _posterior_grid_nodes(m)
-    log_cum = cmap.log_l(grid)
-    log_cum += grid
-    log_cum += math.log(grid[1] - grid[0])
-    log_cum[[0, -1]] -= math.log(2.0)
+    """(grid, ln of the posterior mass below each node) on the posterior
+    quadrature grid, a `_UniformGrid`: the running log-sum of the
+    trapezoid weights, normalised, times Z.  It holds one grid-length
+    buffer: the ln weights are filled in once for ln Z and again to become
+    the table, instead of being kept beside it."""
+    cmap, grid = _posterior_grid(m)
+    log_h = math.log(grid.spacing())
+
+    def log_weights(out):
+        _fill_log_l_plus_x(cmap, grid, out)
+        out += log_h
+        out[[0, -1]] -= math.log(2.0)
+        return out
+
+    log_cum = log_weights(np.empty(grid.n))
     mx = float(np.max(log_cum))
-    weight = np.subtract(log_cum, mx)
-    log_z = mx + math.log(np.sum(np.exp(weight, out=weight)))
-    np.subtract(log_cum, log_z, out=weight)
-    np.exp(weight, out=weight)
-    weight /= float(np.sum(weight))
+    log_cum -= mx
+    log_z = mx + math.log(np.sum(np.exp(log_cum, out=log_cum)))
+    log_weights(log_cum)
+    log_cum -= log_z
+    np.exp(log_cum, out=log_cum)
+    log_cum /= float(np.sum(log_cum))
     with np.errstate(divide="ignore"):
-        np.log(weight, out=log_cum)
-    del weight
+        np.log(log_cum, out=log_cum)
     log_cum += log_z
     np.logaddexp.accumulate(log_cum, out=log_cum)
     return grid, log_cum
@@ -596,8 +668,9 @@ def log_posterior_mass_remaining(m: ModelSpec, logx):
     logx_arr = np.asarray(logx, dtype=float)
     if np.any(logx_arr > 0.0):
         raise ValueError("logx must be <= 0")
-    xs, log_cum = _remaining_table(m)
-    out = np.interp(logx_arr, xs, log_cum,
+    grid, log_cum = _remaining_table(m)
+    k = grid.around(logx_arr)
+    out = np.interp(logx_arr, grid.nodes(k), log_cum[k],
                     left=-np.inf, right=float(log_cum[-1]))
     return float(out) if out.ndim == 0 else out
 
@@ -610,14 +683,13 @@ def posterior_mass_remaining(m: ModelSpec, logx):
 def argmax_log_x_relative_posterior_mass(m: ModelSpec) -> float:
     """ln X at which L(X) * X peaks (parabolic refinement on the posterior
     quadrature grid)."""
-    cmap, grid = _posterior_grid_nodes(m)
-    f = cmap.log_l(grid)
-    f += grid
+    cmap, grid = _posterior_grid(m)
+    f = _fill_log_l_plus_x(cmap, grid, np.empty(grid.n))
     i = int(np.argmax(f))
-    if 0 < i < len(f) - 1:
+    x = grid.nodes(np.array([i]))[0]
+    if 0 < i < grid.n - 1:
         denom = f[i - 1] - 2.0 * f[i] + f[i + 1]
         if denom < 0.0:
             shift = 0.5 * (f[i - 1] - f[i + 1]) / denom
-            h = grid[1] - grid[0]
-            return float(grid[i] + shift * h)
-    return float(grid[i])
+            return float(x + shift * grid.spacing())
+    return float(x)

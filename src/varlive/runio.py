@@ -78,7 +78,8 @@ def run_from_dict(doc: dict) -> NestedRun:
         raise ValueError("run file must hold a JSON object, "
                          f"got {type(doc).__name__}")
     version = doc.get("version")
-    if version != FORMAT_VERSION:
+    # True and 1.0 compare equal to 1 but are not the integer 1
+    if type(version) is not int or version != FORMAT_VERSION:
         raise ValueError(f"unsupported run file version {version!r}")
     model = ModelSpec.from_dict(_section(doc, "model"))
     pts = _section(doc, "points", ("log_l", "birth_log_l", "theta1",

@@ -60,6 +60,29 @@ def test_alloc_profile_and_bootstrap_table(config_path, generated):
     assert lines[0] == "statistic,log_z,median_radius"
 
 
+def test_zero_curve_error_record(config_path, generated, tmp_path, capsys,
+                                 monkeypatch):
+    # the exp_power d=1000 failure: the relative posterior mass underflows
+    # to 0, so alloc_profile_rows raises from the call, before any row; the
+    # stage exits 1 with a ZeroDivisionError record, and no
+    # alloc_profile.csv (nor its temporary file) is written
+    import shutil
+
+    from varlive import experiments
+    out = str(tmp_path / "zero")
+    shutil.copytree(generated, out, ignore=shutil.ignore_patterns("*.csv"))
+    monkeypatch.setattr(experiments, "relative_posterior_mass",
+                        lambda m, logx: 0.0 * logx)
+    with pytest.raises(ZeroDivisionError):
+        experiments.alloc_profile_rows(
+            experiments.load_experiment_config(config_path), out)
+    rc = main(["alloc-profile", "--config", config_path, "--out", out])
+    assert rc == 1
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record["error"] == "ZeroDivisionError"
+    assert not [f for f in os.listdir(out) if "alloc_profile" in f]
+
+
 def test_missing_runs_error_record(config_path, generated, tmp_path, capsys):
     # clone the ensemble, delete one run, expect a machine-readable record
     import shutil

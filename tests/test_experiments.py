@@ -14,7 +14,8 @@ from varlive.experiments import (ArmConfig, ExperimentConfig,
                                  MissingRunsError, alloc_profile_rows,
                                  bootstrap_table_rows, compare_report,
                                  config_from_dict, estimator_truth,
-                                 generate_ensemble, load_manifest)
+                                 generate_ensemble, load_manifest,
+                                 write_alloc_profile_csv)
 from varlive.models import ModelSpec
 
 
@@ -107,6 +108,18 @@ class TestConfig:
             small_config(model="gaussian")
         with pytest.raises(ValueError, match="arm must be a JSON object"):
             small_config(arms=["std"])
+
+    def test_unknown_experiment_key(self):
+        # used to raise TypeError from ExperimentConfig.__init__
+        with pytest.raises(ValueError, match="unknown experiment keys.*'colour'"):
+            small_config(colour="red")
+
+    @pytest.mark.parametrize("key", ["profile_arm", "table_arm"])
+    def test_focus_arm_must_name_an_arm(self, key):
+        # used to load and fail only when the stage ran, reading the manifest
+        with pytest.raises(ValueError, match=f"{key} 'ghost' names no arm"):
+            small_config(**{key: "ghost"})
+        assert getattr(small_config(**{key: "dyn2"}), key) == "dyn2"
 
     @pytest.mark.parametrize("bad", [2.5, True, "3", None])
     @pytest.mark.parametrize("key", ["n_runs", "seed", "workers", "gain_boot",
@@ -313,7 +326,7 @@ class TestCompare:
 class TestAllocProfile:
     def test_area_self_consistency(self, ensemble):
         cfg, out, _ = ensemble
-        rows = alloc_profile_rows(cfg, out)
+        rows = list(alloc_profile_rows(cfg, out))
         run_rows = [r for r in rows if r["row"] == "run"]
         curve_rows = [r for r in rows if r["row"] == "curve"]
         assert {r["name"] for r in run_rows} == {"dyn1"}
@@ -350,10 +363,41 @@ class TestAllocProfile:
         import dataclasses
         cfg, out, _ = ensemble
         cfg2 = dataclasses.replace(cfg, profile_runs=2, profile_arm="std")
-        rows = alloc_profile_rows(cfg2, out)
+        rows = list(alloc_profile_rows(cfg2, out))
         indices = {r["index"] for r in rows if r["row"] == "run"}
         assert indices == {0, 1}
         assert {r["name"] for r in rows if r["row"] == "run"} == {"std"}
+
+    def test_rows_are_streamed(self, ensemble):
+        cfg, out, _ = ensemble
+        rows = alloc_profile_rows(cfg, out)
+        assert not isinstance(rows, list)
+        assert next(rows)["row"] == "run"
+
+
+class TestCsvWriters:
+    def test_failing_rows_leave_no_file(self, tmp_path):
+        # a row source that raises part way used to leave a partial CSV
+        path = str(tmp_path / "alloc_profile.csv")
+
+        def rows():
+            yield {"row": "run", "name": "a", "index": 0, "log_x": "-1.0",
+                   "value": "1.0"}
+            raise RuntimeError("halfway")
+
+        with pytest.raises(RuntimeError, match="halfway"):
+            write_alloc_profile_csv(rows(), path)
+        assert os.listdir(tmp_path) == []
+
+    def test_replaces_an_old_file(self, tmp_path):
+        path = tmp_path / "alloc_profile.csv"
+        path.write_text("old\n")
+        write_alloc_profile_csv(iter([{"row": "curve", "name": "c",
+                                       "index": "", "log_x": "-0.5",
+                                       "value": "2.0"}]), str(path))
+        assert path.read_bytes() == (b"row,name,index,log_x,value\n"
+                                     b"curve,c,,-0.5,2.0\n")
+        assert os.listdir(tmp_path) == ["alloc_profile.csv"]
 
 
 class TestBootstrapTable:
@@ -408,5 +452,5 @@ def test_pinned_report_rows(tmp_path, fresh_model_caches):
     generate_ensemble(cfg, out)
     assert rows_digest(compare_report(cfg, out).to_rows()) == (
         "bef41815db5aa396ea115f04d89cbce81cb97c905dbe567d802f9aa55da88f9a")
-    assert rows_digest(alloc_profile_rows(cfg, out)) == (
+    assert rows_digest(list(alloc_profile_rows(cfg, out))) == (
         "77c0b477ad5744a2bccb910cbb6cb015089f3eb984d2d4e4996fe4d4efb82250")

@@ -342,14 +342,15 @@ class TestContourMap:
     def test_build_memory_budget(self):
         # numpy reports its buffers to tracemalloc, so the bound counts node
         # arrays on any machine: a map holds its search nodes and two
-        # four-array tables, and its build peaks at most two node arrays
-        # above that; the slack covers the Python objects around them
+        # four-array tables, and its build peaks at those nine arrays plus
+        # blocks (no spacings array); the slack covers the Python objects
+        # around them
         cmap, held, peak = traced_memory(lambda: md.ContourMap(G3, -60.0))
         assert cmap._nodes.size >= 200_000
         array = cmap._nodes.nbytes
         slack = 64 * 1024
         assert held <= 9 * array + slack
-        assert peak <= 11 * array + slack
+        assert peak <= 9.5 * array + slack
 
     # sha256 of log_l then radius on a fixed grid, from empty caches;
     # recorded while the tables were scipy PchipInterpolator objects
@@ -499,7 +500,7 @@ class TestPchipTable:
         with np.errstate(over="ignore"):  # slopes near the underflow limit
             refs = [PchipInterpolator(x, v, extrapolate=False)
                     for v in (y, -y)]
-        tables = [md._pchip_table(np.diff(x), v.copy()) for v in (y, -y)]
+        tables = [md._pchip_table(x, v.copy()) for v in (y, -y)]
         for table, ref in zip(tables, refs):
             for got, want in zip(table[:3], ref.c):
                 assert got[:-1].tobytes() == want.tobytes()
@@ -524,7 +525,7 @@ class TestPchipTable:
         q = rng.uniform(x[0] - 1.0, x[-1] + 1.0, (3, md._QUERY_BLOCK + 11))
         q[0, :5] = [np.nan, x[0], x[-1], -np.inf, np.inf]
         got, = md._pchip_eval(md._pchip_nodes(x.copy()),
-                              [md._pchip_table(np.diff(x), y.copy())], q)
+                              [md._pchip_table(x, y.copy())], q)
         ref = PchipInterpolator(x, y, extrapolate=False)
         assert got.shape == q.shape
         assert same_bits(got, ref(q))
@@ -537,7 +538,7 @@ class TestPchipTable:
         # for two tables
         rng = np.random.default_rng(5)
         x = np.cumsum(rng.uniform(1e-3, 1.0, 700))
-        tables = [md._pchip_table(np.diff(x), v.copy())
+        tables = [md._pchip_table(x, v.copy())
                   for v in (np.cumsum(rng.normal(size=700)), np.sqrt(x))]
         nodes = md._pchip_nodes(x.copy())
         q = rng.uniform(x[0] - 2.0, x[-1] + 2.0, shape)
@@ -564,7 +565,7 @@ class TestPchipTable:
         for y_steps in (np.abs(steps), flat):
             y = np.concatenate([[0.0], np.cumsum(y_steps)])
             ref = PchipInterpolator(x, y, extrapolate=False)
-            table = md._pchip_table(np.diff(x), y.copy())
+            table = md._pchip_table(x, y.copy())
             for got, want in zip(table[:3], ref.c):
                 assert got[:-1].tobytes() == want.tobytes()
             assert np.array_equal(table[3][:-1], ref.c[3])
@@ -647,34 +648,66 @@ class TestQuadratureReference:
 
     @pytest.mark.parametrize("m", [G3, C10, EP34])
     def test_remaining_table(self, fresh_model_caches, m):
-        got_x, got_cum = md._remaining_table(m)
+        got_grid, got_cum = md._remaining_table(m)
         want_x, want_cum = reference_remaining_table(m)
+        got_x = got_grid.nodes(np.arange(got_grid.n))
         assert got_x.tobytes() == want_x.tobytes()
         assert got_cum.tobytes() == want_cum.tobytes()
-        # the alloc-profile grid: 513 points from below the table to 0
-        grid = np.linspace(want_x[0] - 5.0, 0.0, 513)
-        got = md.log_posterior_mass_remaining(m, grid)
-        want = np.interp(grid, want_x, want_cum, left=-np.inf,
-                         right=float(want_cum[-1]))
-        assert got.tobytes() == want.tobytes()
+        # the alloc-profile grid: 513 points from below the table to 0;
+        # then queries below the grid, on its nodes (the first, some inner
+        # ones, the top), just off them, above the top, NaN and infinite
+        near = want_x[[0, 1, 2, 199_999, 200_000, 399_999, 400_000]]
+        for grid in (np.linspace(want_x[0] - 5.0, 0.0, 513),
+                     np.concatenate([
+                         [want_x[0] - 1.0, np.nextafter(want_x[0], -np.inf)],
+                         near, np.nextafter(near, -np.inf),
+                         np.nextafter(near, 0.0), want_x[::997],
+                         [0.0, -0.0, np.nan, -np.inf]]).reshape(3, -1)):
+            got = md.log_posterior_mass_remaining(m, grid)
+            want = np.interp(grid, want_x, want_cum, left=-np.inf,
+                             right=float(want_cum[-1]))
+            assert got.shape == grid.shape
+            assert got.tobytes() == want.tobytes()
+        for q in (want_x[5], want_x[0] - 1.0, 0.0):
+            got = md.log_posterior_mass_remaining(m, float(q))
+            assert isinstance(got, float)
+            assert got == float(np.interp(q, want_x, want_cum, left=-np.inf,
+                                          right=float(want_cum[-1])))
+        assert md.log_posterior_mass_remaining(m, np.empty(0)).size == 0
 
     def test_remaining_table_memory_budget(self, fresh_model_caches):
-        # with the map and the support floor cached, the table holds its
-        # grid and one value array, and peaks at one weight array above
-        # that; a long two-table query holds no block list beside its
-        # outputs
+        # with the map and the support floor cached, the table holds one
+        # grid array and peaks at blocks above it, and a lookup holds
+        # nothing and peaks at little more; a long two-table query holds
+        # no block list beside its outputs
         fine_floor = md._posterior_support_floor(G3) - 60.0
         cmap = md.get_contour_map(G3, fine_floor)
         table, held, peak = traced_memory(lambda: md._remaining_table(G3))
-        array = table[0].nbytes
-        assert table[0].size == 400_001
+        array = table[1].nbytes
+        assert table[1].size == table[0].n == 400_001
         slack = 64 * 1024
-        assert held <= 2 * array + slack
-        assert peak <= 3.2 * array
+        assert held <= array + slack
+        assert peak <= 1.25 * array
+        lookup = np.linspace(fine_floor - 5.0, 0.0, 513)
+        _, held, peak = traced_memory(
+            lambda: md.log_posterior_mass_remaining(G3, lookup))
+        assert held <= slack
+        assert peak <= 1.3 * array
         grid = np.linspace(fine_floor, cmap.log_x_top, 400_001)
         _, held, peak = traced_memory(lambda: cmap.log_l_and_radius(grid))
         assert held <= 2 * array + slack
         assert peak <= 2.5 * array
+
+    def test_log_evidence_quadrature_memory_budget(self, fresh_model_caches):
+        # with the map and the support floor cached, the quadrature sums
+        # its terms in one buffer of n_nodes entries, and its other
+        # temporaries are blocks
+        md.get_contour_map(G3, md._posterior_support_floor(G3) - 60.0)
+        n = 1_000_001
+        _, held, peak = traced_memory(lambda: md.log_evidence_quadrature(G3, n))
+        array = 8 * n
+        assert held <= 64 * 1024
+        assert peak <= 1.2 * array
 
 
 class TestPosteriorGridTruths:

@@ -659,6 +659,11 @@ class TestRunDoc:
         del doc[section][key]
         with pytest.raises(ValueError, match=f"has no '{key}'"):
             run_from_dict(doc)
+        # a version that equals 1 without being the integer 1
+        doc = run_to_dict(run)
+        doc["version"] = data.draw(st.sampled_from([True, 1.0]))
+        with pytest.raises(ValueError, match="version"):
+            run_from_dict(doc)
         if len(run) > 1:
             # random_run draws distinct log_l values
             i, j = data.draw(st.lists(st.integers(0, len(run) - 1),
