@@ -41,12 +41,10 @@ __all__ = [
     "log_x_from_log_likelihood",
     "analytic_log_evidence",
     "log_evidence_quadrature",
-    "log_evidence_radius_quadrature",
     "relative_posterior_mass",
     "log_relative_posterior_mass",
     "posterior_mass_remaining",
     "log_posterior_mass_remaining",
-    "argmax_log_x_relative_posterior_mass",
     "ContourMap",
     "get_contour_map",
 ]
@@ -260,99 +258,118 @@ def _spacings(x: np.ndarray, b: slice) -> np.ndarray:
     return x[1:][b] - x[:-1][b]
 
 
-def _pchip_table(x: np.ndarray, y: np.ndarray):
-    """Coefficients (c0, c1, c2, c3) of the monotone cubic Hermite
-    interpolant through strictly increasing nodes x and values y, for at
-    least three nodes.  Entry k of each array holds interval k,
-    [x[k], x[k+1]], where the value at s = q - x[k] is
-    ((c3 + c2 s) + c1 s^2) + c0 s^3.  The last entry has no interval and is
-    NaN; `_pchip_eval` sends every query outside the nodes there.  y is
-    taken over as c3, so the caller passes an array it owns.
+def _pchip_table(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Node slopes d of the monotone cubic Hermite interpolant through
+    strictly increasing nodes x and values y, for at least three nodes;
+    `_pchip_eval` evaluates the table (y, d).
 
-    Node slopes follow Fritsch and Carlson (SIAM J. Numer. Anal. 17, 238,
+    The slopes follow Fritsch and Carlson (SIAM J. Numer. Anal. 17, 238,
     1980): the weighted harmonic mean of the neighbouring interval slopes,
     or 0 where they change sign or one is 0.  Every expression repeats
-    scipy's PchipInterpolator and CubicHermiteSpline in the same order, so
-    tables and queries give scipy's bits.  Besides c0, c1 and c2 it
-    allocates only block-sized temporaries: the interval slopes are built
-    in c1, and the spacings, the node slopes and the cubic terms in blocks
-    of _QUERY_BLOCK, so a `ContourMap` build peaks at its 9 node arrays
-    plus blocks.
+    scipy's PchipInterpolator in the same order, so d[:-1] holds the bits
+    of its linear coefficients.  Besides d it allocates only block-sized
+    temporaries: the interval slopes and spacings are built in blocks of
+    _QUERY_BLOCK.
     """
-    c0, c1 = np.empty(y.size), np.empty(y.size)
-    d = c2 = np.zeros(y.size)  # node slopes, c2 once the last is dropped
-    m = c1[:-1]  # interval slopes, turned into c1 in place below
-    np.subtract(y[1:], y[:-1], out=m)
-    for b in _blocks(m.size):
-        m[b] /= _spacings(x, b)
-    m0, m1, slopes = m[:-1], m[1:], d[1:-1]
+    d = np.zeros(y.size)
+    slopes = d[1:-1]
     # a zero interval slope divides by zero and is masked out below; a tiny
     # one overflows to inf and leaves a node slope of 0, as in scipy
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for b in _blocks(slopes.size):
-            h0, h1 = _spacings(x[:-1], b), _spacings(x[1:], b)
+            # the intervals on both sides of the block's nodes
+            around = slice(b.start, b.stop + 1)
+            h = _spacings(x, around)
+            m = _spacings(y, around)
+            m /= h
+            h0, h1, m0, m1 = h[:-1], h[1:], m[:-1], m[1:]
             w1 = 2.0 * h1
             w1 += h0
             w2 = 2.0 * h0
             w2 += h1
             den = w1 + w2
-            w1 /= m0[b]
-            w2 /= m1[b]
+            w1 /= m0
+            w2 /= m1
             w1 += w2
             w1 /= den
-            same_sign = (m0[b] > 0.0) & (m1[b] > 0.0)
-            same_sign |= (m0[b] < 0.0) & (m1[b] < 0.0)
+            same_sign = (m0 > 0.0) & (m1 > 0.0)
+            same_sign |= (m0 < 0.0) & (m1 < 0.0)
             np.divide(1.0, w1, out=slopes[b], where=same_sign)
-    xs = x.item
-    d[0] = _pchip_end_slope(xs(1) - xs(0), xs(2) - xs(1), m.item(0), m.item(1))
-    d[-1] = _pchip_end_slope(xs(-1) - xs(-2), xs(-2) - xs(-3),
-                             m.item(-1), m.item(-2))
+    xs, ys = x.item, y.item
 
-    d_left, d_right, cubic = d[:-1], d[1:], c0[:-1]
-    for b in _blocks(m.size):
-        t, mb, hb = cubic[b], m[b], _spacings(x, b)
-        np.add(d_left[b], d_right[b], out=t)
-        t -= 2.0 * mb
-        t /= hb
-        mb -= d_left[b]
-        mb /= hb
-        mb -= t
-        t /= hb
-    c0[-1] = c1[-1] = c2[-1] = np.nan
-    # the evaluation sums from 0.0, which turns a -0.0 node value into 0.0
-    np.add(y[:-1], 0.0, out=y[:-1])
-    y[-1] = np.nan
-    return c0, c1, c2, y
+    def h(k):
+        return xs(k + 1) - xs(k)
+
+    def m(k):
+        return (ys(k + 1) - ys(k)) / h(k)
+
+    d[0] = _pchip_end_slope(h(0), h(1), m(0), m(1))
+    d[-1] = _pchip_end_slope(h(-2), h(-3), m(-2), m(-3))
+    return d
 
 
-def _pchip_nodes(x: np.ndarray) -> np.ndarray:
-    """Turns nodes x, in place, into the search array of `_pchip_eval`:
-    the interval starts, then the float just above x[-1].  q == x[-1] falls
-    in the last interval; q beyond it or NaN falls in the NaN entry, and so
-    does q below x[0], whose index -1 wraps around to it."""
-    x[-1] = np.nextafter(x[-1], np.inf)
-    return x
+def _pchip_eval(x: np.ndarray, values: np.ndarray, slopes: np.ndarray,
+                q: np.ndarray) -> np.ndarray:
+    """Values at q of monotone cubic Hermite tables over the nodes x, NaN
+    outside them.  values holds a table's node values y and slopes its
+    node slopes `_pchip_table(x, y)`: shape (n,) for one table, or
+    (tables, n) with one table per row.  The result has shape
+    values.shape[:-1] + q.shape.
 
-
-def _pchip_eval(nodes: np.ndarray, tables, q: np.ndarray) -> list:
-    """Values at q of `_pchip_table` interpolants over the same nodes, one
-    array per table, from one interval search: the power sum in the order
-    of scipy's PPoly evaluation, NaN outside the nodes.  The query runs in
-    blocks that write into one preallocated output per table."""
+    The cubic of each queried interval is worked out from the values and
+    slopes at its two ends with the operations of scipy's
+    CubicHermiteSpline, and summed in the order of scipy's PPoly
+    evaluation, so queries give scipy's bits.  One interval search serves
+    every table, and the query runs in blocks of _QUERY_BLOCK entries that
+    write into one preallocated output.
+    """
     flat = q.reshape(-1)
-    out = [np.empty(flat.size) for _ in tables]
+    out = np.empty(values.shape[:-1] + flat.shape)
+    # flat indices into the tables: entry k of row i is k + i n
+    y, d = values.reshape(-1), slopes.reshape(-1)
+    y_next, d_next = y[1:], d[1:]
+    row_start = np.arange(0, y.size, x.size).reshape(values.shape[:-1] + (1,))
+    # searching the inner nodes gives k in [0, n - 2] for every query:
+    # interval k holds x[k] <= q < x[k+1], and q == x[-1] the last one
+    inner, x_next = x[1:-1], x[1:]
     for b in _blocks(flat.size):
         qb = flat[b]
-        k = nodes.searchsorted(qb, side="right") - 1
-        s = qb - nodes[k]
+        k = inner.searchsorted(qb, side="right")
+        x0, x1 = x[k], x_next[k]
+        s = qb - x0
+        # below x[0], above x[-1] or NaN
+        s[(qb < x0) | ~(qb <= x1)] = np.nan
+        h = np.subtract(x1, x0, out=x1)
+        del x0, x1
+        # every temporary is freed once read, which keeps a long query's
+        # peak within the memory tests' bounds
+        k = k + row_start
+        y0, d0, m = y[k], d[k], y_next[k]
+        m -= y0
+        m /= h
+        t = d_next[k]
+        del k
+        t += d0
+        t -= m + m
+        t /= h
+        m -= d0
+        m /= h
+        m -= t  # the s^2 coefficient
+        t /= h  # the s^3 coefficient
+        del h
+        value = np.multiply(d0, s, out=out[..., b])
+        del d0
+        # a -0.0 node value is summed from 0.0, as in PPoly
+        y0 += 0.0
+        value += y0
+        del y0
         s2 = s * s
-        s3 = s2 * s
-        for (c0, c1, c2, c3), o in zip(tables, out):
-            value = np.multiply(c2[k], s, out=o[b])
-            value += c3[k]
-            value += c1[k] * s2
-            value += c0[k] * s3
-    return [o.reshape(q.shape) for o in out]
+        m *= s2
+        value += m
+        s2 *= s
+        t *= s2
+        value += t
+    return out.reshape(values.shape[:-1] + q.shape)
 
 
 class ContourMap:
@@ -366,11 +383,10 @@ class ContourMap:
     tables (`_pchip_table`).  Queries outside the tabulated range raise
     rather than extrapolate; `get_contour_map` rebuilds deeper on demand.
 
-    Memory: a map of n nodes holds 9 arrays of n * 8 bytes (the search
-    nodes and two four-array tables), and its build peaks at those 9 plus
-    blocks of _QUERY_BLOCK entries: no spacings array is held.  At d=1000
-    that is 2.1M nodes and about 145 MiB held, in every `--workers`
-    process.
+    Memory: a map of n nodes holds 5 arrays of n * 8 bytes (the search
+    nodes, and the node values and slopes of each table), and builds its
+    tables in blocks of _QUERY_BLOCK entries beside them.  At d=1000 that
+    is 2.1M nodes and about 81 MiB held, in every `--workers` process.
     """
 
     COARSE_NODES = 20_001
@@ -405,37 +421,39 @@ class ContourMap:
         u_nodes = u_nodes[keep]
         del keep
 
-        # r = sigma_pi sqrt(2 t) with t = e^u, in u's buffer
-        r_nodes = np.exp(u_nodes, out=u_nodes)
+        # a d=1000 map has 2.1M nodes: the tables fill their rows in place,
+        # and take one table's slopes at a time
+        self.log_x_top = float(lnx_nodes[-1])
+        self._nodes = lnx_nodes
+        self._values = np.empty((2, lnx_nodes.size))  # rows: ln L, radius
+        # r = sigma_pi sqrt(2 t) with t = e^u
+        r_nodes = np.exp(u_nodes, out=self._values[1])
+        del u_nodes
         r_nodes *= 2.0
         np.sqrt(r_nodes, out=r_nodes)
         r_nodes *= model.sigma_pi
+        self._values[0] = log_likelihood_at_radius(model, r_nodes)
+        self._slopes = np.empty_like(self._values)
+        for y, d in zip(self._values, self._slopes):
+            d[:] = _pchip_table(lnx_nodes, y)
 
-        # a d=1000 map has 2.1M nodes: both tables take over their value
-        # arrays, and the search array is lnx_nodes itself
-        self.log_x_top = float(lnx_nodes[-1])
-        self._logl_table = _pchip_table(
-            lnx_nodes, log_likelihood_at_radius(model, r_nodes))
-        self._radius_table = _pchip_table(lnx_nodes, r_nodes)
-        self._nodes = _pchip_nodes(lnx_nodes)
-
-    def _query(self, tables, logx, what):
-        out = _pchip_eval(self._nodes, tables, np.asarray(logx, dtype=float))
-        # an outside query reads the NaN entry of every table
-        if np.isnan(out[0]).any():
+    def _query(self, rows, logx, what):
+        out = _pchip_eval(self._nodes, self._values[rows], self._slopes[rows],
+                          np.asarray(logx, dtype=float))
+        if np.isnan(out).any():
             raise ValueError(f"{what} query outside tabulated contour range")
         return out
 
     def log_l(self, logx):
-        return self._query((self._logl_table,), logx, "log_l")[0]
+        return self._query(0, logx, "log_l")
 
     def radius(self, logx):
-        return self._query((self._radius_table,), logx, "radius")[0]
+        return self._query(1, logx, "radius")
 
     def log_l_and_radius(self, logx):
         """(log_l(logx), radius(logx)) from one interval search."""
-        return tuple(self._query((self._logl_table, self._radius_table),
-                                 logx, "log_l and radius"))
+        out = self._query(slice(None), logx, "log_l and radius")
+        return out[0, ...], out[1, ...]
 
 
 _MAP_CACHE: dict[ModelSpec, ContourMap] = {}
@@ -571,31 +589,6 @@ def log_evidence_quadrature(m: ModelSpec, n_nodes: int = 1_000_001) -> float:
     return float(mx + math.log(np.sum(np.exp(terms, out=terms))))
 
 
-def log_evidence_radius_quadrature(m: ModelSpec, n_nodes: int = 400_001) -> float:
-    """Independent evidence oracle integrating over radius instead of ln X.
-
-    Z = int L(r) dX(r) with dX/dr = t^(a-1) e^-t / Gamma(a) * r / sigma^2,
-    t = r^2/(2 sigma^2).  Shares no code path with the ln X route beyond the
-    likelihood formula itself.
-    """
-    a = 0.5 * m.d
-    sig = m.sigma_pi
-    # the integrand is cut off by the prior factor, so prior support suffices
-    r_hi = sig * math.sqrt(2.0 * (a + 45.0 * math.sqrt(a) + 120.0))
-    r = np.linspace(0.0, r_hi, n_nodes)
-    t = 0.5 * (r / sig) ** 2
-    with np.errstate(divide="ignore"):
-        log_dxdr = (a - 1.0) * np.log(t) - t - math.lgamma(a) + np.log(r) - 2.0 * math.log(sig)
-    log_dxdr[0] = -np.inf
-    logl = log_likelihood_at_radius(m, r)
-    h = r[1] - r[0]
-    terms = logl + log_dxdr + math.log(h)
-    terms[0] -= math.log(2.0)
-    terms[-1] -= math.log(2.0)
-    mx = np.max(terms)
-    return float(mx + math.log(np.sum(np.exp(terms - mx))))
-
-
 @lru_cache(maxsize=None)
 def analytic_log_evidence(m: ModelSpec) -> float:
     """True ln Z: Gaussian closed form, high-resolution quadrature otherwise."""
@@ -678,18 +671,3 @@ def log_posterior_mass_remaining(m: ModelSpec, logx):
 def posterior_mass_remaining(m: ModelSpec, logx):
     out = np.exp(log_posterior_mass_remaining(m, logx))
     return float(out) if np.ndim(out) == 0 else out
-
-
-def argmax_log_x_relative_posterior_mass(m: ModelSpec) -> float:
-    """ln X at which L(X) * X peaks (parabolic refinement on the posterior
-    quadrature grid)."""
-    cmap, grid = _posterior_grid(m)
-    f = _fill_log_l_plus_x(cmap, grid, np.empty(grid.n))
-    i = int(np.argmax(f))
-    x = grid.nodes(np.array([i]))[0]
-    if 0 < i < grid.n - 1:
-        denom = f[i - 1] - 2.0 * f[i] + f[i + 1]
-        if denom < 0.0:
-            shift = 0.5 * (f[i - 1] - f[i + 1]) / denom
-            return float(x + shift * grid.spacing())
-    return float(x)

@@ -46,10 +46,7 @@ import math
 import numpy as np
 
 __all__ = [
-    "log_gamma",
-    "reg_lower_inc_gamma",
     "log_reg_lower_inc_gamma",
-    "log_reg_upper_inc_gamma",
     "inv_reg_lower_inc_gamma",
     "inv_log_reg_lower_inc_gamma",
     "sample_beta_first_coordinate",
@@ -128,17 +125,6 @@ def _lgam(x: float) -> float:
 # the kernels ask for ln Gamma of the same one or two shapes on every
 # series, continued-fraction and Newton evaluation
 _gammaln = functools.lru_cache(maxsize=256)(_lgam)
-
-
-def log_gamma(x):
-    """ln Gamma(x) for positive real x, scalar or array."""
-    x = np.asarray(x, dtype=float)
-    if np.any(x <= 0.0):
-        raise ValueError("log_gamma requires x > 0")
-    if x.ndim == 0:
-        return _lgam(float(x))
-    return np.fromiter(map(_lgam, x.ravel().tolist()), dtype=float,
-                       count=x.size).reshape(x.shape)
 
 
 def _series_sum(a: float, x: float) -> float:
@@ -289,43 +275,6 @@ def _log_p_0d(a: float, x: float) -> float:
                      + np.log(_series_sum(a, x)))
     log_q = a * np.log(x) - x - _gammaln(a) + np.log(_cf_value(a, x))
     return float(np.log1p(-np.exp(log_q)))
-
-
-def log_reg_upper_inc_gamma(a, x):
-    """ln Q(a, x) = ln(1 - P(a, x)), scalar or array in x."""
-    a = _validate_a(a)
-    x_arr = np.asarray(x, dtype=float)
-    if np.any(x_arr < 0.0) or np.any(np.isnan(x_arr)):
-        raise ValueError("x must be nonnegative")
-    out = np.empty_like(x_arr)
-    lower = x_arr <= a + 1.0
-    upper = ~lower
-    if np.any(lower):
-        lp = _log_p_series(a, np.where(x_arr[lower] == 0.0, 1.0, x_arr[lower]))
-        lp = np.where(x_arr[lower] == 0.0, -np.inf, lp)
-        # Q = 1 - P via expm1; relative error in Q is ~eps/Q, which stays
-        # inside the absolute tolerance this branch is asked for (Q is not
-        # tiny for x <= a+1 unless a is far below any radial use).
-        out[lower] = np.log(-np.expm1(lp))
-    if np.any(upper):
-        out[upper] = _log_q_cf(a, x_arr[upper])
-    return float(out) if out.ndim == 0 else out
-
-
-def reg_lower_inc_gamma(a, x):
-    """P(a, x) on the probability scale, scalar or array in x."""
-    a = _validate_a(a)
-    x_arr = np.asarray(x, dtype=float)
-    if np.any(x_arr < 0.0) or np.any(np.isnan(x_arr)):
-        raise ValueError("x must be nonnegative")
-    out = np.empty_like(x_arr)
-    lower = x_arr <= a + 1.0
-    upper = ~lower
-    if np.any(lower):
-        out[lower] = np.exp(log_reg_lower_inc_gamma(a, x_arr[lower]))
-    if np.any(upper):
-        out[upper] = -np.expm1(_log_q_cf(a, x_arr[upper]))
-    return float(out) if out.ndim == 0 else out
 
 
 def _log_p_derivative_wrt_u(a, u, log_p):

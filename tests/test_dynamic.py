@@ -10,6 +10,10 @@ from numpy.testing import assert_allclose
 from scipy.signal import savgol_filter
 from scipy.stats import spearmanr
 
+from reference import (
+    argmax_log_x_relative_posterior_mass,
+    reg_lower_inc_gamma,
+)
 from varlive.dynamic import (
     AlgorithmOneConfig,
     AlgorithmTwoConfig,
@@ -24,11 +28,7 @@ from varlive.dynamic import (
     savitzky_golay_smooth,
 )
 from varlive import dynamic, runs
-from varlive.models import (
-    ModelSpec,
-    argmax_log_x_relative_posterior_mass,
-    radius_from_log_x,
-)
+from varlive.models import ModelSpec, radius_from_log_x
 from varlive.runs import (
     NestedRun,
     live_point_counts,
@@ -37,7 +37,6 @@ from varlive.runs import (
     posterior_weights,
 )
 from varlive.sampler import SamplerConfig, standard_run
-from varlive.specialfn import reg_lower_inc_gamma
 
 M2 = ModelSpec(family="gaussian", d=2, sigma_pi=10.0)
 M3 = ModelSpec(family="gaussian", d=3, sigma_pi=10.0)

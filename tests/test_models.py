@@ -26,6 +26,13 @@ from scipy.stats import chi2
 import varlive
 import varlive.cli  # every varlive module that binds a models cache
 from conftest import use_fresh_model_caches
+from reference import (
+    argmax_log_x_relative_posterior_mass,
+    log_evidence_radius_quadrature,
+    reference_pchip_eval,
+    reference_pchip_nodes,
+    reference_pchip_table,
+)
 from varlive import models as md
 from varlive.models import ModelSpec
 
@@ -244,7 +251,7 @@ class TestEvidence:
 
     def test_independent_radius_route(self):
         for m in [G10, G3, EP2, EP34, C10]:
-            assert md.log_evidence_radius_quadrature(m) == pytest.approx(
+            assert log_evidence_radius_quadrature(m) == pytest.approx(
                 md.log_evidence_quadrature(m), abs=1e-8)
 
     def test_non_gaussian_regression_values(self):
@@ -268,7 +275,7 @@ class TestPosteriorMass:
         assert np.all(np.diff(vals) >= 0.0)
 
     def test_argmax_is_stationary(self):
-        xstar = md.argmax_log_x_relative_posterior_mass(G10)
+        xstar = argmax_log_x_relative_posterior_mass(G10)
         h = 1e-4
         deriv = (md.log_relative_posterior_mass(G10, xstar + h)
                  - md.log_relative_posterior_mass(G10, xstar - h)) / (2.0 * h)
@@ -282,7 +289,7 @@ class TestPosteriorMass:
         (C10, "-0x1.4366e8c9139c8p+4")])
     def test_argmax_bits(self, fresh_model_caches, m, want):
         # a fresh process's bits
-        assert md.argmax_log_x_relative_posterior_mass(m).hex() == want
+        assert argmax_log_x_relative_posterior_mass(m).hex() == want
 
     def test_integrates_to_evidence(self):
         # direct check that L(X) X integrates (in ln X) to exp(ln Z)
@@ -341,16 +348,15 @@ class TestContourMap:
 
     def test_build_memory_budget(self):
         # numpy reports its buffers to tracemalloc, so the bound counts node
-        # arrays on any machine: a map holds its search nodes and two
-        # four-array tables, and its build peaks at those nine arrays plus
-        # blocks (no spacings array); the slack covers the Python objects
-        # around them
+        # arrays on any machine: a map holds its search nodes and the node
+        # values and slopes of its two tables, and its build peaks in the
+        # node gamma pass; the slack covers the Python objects around them
         cmap, held, peak = traced_memory(lambda: md.ContourMap(G3, -60.0))
         assert cmap._nodes.size >= 200_000
         array = cmap._nodes.nbytes
         slack = 64 * 1024
-        assert held <= 9 * array + slack
-        assert peak <= 9.5 * array + slack
+        assert held <= 5 * array + slack
+        assert peak <= 8.5 * array + slack
 
     # sha256 of log_l then radius on a fixed grid, from empty caches;
     # recorded while the tables were scipy PchipInterpolator objects
@@ -411,28 +417,13 @@ class TestContourMap:
             assert (tmp_path / "out" / name).is_file()
 
 
-def reference_pchip_eval(nodes, tables, q):
-    """_pchip_eval as it was when a long query kept a list of blocks per
-    table and concatenated them."""
-    def block(q):
-        k = nodes.searchsorted(q, side="right") - 1
-        s = q - nodes[k]
-        s2 = s * s
-        s3 = s2 * s
-        values = []
-        for c0, c1, c2, c3 in tables:
-            value = c2[k] * s
-            value += c3[k]
-            value += c1[k] * s2
-            value += c0[k] * s3
-            values.append(value)
-        return values
-
-    if q.size <= md._QUERY_BLOCK:
-        return block(q)
+def blockwise_pchip_eval(x, values, slopes, q):
+    """_pchip_eval of a long query as separate queries of one block each,
+    concatenated: the bytes the preallocated output must hold."""
     flat = q.reshape(-1)
-    blocks = [block(flat[b]) for b in md._blocks(flat.size)]
-    return [np.concatenate(parts).reshape(q.shape) for parts in zip(*blocks)]
+    parts = [md._pchip_eval(x, values, slopes, flat[b])
+             for b in md._blocks(flat.size)]
+    return np.concatenate(parts, axis=-1).reshape(values.shape[:-1] + q.shape)
 
 
 def traced_memory(func):
@@ -484,8 +475,9 @@ def pchip_nodes(draw):
 
 
 class TestPchipTable:
-    """The numpy tables and their evaluation against scipy's
-    PchipInterpolator(x, y, extrapolate=False), bit for bit."""
+    """The numpy node slopes and the five-array query against scipy's
+    PchipInterpolator(x, y, extrapolate=False), and the query against the
+    four-coefficient table it replaced (tests/reference.py), bit for bit."""
 
     @settings(deadline=None)
     @given(data=pchip_nodes())
@@ -500,22 +492,61 @@ class TestPchipTable:
         with np.errstate(over="ignore"):  # slopes near the underflow limit
             refs = [PchipInterpolator(x, v, extrapolate=False)
                     for v in (y, -y)]
-        tables = [md._pchip_table(x, v.copy()) for v in (y, -y)]
-        for table, ref in zip(tables, refs):
-            for got, want in zip(table[:3], ref.c):
-                assert got[:-1].tobytes() == want.tobytes()
-            assert np.array_equal(table[3][:-1], ref.c[3])
-            assert all(np.isnan(c[-1]) for c in table)
+        values = np.stack([y, -y])
+        slopes = np.stack([md._pchip_table(x, v) for v in values])
+        for d, ref in zip(slopes, refs):
+            assert d[:-1].tobytes() == ref.c[2].tobytes()
 
         mid = 0.5 * (x[:-1] + x[1:])
         inside = np.minimum(x[0] + fracs * (x[-1] - x[0]), x[-1])
         outside = [np.nextafter(x[0], -np.inf), np.nextafter(x[-1], np.inf),
                    x[0] - 1.0, x[-1] + 1.0, -np.inf, np.inf, np.nan]
-        nodes = md._pchip_nodes(x.copy())
         for q in (x, mid, inside, x[-1:], np.array(outside),
                   *map(np.asarray, x)):
-            for got, ref in zip(md._pchip_eval(nodes, tables, q), refs):
-                assert same_bits(got, ref(q)), q
+            got = md._pchip_eval(x, values, slopes, q)
+            assert got.shape == (2,) + q.shape
+            for g, ref in zip(got, refs):
+                assert same_bits(g, ref(q)), q
+
+    @settings(deadline=None)
+    @given(data=pchip_nodes(), long=st.booleans())
+    # -0.0 node values, with +0.0 and -0.0 neighbours, queried on the nodes
+    @example(data=([-2.0, -1.0, 0.0, 1.0, 2.0], [-0.0, 0.0, -0.0, -0.0, 1.0],
+                   [0.0, 0.25, 0.5, 0.75, 1.0]), long=False)
+    # on the -0.0 node every term of the power sum is -0.0, so only the
+    # 0.0 the sum starts from makes the value 0.0
+    @example(data=([0.0, 1.0, 2.0, 3.0], [1 / 3, -0.0, -1.0, -8.0], []),
+             long=False)
+    @example(data=([0.0, 1.0, 3.0], [1.0, -0.0, -0.0], [1.0]), long=True)
+    def test_matches_four_coefficient_table_bitwise(self, data, long):
+        # the five-array query against the table of nine node arrays it
+        # replaced: every query on a node, inside, on either end, a float
+        # past either end, infinite or NaN, for one table (a 1-d values
+        # array) and for two, as a scalar, a short query and one longer
+        # than a block
+        x, y, fracs = (np.array(v, dtype=float) for v in data)
+        assume(np.all(np.diff(x) > 0.0))
+        values = np.stack([y, -y])  # -y turns every 0.0 into -0.0
+        with np.errstate(over="ignore"):
+            slopes = np.stack([md._pchip_table(x, v) for v in values])
+            tables = [reference_pchip_table(x, v.copy()) for v in values]
+        nodes = reference_pchip_nodes(x.copy())
+        q = np.concatenate([
+            x, 0.5 * (x[:-1] + x[1:]), x[0] + fracs * (x[-1] - x[0]),
+            [np.nextafter(x[0], -np.inf), np.nextafter(x[-1], np.inf),
+             np.nextafter(x[-1], -np.inf), -np.inf, np.inf, np.nan]])
+        if long:
+            q = np.resize(q, md._QUERY_BLOCK + 17)
+        for query in (q, q[-1], q.reshape(1, -1)):
+            query = np.asarray(query)
+            want = reference_pchip_eval(nodes, tables, query)
+            got = md._pchip_eval(x, values, slopes, query)
+            assert got.shape == (2,) + query.shape
+            for row in range(2):
+                one = md._pchip_eval(x, values[row], slopes[row], query)
+                assert one.shape == query.shape
+                assert same_bits(got[row], want[row])
+                assert one.tobytes() == got[row].tobytes()
 
     def test_long_query_matches_scipy_bitwise(self):
         # more than one block of queries, in a 2-d shape, some outside
@@ -524,8 +555,7 @@ class TestPchipTable:
         y = np.cumsum(rng.normal(size=500))
         q = rng.uniform(x[0] - 1.0, x[-1] + 1.0, (3, md._QUERY_BLOCK + 11))
         q[0, :5] = [np.nan, x[0], x[-1], -np.inf, np.inf]
-        got, = md._pchip_eval(md._pchip_nodes(x.copy()),
-                              [md._pchip_table(x, y.copy())], q)
+        got = md._pchip_eval(x, y, md._pchip_table(x, y), q)
         ref = PchipInterpolator(x, y, extrapolate=False)
         assert got.shape == q.shape
         assert same_bits(got, ref(q))
@@ -533,43 +563,39 @@ class TestPchipTable:
     @pytest.mark.parametrize("shape", [(2 * md._QUERY_BLOCK + 123,),
                                        (3, md._QUERY_BLOCK + 11)])
     def test_long_query_matches_block_concatenation(self, shape):
-        # the preallocated outputs hold the bytes the block list and
-        # np.concatenate gave, NaN outside the nodes included, for one and
-        # for two tables
+        # the preallocated output holds the bytes of one query per block,
+        # concatenated, NaN outside the nodes included, for one and for two
+        # tables
         rng = np.random.default_rng(5)
         x = np.cumsum(rng.uniform(1e-3, 1.0, 700))
-        tables = [md._pchip_table(x, v.copy())
-                  for v in (np.cumsum(rng.normal(size=700)), np.sqrt(x))]
-        nodes = md._pchip_nodes(x.copy())
+        values = np.stack([np.cumsum(rng.normal(size=700)), np.sqrt(x)])
+        slopes = np.stack([md._pchip_table(x, v) for v in values])
         q = rng.uniform(x[0] - 2.0, x[-1] + 2.0, shape)
         q.reshape(-1)[:5] = [np.nan, x[0], x[-1], -np.inf, np.inf]
-        for use in (tables[:1], tables):
-            got = md._pchip_eval(nodes, use, q)
-            want = reference_pchip_eval(nodes, use, q)
-            assert len(got) == len(want) == len(use)
-            for g, w in zip(got, want):
-                assert g.shape == q.shape
-                assert g.tobytes() == w.tobytes()
+        for rows in (0, slice(0, 1), slice(None)):
+            got = md._pchip_eval(x, values[rows], slopes[rows], q)
+            want = blockwise_pchip_eval(x, values[rows], slopes[rows], q)
+            assert got.shape == want.shape == values[rows].shape[:-1] + shape
+            assert got.tobytes() == want.tobytes()
 
     def test_multi_block_table_matches_scipy_bitwise(self):
         # more nodes than two blocks of the table build: increasing values,
-        # whose node slopes and cubic terms are nonzero at every block edge,
-        # then values with sign changes throughout and flat runs next to
-        # the edges
+        # whose node slopes are nonzero at every block edge, then values
+        # with sign changes throughout and flat runs next to the edges;
+        # queried on every node and interval midpoint
         block = md._QUERY_BLOCK
         rng = np.random.default_rng(11)
         x = np.cumsum(rng.uniform(1e-3, 1.0, 2 * block + 7))
         steps = rng.normal(size=x.size - 1)
         flat = steps.copy()
         flat[[block - 2, block + 1, 2 * block - 2, 2 * block + 1]] = 0.0
+        q = np.concatenate([x, 0.5 * (x[:-1] + x[1:])])
         for y_steps in (np.abs(steps), flat):
             y = np.concatenate([[0.0], np.cumsum(y_steps)])
             ref = PchipInterpolator(x, y, extrapolate=False)
-            table = md._pchip_table(x, y.copy())
-            for got, want in zip(table[:3], ref.c):
-                assert got[:-1].tobytes() == want.tobytes()
-            assert np.array_equal(table[3][:-1], ref.c[3])
-            assert all(np.isnan(c[-1]) for c in table)
+            d = md._pchip_table(x, y)
+            assert d[:-1].tobytes() == ref.c[2].tobytes()
+            assert same_bits(md._pchip_eval(x, y, d, q), ref(q))
 
     def test_end_slope_masks(self):
         # unit spacing, so the three-point estimate is (3 m0 - m1) / 2

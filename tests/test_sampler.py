@@ -11,12 +11,12 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from reference import argmax_log_x_relative_posterior_mass
 from varlive.models import (
     EXP_POWER,
     GAUSSIAN,
     ModelSpec,
     analytic_log_evidence,
-    argmax_log_x_relative_posterior_mass,
     log_likelihood_from_log_x,
 )
 from varlive.runs import (
