@@ -15,6 +15,7 @@ import math
 import os
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
+from pathlib import PurePath
 
 import numpy as np
 
@@ -393,8 +394,16 @@ def load_manifest(out_dir: str) -> dict:
 
 
 def _check_run_files(out_dir: str, manifest: dict) -> None:
-    missing = [r["path"] for entry in manifest["arms"] for r in entry["runs"]
-               if not os.path.exists(os.path.join(out_dir, r["path"]))]
+    """ValueError for a run path that is absolute or has a '..' component,
+    which could name a file outside out_dir; MissingRunsError for run files
+    that are not on disk."""
+    paths = [r["path"] for entry in manifest["arms"] for r in entry["runs"]]
+    for path in paths:
+        if not isinstance(path, str) or os.path.isabs(path) \
+                or os.pardir in PurePath(path).parts:
+            raise ValueError(f"run path {path!r} must be relative to the "
+                             "ensemble directory and stay inside it")
+    missing = [p for p in paths if not os.path.exists(os.path.join(out_dir, p))]
     if missing:
         raise MissingRunsError(sorted(missing))
 
@@ -503,11 +512,23 @@ def compare_report(config: ExperimentConfig, out_dir: str) -> ExperimentReport:
     for arm in config.arms:
         entry = _manifest_arm(manifest, arm.name)
         mat = np.empty((len(entry["runs"]), len(config.estimators)))
+        lengths = []
         for i, rec in enumerate(entry["runs"]):
-            mat[i] = estimates(load_run(os.path.join(out_dir, rec["path"])),
-                               config.estimators)
+            run = load_run(os.path.join(out_dir, rec["path"]))
+            if as_int(rec.get("n_samples"), "n_samples") != len(run):
+                raise ValueError(f"manifest n_samples of {rec['path']!r} "
+                                 f"is {rec['n_samples']!r}, but the run "
+                                 f"holds {len(run)}")
+            lengths.append(len(run))
+            mat[i] = estimates(run, config.estimators)
         values[arm.name] = mat
-        report.mean_samples[arm.name] = float(entry["mean_samples"])
+        # the mean generate wrote, from the runs themselves
+        mean_samples = float(np.mean(lengths))
+        if as_float(entry.get("mean_samples"), "mean_samples") != mean_samples:
+            raise ValueError(f"manifest mean_samples of arm {arm.name!r} "
+                             f"is {entry['mean_samples']!r}, but its runs "
+                             f"hold {mean_samples!r} on average")
+        report.mean_samples[arm.name] = mean_samples
         for k, eid in enumerate(config.estimators):
             col = mat[:, k]
             truth = estimator_truth(config.model, eid)

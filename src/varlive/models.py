@@ -258,10 +258,12 @@ def _spacings(x: np.ndarray, b: slice) -> np.ndarray:
     return x[1:][b] - x[:-1][b]
 
 
-def _pchip_table(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+def _pchip_table(x: np.ndarray, y: np.ndarray,
+                 out: np.ndarray | None = None) -> np.ndarray:
     """Node slopes d of the monotone cubic Hermite interpolant through
-    strictly increasing nodes x and values y, for at least three nodes;
-    `_pchip_eval` evaluates the table (y, d).
+    strictly increasing nodes x and values y, for at least three nodes,
+    written into out (allocated when None) and returned; `_pchip_eval`
+    evaluates the table (y, d).
 
     The slopes follow Fritsch and Carlson (SIAM J. Numer. Anal. 17, 238,
     1980): the weighted harmonic mean of the neighbouring interval slopes,
@@ -271,7 +273,8 @@ def _pchip_table(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     temporaries: the interval slopes and spacings are built in blocks of
     _QUERY_BLOCK.
     """
-    d = np.zeros(y.size)
+    d = np.empty(y.size) if out is None else out
+    d.fill(0.0)
     slopes = d[1:-1]
     # a zero interval slope divides by zero and is masked out below; a tiny
     # one overflows to inf and leaves a node slope of 0, as in scipy
@@ -384,9 +387,12 @@ class ContourMap:
     rather than extrapolate; `get_contour_map` rebuilds deeper on demand.
 
     Memory: a map of n nodes holds 5 arrays of n * 8 bytes (the search
-    nodes, and the node values and slopes of each table), and builds its
-    tables in blocks of _QUERY_BLOCK entries beside them.  At d=1000 that
-    is 2.1M nodes and about 81 MiB held, in every `--workers` process.
+    nodes, and the node values and slopes of each table).  The node ln X
+    pass runs in place on the gamma argument t, which then becomes the
+    radius row, and the slopes are built in blocks of _QUERY_BLOCK entries
+    straight into their rows, so the build peaks at the five arrays it
+    keeps plus block temporaries.  At d=1000 that is 2.1M nodes and about
+    81 MiB held, in every `--workers` process.
     """
 
     COARSE_NODES = 20_001
@@ -412,30 +418,34 @@ class ContourMap:
         # closer to X = 1 than that
         levels = -np.geomspace(0.05, 1e-14, 400)[1:]
         targets = np.concatenate([targets, levels])
+        # a d=1000 map has 2.1M nodes: t = e^u overwrites the interpolated
+        # u, the gamma pass runs in place beside it, and the tables fill
+        # their rows in place
         u_nodes = np.interp(targets, lnx_coarse, u_coarse)
         del targets, u_coarse, lnx_coarse
-        lnx_nodes = sf.log_reg_lower_inc_gamma(a, np.exp(u_nodes))
-        # exact forward values may collide after interpolation; enforce strict order
-        keep = np.concatenate([[True], np.diff(lnx_nodes) > 0.0])
-        lnx_nodes = lnx_nodes[keep]
-        u_nodes = u_nodes[keep]
+        t_nodes = np.exp(u_nodes, out=u_nodes)
+        del u_nodes
+        lnx_nodes = sf.log_reg_lower_inc_gamma(a, t_nodes)
+        # exact forward values may collide after interpolation; enforce
+        # strict order, copying the nodes only when one is dropped
+        keep = np.concatenate([[True], lnx_nodes[1:] > lnx_nodes[:-1]])
+        if not keep.all():
+            lnx_nodes = lnx_nodes[keep]
+            t_nodes = t_nodes[keep]
         del keep
 
-        # a d=1000 map has 2.1M nodes: the tables fill their rows in place,
-        # and take one table's slopes at a time
         self.log_x_top = float(lnx_nodes[-1])
         self._nodes = lnx_nodes
         self._values = np.empty((2, lnx_nodes.size))  # rows: ln L, radius
-        # r = sigma_pi sqrt(2 t) with t = e^u
-        r_nodes = np.exp(u_nodes, out=self._values[1])
-        del u_nodes
-        r_nodes *= 2.0
+        # r = sigma_pi sqrt(2 t)
+        r_nodes = np.multiply(t_nodes, 2.0, out=self._values[1])
+        del t_nodes
         np.sqrt(r_nodes, out=r_nodes)
         r_nodes *= model.sigma_pi
         self._values[0] = log_likelihood_at_radius(model, r_nodes)
         self._slopes = np.empty_like(self._values)
         for y, d in zip(self._values, self._slopes):
-            d[:] = _pchip_table(lnx_nodes, y)
+            _pchip_table(lnx_nodes, y, out=d)
 
     def _query(self, rows, logx, what):
         out = _pchip_eval(self._nodes, self._values[rows], self._slopes[rows],

@@ -184,26 +184,41 @@ def _log_q_float(a: float, x: float) -> float:
     return a * math.log(x) - x - math.lgamma(a) + math.log(_cf_value(a, x))
 
 
-def _log_p_series(a, x):
+def _log_p_series(a, x, out=None):
     """ln P(a, x) by the ascending series; valid elementwise for x <= a + 1.
 
     P(a,x) = x^a e^-x / Gamma(a+1) * sum_k c_k with c_0 = 1 and
     c_k = c_{k-1} * x / (a + k).  In the valid region every term ratio is
     below 1, so the sum is between 1 and its term count and log(sum) is safe.
+
+    The sum builds up in out (allocated when None), which is returned,
+    beside two scratch arrays of x's size and a flag buffer; the result
+    (a ln x - x - ln Gamma(a+1)) + ln(sum) is finished in place with the
+    operations of the whole-array expression, in the same order.
     """
     x = np.asarray(x, dtype=float)
+    total = np.empty_like(x) if out is None else out
+    total.fill(1.0)
     term = np.ones_like(x)
-    total = np.ones_like(x)
+    scratch = np.empty_like(x)
+    flags = np.empty(x.shape, dtype=bool)
     for k in range(1, _SERIES_MAX_TERMS + 1):
-        term = term * (x / (a + k))
+        term *= np.divide(x, a + k, out=scratch)
         total += term
-        if np.all(term <= 1e-17 * total):
+        if np.less_equal(term, np.multiply(total, 1e-17, out=scratch),
+                         out=flags).all():
             break
     else:
         raise RuntimeError("incomplete gamma series failed to converge")
+    lead = scratch
     with np.errstate(divide="ignore"):
-        lead = a * np.log(x) - x - _gammaln(a + 1.0)
-    return lead + np.log(total)
+        np.log(x, out=lead)
+        np.log(total, out=total)
+    lead *= a
+    lead -= x
+    lead -= _gammaln(a + 1.0)
+    total += lead
+    return total
 
 
 def _log_q_cf(a, x):
@@ -242,6 +257,12 @@ def log_reg_lower_inc_gamma(a, x):
     """ln P(a, x), scalar or array in x, exact into tails where P underflows.
 
     x must be >= 0; x = 0 maps to -inf.
+
+    When the series region 0 < x <= a + 1 is one run of a 1-d x, as it is
+    for every ascending x, the series reads that run of x and writes that
+    run of the output as views, so the call peaks at the output, the
+    series' two scratch arrays and the region masks.  Otherwise the series
+    runs on a masked copy of x.  Both give the same bits.
     """
     a = _validate_a(a)
     x_arr = np.asarray(x, dtype=float)
@@ -251,11 +272,18 @@ def log_reg_lower_inc_gamma(a, x):
         raise ValueError("x must be nonnegative")
     out = np.empty_like(x_arr)
     zero = x_arr == 0.0
-    lower = (~zero) & (x_arr <= a + 1.0)
-    upper = x_arr > a + 1.0
     out[zero] = -np.inf
+    lower = np.logical_not(zero, out=zero)
+    lower &= x_arr <= a + 1.0
+    upper = x_arr > a + 1.0
     if np.any(lower):
-        out[lower] = _log_p_series(a, x_arr[lower])
+        # the region's first index and its length
+        start = int(np.argmax(lower))
+        run = slice(start, start + np.count_nonzero(lower))
+        if x_arr.ndim == 1 and lower[run].all():
+            _log_p_series(a, x_arr[run], out=out[run])
+        else:
+            out[lower] = _log_p_series(a, x_arr[lower])
     if np.any(upper):
         # P = 1 - Q with Q < 0.5 here, so log1p loses nothing.
         out[upper] = np.log1p(-np.exp(_log_q_cf(a, x_arr[upper])))

@@ -2,12 +2,14 @@
 
 Hypothesis profiles: HYPOTHESIS_PROFILE=ci runs every property with a fixed
 example sequence and more examples than a local run.  `fresh_model_caches`
-gives a test empty model caches.
+gives a test empty model caches, and `traced_memory` measures a call's
+held and peak bytes under tracemalloc.
 """
 
 import functools
 import os
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import settings
@@ -17,6 +19,23 @@ from varlive import models
 settings.register_profile("ci", derandomize=True, deadline=None,
                           max_examples=500)
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
+
+
+def traced_memory(func):
+    """(func(), bytes held after it, peak bytes during it) under
+    tracemalloc, both above what was traced before the call."""
+    was_tracing = tracemalloc.is_tracing()
+    if not was_tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        out = func()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+    return out, held - before, peak - before
 
 
 def use_fresh_model_caches(monkeypatch) -> None:

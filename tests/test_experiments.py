@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -40,6 +41,12 @@ def small_config_doc(**overrides):
 
 def small_config(**overrides):
     return config_from_dict(small_config_doc(**overrides))
+
+
+def write_manifest(out_dir, manifest):
+    with open(os.path.join(out_dir, "manifest.json"), "w",
+              encoding="utf-8") as fh:
+        json.dump(manifest, fh)
 
 
 @pytest.fixture(scope="module")
@@ -312,6 +319,53 @@ class TestCompare:
             compare_report(cfg, out)
         assert victim in err.value.missing
         assert victim in str(err.value)
+
+    def test_manifest_sample_counts_checked(self, tmp_path):
+        # the sample counts come from the runs; a manifest that disagrees
+        # with them (a bool mean once gave a gain of 213 and exit code 0)
+        # is refused
+        cfg = small_config(n_runs=2,
+                           arms=[{"name": "std", "method": "standard",
+                                  "n_live": 20},
+                                 {"name": "dyn", "method": "standard",
+                                  "n_live": 10, "gain_vs": "std"}])
+        out = str(tmp_path / "counts")
+        manifest = generate_ensemble(cfg, out)
+        report = compare_report(cfg, out)
+        assert report.mean_samples == {a["name"]: a["mean_samples"]
+                                       for a in manifest["arms"]}
+        for arm, key, value in [(1, "mean_samples", True),
+                                (1, "mean_samples", 1e6),
+                                (0, "mean_samples", None),
+                                (0, "n_samples", 1),
+                                (1, "n_samples", True)]:
+            bad = json.loads(json.dumps(manifest))
+            target = bad["arms"][arm]
+            if key == "n_samples":
+                target = target["runs"][1]
+            target[key] = value
+            write_manifest(out, bad)
+            with pytest.raises(ValueError, match=key):
+                compare_report(cfg, out)
+
+    def test_run_paths_stay_inside_the_ensemble(self, tmp_path):
+        cfg = small_config(n_runs=2,
+                           arms=[{"name": "std", "method": "standard",
+                                  "n_live": 20}])
+        out = str(tmp_path / "ens")
+        manifest = generate_ensemble(cfg, out)
+        # a run file outside the ensemble, which each bad path names
+        outside = str(tmp_path / "outside.json")
+        shutil.copy(os.path.join(out, "std", "run_00000.json"), outside)
+        for bad_path in (outside, os.path.join("..", "outside.json"),
+                         os.path.join("std", "..", "..", "outside.json")):
+            bad = json.loads(json.dumps(manifest))
+            bad["arms"][0]["runs"][1]["path"] = bad_path
+            write_manifest(out, bad)
+            for stage in (compare_report, alloc_profile_rows,
+                          bootstrap_table_rows):
+                with pytest.raises(ValueError, match="run path"):
+                    stage(cfg, out)
 
     def test_single_run_rejected(self, tmp_path):
         cfg = small_config(n_runs=1,

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special as sp
 
+from conftest import traced_memory
 from reference import log_gamma, log_reg_upper_inc_gamma, reg_lower_inc_gamma
 from varlive import specialfn as sf
 
@@ -203,6 +204,53 @@ class TestRegLowerIncGamma:
         for xi, gi in zip(x, got):
             want = sf._log_p_series(a, np.asarray(xi))
             assert want.tobytes() == gi.tobytes(), (a, xi)
+
+    @settings(deadline=None)
+    @given(a=st.floats(0.5, 600.0),
+           below=st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
+                          min_size=1, max_size=30),
+           above=st.lists(st.floats(1.0, 3.0), max_size=4),
+           seed=st.integers(0, 2**32 - 1))
+    def test_view_and_masked_series_paths_bitwise(self, a, below, above,
+                                                  seed):
+        # An ascending x runs the series on views of x and of the output;
+        # the same values shuffled run it on masked copies.  Both must give
+        # the same bytes, and on the zeros and the series region those of
+        # each element's own 0-d call.  Above a + 1 the continued fraction
+        # runs until its slowest element converges, so there an element's
+        # bits are those of the array of the points above a + 1 alone.
+        x = np.sort(np.array(below + above) * (a + 1.0))
+        got = sf.log_reg_lower_inc_gamma(a, x)
+        perm = np.random.default_rng(seed).permutation(x.size)
+        shuffled = sf.log_reg_lower_inc_gamma(a, x[perm])
+        assert shuffled.tobytes() == got[perm].tobytes(), (a, x[perm])
+        upper = x > a + 1.0
+        want = np.array([sf.log_reg_lower_inc_gamma(a, v) for v in x[~upper]])
+        assert got[~upper].tobytes() == want.tobytes(), (a, x)
+        if upper.any():
+            alone = sf.log_reg_lower_inc_gamma(a, x[upper])
+            assert got[upper].tobytes() == alone.tobytes(), (a, x)
+
+    def test_series_out_holds_the_returned_bytes(self):
+        a = 7.5
+        x = np.linspace(0.0, a + 1.0, 1001)[1:]
+        buf = np.full_like(x, np.nan)
+        got = sf._log_p_series(a, x, out=buf)
+        assert got is buf
+        assert buf.tobytes() == sf._log_p_series(a, x).tobytes()
+
+    def test_ascending_call_memory_budget(self):
+        # On an ascending x the series runs on views, so the call peaks at
+        # the output, the series' two scratch arrays and flag buffer, and
+        # the region masks (about 3.5 arrays), with no masked copy of x.
+        # All of x but a zero and a few points of the continued fraction's
+        # region is in the series region.
+        a = 500.0
+        x = np.append(np.linspace(0.0, a + 1.0, 999_990),
+                      np.linspace(a + 2.0, 3.0 * a, 10))
+        out, _, peak = traced_memory(lambda: sf.log_reg_lower_inc_gamma(a, x))
+        assert out.shape == x.shape and out[0] == -np.inf
+        assert peak <= 3.5 * x.nbytes + 64 * 1024
 
     def test_rejects_negative_x(self):
         with pytest.raises(ValueError):
