@@ -15,9 +15,9 @@ from .runs import (NestedRun, combine_runs, live_point_counts,
 from .sampler import SamplerConfig, standard_run
 from .dynamic import (AlgorithmOneConfig, AlgorithmTwoConfig, GoalConfig,
                       dynamic_run_algorithm1, dynamic_run_algorithm2)
-from .analysis import (EstimatorId, bootstrap_error, bootstrap_resample,
-                       efficiency_gain, estimate, estimates,
-                       information_content, weighted_quantile)
+from .analysis import (EstimatorId, bootstrap_resample, efficiency_gain,
+                       estimate, estimates, information_content,
+                       weighted_quantile)
 from .runio import load_run, save_run
 
 __version__ = "0.1.0"
@@ -29,9 +29,8 @@ __all__ = [
     "SamplerConfig", "standard_run",
     "AlgorithmOneConfig", "AlgorithmTwoConfig", "GoalConfig",
     "dynamic_run_algorithm1", "dynamic_run_algorithm2",
-    "EstimatorId", "bootstrap_error", "bootstrap_resample",
-    "efficiency_gain", "estimate", "estimates", "information_content",
-    "weighted_quantile",
+    "EstimatorId", "bootstrap_resample", "efficiency_gain", "estimate",
+    "estimates", "information_content", "weighted_quantile",
     "load_run", "save_run",
     "__version__",
 ]

@@ -37,8 +37,6 @@ __all__ = [
     "information_content",
     "bootstrap_resample",
     "bootstrap_replicates",
-    "BootstrapError",
-    "bootstrap_error",
     "jackknife_std_sigma",
     "GainEstimate",
     "efficiency_gain",
@@ -240,6 +238,8 @@ def bootstrap_replicates(run: NestedRun, eids, n_reps: int, rng,
     of the run, so every estimator sees the same replicate noise.
     separate_initial=None stratifies whenever the run's provenance
     identifies its initial threads."""
+    if n_reps < 2:
+        raise ValueError("need at least 2 replications")
     if separate_initial is None:
         separate_initial = run.provenance.init_thread_ids is not None
     index = _resample_index(run, separate_initial)
@@ -248,31 +248,6 @@ def bootstrap_replicates(run: NestedRun, eids, n_reps: int, rng,
         reps[r] = estimates(
             bootstrap_resample(run, rng, separate_initial, _index=index), eids)
     return reps
-
-
-@dataclass(frozen=True)
-class BootstrapError:
-    """Replication statistics for one estimator on one run."""
-
-    replicates: np.ndarray
-
-    @property
-    def std(self) -> float:
-        return float(np.std(self.replicates, ddof=1))
-
-    def credible_upper(self, q: float) -> float:
-        n = self.replicates.size
-        return weighted_quantile(self.replicates, np.full(n, 1.0 / n), q)
-
-
-def bootstrap_error(run: NestedRun, eid: EstimatorId, n_reps: int, rng,
-                    separate_initial: bool | None = None) -> BootstrapError:
-    """Thread-bootstrap sampling error of one estimator; separate_initial
-    as for bootstrap_replicates."""
-    if n_reps < 2:
-        raise ValueError("need at least 2 replications")
-    reps = bootstrap_replicates(run, [eid], n_reps, rng, separate_initial)
-    return BootstrapError(replicates=reps[:, 0])
 
 
 def jackknife_std_sigma(results) -> float:

@@ -24,9 +24,7 @@ falling edges.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
 
 import numpy as np
 
@@ -47,9 +45,6 @@ __all__ = [
     "GoalConfig",
     "AlgorithmOneConfig",
     "AlgorithmTwoConfig",
-    "importance_evidence",
-    "importance_evidence_exact",
-    "importance_tuned",
     "combined_importance",
     "dynamic_run_algorithm1",
     "savitzky_golay_smooth",
@@ -58,19 +53,25 @@ __all__ = [
 ]
 
 
+# Algorithm 1 samples where the importance exceeds this share of its maximum
+REGION_FRACTION = 0.9
+# Algorithm 2's Savitzky-Golay smoothing order, over 2 n_init + 1 points
+SMOOTH_ORDER = 3
+
+
 @dataclass(frozen=True)
 class GoalConfig:
     """What to optimize allocation for.
 
     goal_g = 0 targets evidence accuracy, 1 targets parameter estimates,
-    intermediate values mix the two normalized importances linearly.
-    tuned_target maps a run to per-point values for the tuned variant;
-    None means the first-coordinate values themselves.
+    intermediate values mix the two normalized importances linearly.  The
+    "exact" variant weighs the evidence part by its variance-derived
+    refinement; the "tuned" variant targets the posterior mean of theta1,
+    |theta1_i - theta1-bar| L_i w_i in place of the posterior weights.
     """
 
     goal_g: float
     importance_variant: str = "standard"
-    tuned_target: Callable[[NestedRun], np.ndarray] | None = None
 
     def __post_init__(self):
         if not 0.0 <= self.goal_g <= 1.0:
@@ -84,15 +85,12 @@ class GoalConfig:
 class AlgorithmOneConfig:
     n_init: int
     sample_budget: int
-    fraction: float = 0.9
     n_batch: int = 1
     termination_fraction: float = 1e-3
 
     def __post_init__(self):
         if self.n_init < 1:
             raise ValueError("n_init must be >= 1")
-        if not 0.0 < self.fraction <= 1.0:
-            raise ValueError("fraction must be in (0, 1]")
         if self.n_batch < 1:
             raise ValueError("n_batch must be >= 1")
         if self.sample_budget < 1:
@@ -101,60 +99,37 @@ class AlgorithmOneConfig:
 
 @dataclass(frozen=True)
 class AlgorithmTwoConfig:
+    """The single-pass scheduler's settings.  Its smoothing window, 2 n_init
+    + 1 points, must be longer than SMOOTH_ORDER, so n_init is at least 2."""
+
     n_init: int
     total_budget: int
-    smooth_window: int | None = None  # default 2 n_init + 1
-    smooth_order: int = 3
     termination_fraction: float = 1e-3
 
     def __post_init__(self):
-        if self.n_init < 1:
-            raise ValueError("n_init must be >= 1")
+        if self.n_init < 2:
+            raise ValueError("n_init must be >= 2")
         if self.total_budget < 1:
             raise ValueError("total_budget must be positive")
-        win = self.window
-        if win % 2 == 0 or win <= self.smooth_order:
-            raise ValueError("smooth_window must be odd and > smooth_order")
-
-    @property
-    def window(self) -> int:
-        return self.smooth_window if self.smooth_window is not None \
-            else 2 * self.n_init + 1
 
 
 def _unit_sum(v: np.ndarray) -> np.ndarray:
     return v / np.sum(v)
 
 
-def _counts_and_log_lw(run: NestedRun):
-    """Live counts and ln(L_i w_i) from one count pass."""
-    if len(run) == 0:
-        raise ValueError("importance of an empty run is undefined")
-    counts = live_point_counts(run)
-    return counts, _log_weights(counts) + run.log_l
-
-
-def importance_evidence(run: NestedRun) -> np.ndarray:
+def _evidence(counts, lw):
     """Evidence importance: share of evidence at-or-above each contour per
     live point, i.e. (sum_{k>=i} L_k w_k) / n_i, normalized to unit sum."""
-    return _evidence(*_counts_and_log_lw(run))
-
-
-def _evidence(counts, lw):
     ln_tail = np.logaddexp.accumulate(lw[::-1])[::-1]
     return _unit_sum(np.exp(ln_tail - ln_tail.max()) / counts)
 
 
-def importance_evidence_exact(run: NestedRun) -> np.ndarray:
+def _evidence_exact(counts, lw):
     """Variance-derived refinement of the evidence importance.
 
     Weighs the strictly-above evidence and the point's own contribution by
     count-dependent factors; approaches the plain ratio form as counts grow.
     """
-    return _evidence_exact(*_counts_and_log_lw(run))
-
-
-def _evidence_exact(counts, lw):
     n = lw.shape[0]
     ln_above = np.full(n, -np.inf)
     if n > 1:
@@ -167,25 +142,13 @@ def _evidence_exact(counts, lw):
     return _unit_sum(raw)
 
 
-def importance_tuned(run: NestedRun, target_values: Sequence[float],
-                     global_mean: float) -> np.ndarray:
-    """Estimator-specific parameter importance |f(theta_i) - f-bar| L_i w_i.
-
-    Raises on the degenerate all-zero profile (every value at the mean);
-    callers fall back to the plain parameter importance.
-    """
-    return _tuned(_counts_and_log_lw(run)[1], target_values, global_mean)
-
-
-def _tuned(lw, target_values, global_mean):
-    vals = np.asarray(target_values, dtype=float)
-    if vals.shape != lw.shape:
-        raise ValueError("target_values must align with the run")
-    raw = np.abs(vals - global_mean) * np.exp(lw - lw.max())
+def _tuned(lw, values, mean):
+    """Parameter importance tuned to the posterior mean of values,
+    |f(theta_i) - f-bar| L_i w_i normalized; None on the degenerate all-zero
+    profile (every value at the mean)."""
+    raw = np.abs(values - mean) * np.exp(lw - lw.max())
     total = raw.sum()
-    if total == 0.0:
-        raise ValueError("tuned importance degenerate: all values at the mean")
-    return raw / total
+    return None if total == 0.0 else raw / total
 
 
 def combined_importance(run: NestedRun, goal: GoalConfig) -> np.ndarray:
@@ -194,8 +157,11 @@ def combined_importance(run: NestedRun, goal: GoalConfig) -> np.ndarray:
     computed, and every term shares one count and weight pass.  The
     parameter part is the posterior weights, or the tuned importance when
     that is not degenerate."""
+    if len(run) == 0:
+        raise ValueError("importance of an empty run is undefined")
     g = goal.goal_g
-    counts, lw = _counts_and_log_lw(run)
+    counts = live_point_counts(run)
+    lw = _log_weights(counts) + run.log_l
     if g < 1.0:
         if goal.importance_variant == "exact":
             imp_z = _evidence_exact(counts, lw)
@@ -205,12 +171,9 @@ def combined_importance(run: NestedRun, goal: GoalConfig) -> np.ndarray:
             return imp_z
     imp_param = _normalised_weights(lw)
     if goal.importance_variant == "tuned":
-        values = run.theta1 if goal.tuned_target is None \
-            else np.asarray(goal.tuned_target(run), dtype=float)
-        try:
-            imp_param = _tuned(lw, values, float(np.sum(imp_param * values)))
-        except ValueError:
-            pass
+        tuned = _tuned(lw, run.theta1, float(np.sum(imp_param * run.theta1)))
+        if tuned is not None:
+            imp_param = tuned
     if g == 1.0:
         return imp_param
     return _unit_sum((1.0 - g) * imp_z + g * imp_param)
@@ -229,7 +192,7 @@ def dynamic_run_algorithm1(m: ModelSpec, goal: GoalConfig,
     run = standard_run(m, init_cfg, rng)
     while len(run) < cfg.sample_budget:
         prof = combined_importance(run, goal)
-        high = (prof > cfg.fraction * prof.max()).nonzero()[0]
+        high = (prof > REGION_FRACTION * prof.max()).nonzero()[0]
         j, k = int(high[0]), int(high[-1])
         start = -np.inf if j == 0 else float(run.log_l[j - 1])
         # one point past the top of the region; when the region reaches the
@@ -301,8 +264,8 @@ def algorithm2_allocation(init_run: NestedRun, goal: GoalConfig,
     target_extra = cfg.total_budget - len(init_run)
 
     prof = combined_importance(init_run, goal)
-    smooth = np.clip(savitzky_golay_smooth(prof, cfg.window,
-                                           cfg.smooth_order), 0.0, None)
+    smooth = np.clip(savitzky_golay_smooth(prof, 2 * n_init + 1,
+                                           SMOOTH_ORDER), 0.0, None)
 
     def counts_for(k: float) -> np.ndarray:
         scaled = k * smooth

@@ -76,7 +76,6 @@ class ArmConfig:
     gain_vs: str | None = None
     n_batch: int = 1
     termination_fraction: float = 1e-3
-    seed: int | None = None
 
     def __post_init__(self):
         if not self.name or "/" in self.name or self.name != self.name.strip():
@@ -110,22 +109,9 @@ class ArmConfig:
         if extra:
             raise ValueError(f"unknown arm keys: {sorted(extra)}")
         data = _typed_fields(cls, data, as_int, (
-            "n_live", "n_init", "budget", "n_batch", "seed"), "arm")
+            "n_live", "n_init", "budget", "n_batch"), "arm")
         return cls(**_typed_fields(cls, data, as_float, (
             "goal_g", "termination_fraction"), "arm"))
-
-    def to_dict(self) -> dict:
-        out = {"name": self.name, "method": self.method}
-        for key in ("n_live", "n_init", "budget", "gain_vs", "seed"):
-            val = getattr(self, key)
-            if val is not None:
-                out[key] = val
-        if self.method != "standard":
-            out["goal_g"] = self.goal_g
-            out["importance_variant"] = self.importance_variant
-            out["n_batch"] = self.n_batch
-        out["termination_fraction"] = self.termination_fraction
-        return out
 
 
 @dataclass(frozen=True)
@@ -163,6 +149,10 @@ class ExperimentConfig:
                 raise ValueError(f"arm {arm.name!r} references unknown arm {arm.gain_vs!r}")
             if arm.gain_vs == arm.name:
                 raise ValueError(f"arm {arm.name!r} cannot reference itself")
+            # Algorithm 2 smooths over 2 n_init + 1 points with a cubic
+            if arm.method == "dyn2" and (n_init := _arm_n_init(self, arm)) < 2:
+                raise ValueError(
+                    f"arm {arm.name!r}: dyn2 needs n_init >= 2, got {n_init}")
         for key in ("profile_arm", "table_arm"):
             focus = getattr(self, key)
             if focus is not None and focus not in names:
@@ -247,6 +237,18 @@ def estimator_truth(m: ModelSpec, eid: EstimatorId) -> float | None:
 # generation
 
 
+def _arm_n_init(config: ExperimentConfig, arm: ArmConfig) -> int:
+    """A dynamic arm's n_init: its own, or the default fraction of its
+    gain_vs arm's n_live."""
+    if arm.n_init is not None:
+        return arm.n_init
+    ref = config.arm(arm.gain_vs)
+    if ref.method != "standard" or ref.n_live is None:
+        raise ValueError(
+            f"arm {arm.name!r}: n_init can only default off a standard arm")
+    return max(1, round(_DEFAULT_INIT_FRACTION[arm.method] * ref.n_live))
+
+
 def _resolve_arm(config: ExperimentConfig, arm: ArmConfig,
                  realized_mean: dict[str, float]) -> dict:
     """Fill in derived budget / n_init; returns a plain picklable dict."""
@@ -255,13 +257,7 @@ def _resolve_arm(config: ExperimentConfig, arm: ArmConfig,
     if arm.method == "standard":
         base["n_live"] = int(arm.n_live)
         return base
-    n_init = arm.n_init
-    if n_init is None:
-        ref = config.arm(arm.gain_vs)
-        if ref.method != "standard" or ref.n_live is None:
-            raise ValueError(
-                f"arm {arm.name!r}: n_init can only default off a standard arm")
-        n_init = max(1, round(_DEFAULT_INIT_FRACTION[arm.method] * ref.n_live))
+    n_init = _arm_n_init(config, arm)
     budget = arm.budget
     if budget is None:
         if arm.gain_vs not in realized_mean:
@@ -344,21 +340,18 @@ def generate_ensemble(config: ExperimentConfig, out_dir: str,
         resolved = _resolve_arm(config, arm, realized_mean)
         arm_dir = os.path.join(out_dir, arm.name)
         os.makedirs(arm_dir, exist_ok=True)
-        entropy = config.seed if arm.seed is None else arm.seed
-        tasks = []
-        for j in range(config.n_runs):
-            rel = os.path.join(arm.name, f"run_{j:05d}.json")
-            key = (_STREAM_GENERATE, j) if arm.seed is not None \
-                else _run_spawn_key(arm_index, j)
-            tasks.append((model_dict, resolved, entropy, key,
-                          os.path.join(out_dir, rel), rel))
-        sizes = _map_tasks(_generate_one, [t[:5] for t in tasks], workers)
+        rels = [os.path.join(arm.name, f"run_{j:05d}.json")
+                for j in range(config.n_runs)]
+        sizes = _map_tasks(_generate_one, [
+            (model_dict, resolved, config.seed, _run_spawn_key(arm_index, j),
+             os.path.join(out_dir, rel)) for j, rel in enumerate(rels)],
+            workers)
         mean_samples = float(np.mean(sizes))
         realized_mean[arm.name] = mean_samples
         entry = {"name": arm.name, "mean_samples": mean_samples,
                  "gain_vs": arm.gain_vs,
-                 "runs": [{"index": j, "path": t[5], "n_samples": int(s)}
-                          for j, (t, s) in enumerate(zip(tasks, sizes))]}
+                 "runs": [{"index": j, "path": rel, "n_samples": int(n)}
+                          for j, (rel, n) in enumerate(zip(rels, sizes))]}
         entry.update(resolved)
         arm_entries.append(entry)
     manifest = {"version": 1, "seed": config.seed, "n_runs": config.n_runs,
@@ -385,27 +378,41 @@ class MissingRunsError(ValueError):
         super().__init__(f"missing {len(self.missing)} run file(s): {preview}{more}")
 
 
+def _as_list(value, what: str) -> list:
+    if not isinstance(value, list):
+        raise ValueError(f"{what} must be a JSON list, "
+                         f"got {type(value).__name__}")
+    return value
+
+
 def load_manifest(out_dir: str) -> dict:
+    """The manifest of the ensemble in out_dir, checked before any run file
+    is read.  ValueError for a manifest without a list of arms, an arm
+    without a name and a list of runs, a run without a path and an integer
+    n_samples, or a run path that is absolute or has a '..' component,
+    which could name a file outside out_dir; MissingRunsError for run files
+    that are not on disk."""
     path = os.path.join(out_dir, MANIFEST_NAME)
     if not os.path.exists(path):
         raise FileNotFoundError(f"no manifest at {path}")
     with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
-
-
-def _check_run_files(out_dir: str, manifest: dict) -> None:
-    """ValueError for a run path that is absolute or has a '..' component,
-    which could name a file outside out_dir; MissingRunsError for run files
-    that are not on disk."""
-    paths = [r["path"] for entry in manifest["arms"] for r in entry["runs"]]
-    for path in paths:
-        if not isinstance(path, str) or os.path.isabs(path) \
-                or os.pardir in PurePath(path).parts:
-            raise ValueError(f"run path {path!r} must be relative to the "
-                             "ensemble directory and stay inside it")
+        manifest = as_object(json.load(fh), "manifest", ("arms",))
+    paths = []
+    for entry in _as_list(manifest["arms"], "manifest arms"):
+        as_object(entry, "manifest arm", ("name", "runs"))
+        for rec in _as_list(entry["runs"], f"runs of arm {entry['name']!r}"):
+            as_object(rec, "manifest run", ("path", "n_samples"))
+            run_path = rec["path"]
+            if not isinstance(run_path, str) or os.path.isabs(run_path) \
+                    or os.pardir in PurePath(run_path).parts:
+                raise ValueError(f"run path {run_path!r} must be relative to "
+                                 "the ensemble directory and stay inside it")
+            as_int(rec["n_samples"], f"manifest n_samples of {run_path!r}")
+            paths.append(run_path)
     missing = [p for p in paths if not os.path.exists(os.path.join(out_dir, p))]
     if missing:
         raise MissingRunsError(sorted(missing))
+    return manifest
 
 
 def _manifest_arm(manifest: dict, name: str) -> dict:
@@ -504,7 +511,6 @@ def compare_report(config: ExperimentConfig, out_dir: str) -> ExperimentReport:
     if config.n_runs < 2:
         raise ValueError("compare needs n_runs >= 2")
     manifest = load_manifest(out_dir)
-    _check_run_files(out_dir, manifest)
     keys = tuple(e.key for e in config.estimators)
     report = ExperimentReport(arm_order=tuple(a.name for a in config.arms),
                               estimator_keys=keys, n_runs=config.n_runs)
@@ -515,7 +521,7 @@ def compare_report(config: ExperimentConfig, out_dir: str) -> ExperimentReport:
         lengths = []
         for i, rec in enumerate(entry["runs"]):
             run = load_run(os.path.join(out_dir, rec["path"]))
-            if as_int(rec.get("n_samples"), "n_samples") != len(run):
+            if rec["n_samples"] != len(run):
                 raise ValueError(f"manifest n_samples of {rec['path']!r} "
                                  f"is {rec['n_samples']!r}, but the run "
                                  f"holds {len(run)}")
@@ -566,7 +572,6 @@ def alloc_profile_rows(config: ExperimentConfig,
     whose area is 0 raises ZeroDivisionError) comes before any row; the
     rows themselves are made one at a time as the iterator is read."""
     manifest = load_manifest(out_dir)
-    _check_run_files(out_dir, manifest)
     arm_name = config.profile_arm or _default_focus_arm(config)
     entry = _manifest_arm(manifest, arm_name)
     recs = entry["runs"][:config.profile_runs]
@@ -634,7 +639,6 @@ def bootstrap_table_rows(config: ExperimentConfig, out_dir: str) -> list[dict]:
     Each run is resampled bootstrap_reps times (bootstrap_replicates).
     """
     manifest = load_manifest(out_dir)
-    _check_run_files(out_dir, manifest)
     arm_name = config.table_arm or _default_focus_arm(config)
     entry = _manifest_arm(manifest, arm_name)
     if len(entry["runs"]) < 2:

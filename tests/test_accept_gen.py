@@ -6,7 +6,11 @@ import json
 
 import pytest
 
+from conftest import use_fresh_model_caches
 from varlive import accept_gen
+from varlive.analysis import estimates
+from varlive.experiments import _resolve_arm, generate_ensemble
+from varlive.runio import load_run
 
 
 @pytest.mark.parametrize("name, digest", [
@@ -35,3 +39,20 @@ def test_main_list_and_unknown_block(capsys):
     assert [line.partition(":")[0] for line in listed] == list(accept_gen.BLOCKS)
     assert accept_gen.main(["c4", "no_such_block"]) == 2
     assert "no_such_block" in capsys.readouterr().err
+
+
+def test_run_row_samples_the_runs_generate_writes(tmp_path, monkeypatch):
+    # generate and run_row both key run j of arm i by (seed, (0, i, j));
+    # from empty map caches and in generate's order they sample the same runs
+    config = accept_gen.block_config("c4", n_runs=1)
+    use_fresh_model_caches(monkeypatch)
+    manifest = generate_ensemble(config, str(tmp_path))
+    use_fresh_model_caches(monkeypatch)
+    realized = {e["name"]: e["mean_samples"] for e in manifest["arms"]}
+    for arm_index, entry in enumerate(manifest["arms"]):
+        resolved = _resolve_arm(config, config.arms[arm_index], realized)
+        row = accept_gen.run_row(config.model, resolved, config.seed,
+                                 arm_index, 0, config.estimators, 0)
+        run = load_run(str(tmp_path / entry["runs"][0]["path"]))
+        assert row == {"n": len(run),
+                       "est": estimates(run, config.estimators).tolist()}

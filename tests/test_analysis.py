@@ -16,7 +16,7 @@ from varlive.analysis import (
     MEAN_THETA1,
     MEDIAN_THETA1,
     EstimatorId,
-    bootstrap_error,
+    bootstrap_replicates,
     bootstrap_resample,
     efficiency_gain,
     estimate,
@@ -30,6 +30,7 @@ from varlive import analysis, runs
 from varlive.dynamic import (AlgorithmOneConfig, AlgorithmTwoConfig,
                              GoalConfig, dynamic_run_algorithm1,
                              dynamic_run_algorithm2)
+from varlive.experiments import _bootstrap_columns
 from varlive.models import ModelSpec, analytic_log_evidence
 from varlive.runs import (
     NestedRun,
@@ -433,24 +434,24 @@ class TestBootstrapGather:
 
 
 class TestBootstrapError:
+    # the per-run error columns of bootstrap-table and the cache blocks
     def test_replicate_count_and_degenerate_std(self):
         run = chain_run([0.5, 1.0, 2.0])  # one thread: every replicate equal
-        be = bootstrap_error(run, LOG_Z, 16, np.random.default_rng(3))
-        assert be.replicates.size == 16
-        assert be.std == 0.0
+        reps = bootstrap_replicates(run, [LOG_Z], 16, np.random.default_rng(3))
+        assert reps.shape == (16, 1)
+        assert _bootstrap_columns(reps)[0][0] == 0.0
 
     def test_std_positive_for_multithread(self):
         run = standard_run(M3, SamplerConfig(n_live=15, seed=21))
-        be = bootstrap_error(run, LOG_Z, 25, np.random.default_rng(4))
-        assert be.std > 0.0
-        lo = be.replicates.min()
-        hi = be.replicates.max()
-        assert lo <= be.credible_upper(0.95) <= hi
+        reps = bootstrap_replicates(run, [LOG_Z], 25, np.random.default_rng(4))
+        std, cred95 = _bootstrap_columns(reps)
+        assert std[0] > 0.0
+        assert reps.min() <= cred95[0] <= reps.max()
 
     def test_rejects_tiny_rep_count(self):
         run = chain_run([0.5])
-        with pytest.raises(ValueError):
-            bootstrap_error(run, LOG_Z, 1, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="at least 2 replications"):
+            bootstrap_replicates(run, [LOG_Z], 1, np.random.default_rng(0))
 
 
 class TestEfficiencyGain:

@@ -22,9 +22,6 @@ from varlive.dynamic import (
     combined_importance,
     dynamic_run_algorithm1,
     dynamic_run_algorithm2,
-    importance_evidence,
-    importance_evidence_exact,
-    importance_tuned,
     savitzky_golay_smooth,
 )
 from varlive import dynamic, runs
@@ -58,15 +55,20 @@ def censored_standard(m, n_live, seed):
     return standard_run(m, cfg)
 
 
+EVIDENCE = GoalConfig(goal_g=0.0)
+EVIDENCE_EXACT = GoalConfig(goal_g=0.0, importance_variant="exact")
+TUNED = GoalConfig(goal_g=1.0, importance_variant="tuned")
+
+
 class TestEvidenceImportance:
     def test_two_equal_weight_points(self):
         # second contour chosen so L1 w1 == L2 w2 under unit live count
         run = chain_run([0.0, math.log(math.e - 1.0 / math.e)])
-        assert_allclose(importance_evidence(run), [2 / 3, 1 / 3],
+        assert_allclose(combined_importance(run, EVIDENCE), [2 / 3, 1 / 3],
                         rtol=0, atol=1e-12)
 
     def test_single_point_is_one(self):
-        assert_allclose(importance_evidence(chain_run([1.0])), [1.0])
+        assert_allclose(combined_importance(chain_run([1.0]), EVIDENCE), [1.0])
 
     def test_matches_brute_force_tail_sums(self):
         # retained final live points give a varying count profile
@@ -75,7 +77,8 @@ class TestEvidenceImportance:
         counts = live_point_counts(run)
         tail = np.array([lw[i:].sum() for i in range(len(run))])
         expect = (tail / counts) / (tail / counts).sum()
-        assert_allclose(importance_evidence(run), expect, rtol=1e-10)
+        assert_allclose(combined_importance(run, EVIDENCE), expect,
+                        rtol=1e-10)
         # uniform rescaling of the count divisor cancels in normalization
         halved = (tail / (2.0 * counts)) / (tail / (2.0 * counts)).sum()
         assert_allclose(expect, halved, rtol=1e-13)
@@ -90,12 +93,13 @@ class TestEvidenceImportance:
         b = 1.0 / 3.0 ** 1.5
         raw = [a * za + b * own for za, own in zip(above, lw)]
         expect = np.array(raw) / sum(raw)
-        assert_allclose(importance_evidence_exact(run), expect,
+        assert_allclose(combined_importance(run, EVIDENCE_EXACT), expect,
                         rtol=0, atol=1e-12)
 
     def test_exact_matches_plain_at_large_counts(self):
         run = censored_standard(M3, 100, seed=42)
-        ratio = importance_evidence_exact(run) / importance_evidence(run)
+        ratio = (combined_importance(run, EVIDENCE_EXACT)
+                 / combined_importance(run, EVIDENCE))
         assert np.all(np.abs(ratio - 1.0) < 0.05)
 
     def test_argmax_agreement_small_runs(self):
@@ -108,8 +112,8 @@ class TestEvidenceImportance:
         hits = 0
         for s in range(30):
             run = censored_standard(M2, 25, seed=1000 + s)
-            hits += (eps_argmax(importance_evidence(run))
-                     == eps_argmax(importance_evidence_exact(run)))
+            hits += (eps_argmax(combined_importance(run, EVIDENCE))
+                     == eps_argmax(combined_importance(run, EVIDENCE_EXACT)))
         assert hits >= 29
 
     def test_empty_run_rejected(self):
@@ -117,7 +121,7 @@ class TestEvidenceImportance:
                           np.empty(0), np.empty(0),
                           np.empty(0, dtype=np.int64))
         with pytest.raises(ValueError):
-            importance_evidence(empty)
+            combined_importance(empty, EVIDENCE)
 
 
 class TestParamImportance:
@@ -129,37 +133,38 @@ class TestParamImportance:
     def test_tuned_symmetric_pair(self):
         run = chain_run([0.0, math.log(math.e - 1.0 / math.e)],
                         theta1=[0.4, -0.4])
-        imp = importance_tuned(run, run.theta1, 0.0)
-        assert_allclose(imp, [0.5, 0.5], rtol=0, atol=1e-12)
+        assert_allclose(combined_importance(run, TUNED), [0.5, 0.5],
+                        rtol=0, atol=1e-12)
 
     def test_tuned_degenerate_rejected(self):
-        run = chain_run([0.0, 0.5, 1.0], theta1=[0.3, 0.3, 0.3])
-        with pytest.raises(ValueError):
-            importance_tuned(run, run.theta1, 0.3)
-
-    def test_tuned_length_mismatch(self):
-        run = chain_run([0.0, 0.5, 1.0])
-        with pytest.raises(ValueError):
-            importance_tuned(run, [1.0, 2.0], 0.0)
+        # every value at the mean gives no tuned profile, and
+        # combined_importance keeps the posterior weights (see
+        # test_tuned_variant_with_fallback)
+        lw = np.log([0.2, 0.3, 0.5])
+        assert dynamic._tuned(lw, np.full(3, 0.3), 0.3) is None
+        assert dynamic._tuned(lw, np.array([0.3, 0.3, 0.5]), 0.3) is not None
 
 
 class TestCombinedImportance:
     def test_endpoints_reduce_exactly(self):
+        # G = 0 gives the evidence term alone and G = 1 the posterior
+        # weights, bit for bit: no endpoint mixes in a zero-weight term
         run = censored_standard(M2, 30, seed=3)
-        assert np.array_equal(combined_importance(run, GoalConfig(goal_g=0.0)),
-                              importance_evidence(run))
+        counts = live_point_counts(run)
+        lw = point_log_weights(run) + run.log_l
+        assert np.array_equal(combined_importance(run, EVIDENCE),
+                              dynamic._evidence(counts, lw))
         assert np.array_equal(combined_importance(run, GoalConfig(goal_g=1.0)),
                               posterior_weights(run))
-        exact = GoalConfig(goal_g=0.0, importance_variant="exact")
-        assert np.array_equal(combined_importance(run, exact),
-                              importance_evidence_exact(run))
+        assert np.array_equal(combined_importance(run, EVIDENCE_EXACT),
+                              dynamic._evidence_exact(counts, lw))
 
     def test_mixture_normalized_and_linear(self):
         run = censored_standard(M2, 30, seed=3)
         prof = combined_importance(run, GoalConfig(goal_g=0.25))
         assert prof.sum() == pytest.approx(1.0, abs=1e-12)
         assert_allclose(prof,
-                        0.75 * importance_evidence(run)
+                        0.75 * combined_importance(run, EVIDENCE)
                         + 0.25 * posterior_weights(run),
                         rtol=1e-12)
 
@@ -169,15 +174,13 @@ class TestCombinedImportance:
             flat, GoalConfig(goal_g=1.0, importance_variant="tuned"))
         assert_allclose(prof, posterior_weights(flat))
 
-    def test_tuned_variant_custom_target(self):
+    def test_tuned_variant_formula(self):
         run = censored_standard(M2, 25, seed=11)
-        goal = GoalConfig(goal_g=1.0, importance_variant="tuned",
-                          tuned_target=lambda r: r.radius)
-        prof = combined_importance(run, goal)
         p = posterior_weights(run)
-        mean_r = np.sum(p * run.radius)
-        expect = np.abs(run.radius - mean_r) * p
-        assert_allclose(prof, expect / expect.sum(), rtol=1e-12)
+        mean = np.sum(p * run.theta1)
+        expect = np.abs(run.theta1 - mean) * p
+        assert_allclose(combined_importance(run, TUNED), expect / expect.sum(),
+                        rtol=1e-12)
 
     def test_parameter_goal_makes_one_count_pass(self, monkeypatch):
         calls = []
@@ -455,13 +458,13 @@ class TestAlgorithmTwo:
                 seed=321)
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            AlgorithmTwoConfig(n_init=10, total_budget=100, smooth_window=8)
-        with pytest.raises(ValueError):
-            AlgorithmTwoConfig(n_init=10, total_budget=100, smooth_window=5,
-                               smooth_order=5)
-        with pytest.raises(ValueError):
-            AlgorithmTwoConfig(n_init=1, total_budget=100)  # default window 3
+        # the smoothing window 2 n_init + 1 must be longer than the cubic
+        for n_init in (0, 1):
+            with pytest.raises(ValueError, match="n_init must be >= 2"):
+                AlgorithmTwoConfig(n_init=n_init, total_budget=100)
+        assert AlgorithmTwoConfig(n_init=2, total_budget=100).n_init == 2
+        with pytest.raises(ValueError, match="total_budget"):
+            AlgorithmTwoConfig(n_init=10, total_budget=0)
 
     def test_realized_counts_match_allocation(self):
         goal = GoalConfig(goal_g=0.5)

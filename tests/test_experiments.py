@@ -1,6 +1,7 @@
 """Ensemble generation, manifests, and the three report builders."""
 
 import csv
+import dataclasses
 import hashlib
 import json
 import math
@@ -59,9 +60,10 @@ def ensemble(tmp_path_factory):
 
 class TestConfig:
     def test_round_trip(self):
+        # every field of an arm is a key from_dict accepts and keeps
         cfg = small_config()
         for arm in cfg.arms:
-            assert ArmConfig.from_dict(arm.to_dict()) == arm
+            assert ArmConfig.from_dict(dataclasses.asdict(arm)) == arm
 
     def test_validation(self):
         with pytest.raises(ValueError, match="unique"):
@@ -137,12 +139,36 @@ class TestConfig:
             small_config(**{key: bad})
 
     @pytest.mark.parametrize("bad", [20.5, True, "3"])
-    @pytest.mark.parametrize("key", ["n_live", "n_init", "budget", "n_batch",
-                                     "seed"])
+    @pytest.mark.parametrize("key", ["n_live", "n_init", "budget", "n_batch"])
     def test_arm_counts_must_be_integers(self, key, bad):
         arm = {"name": "a", "method": "dyn1", "n_init": 5, key: bad}
         with pytest.raises(ValueError, match=f"arm {key} must be an integer"):
             ArmConfig.from_dict(arm)
+
+    def test_arm_seed_is_an_unknown_key(self):
+        # every arm's streams are keyed off the experiment seed, as
+        # accept_gen.run_row keys them
+        with pytest.raises(ValueError, match=r"unknown arm keys: \['seed'\]"):
+            ArmConfig.from_dict({"name": "a", "method": "standard",
+                                 "n_live": 5, "seed": 9})
+
+    @pytest.mark.parametrize("n_init", [None, 1])
+    def test_dyn2_n_init_checked_at_load(self, n_init):
+        # a dyn2 arm's n_init, given or derived (20% of its gain_vs arm's
+        # n_live: round(0.2 * 5) = 1), used to load, and generate wrote the
+        # standard arm's runs before failing on smoothing settings that no
+        # config can set
+        dyn = {"name": "dyn", "method": "dyn2", "gain_vs": "std"}
+        if n_init is not None:
+            dyn["n_init"] = n_init
+        arms = [{"name": "std", "method": "standard", "n_live": 5}, dyn]
+        with pytest.raises(ValueError,
+                           match="arm 'dyn': dyn2 needs n_init >= 2, got 1"):
+            small_config(arms=arms)
+        arms[0]["n_live"] = 8  # round(0.2 * 8) = 2
+        if n_init is not None:
+            dyn["n_init"] = 2
+        assert small_config(arms=arms).arms[1].method == "dyn2"
 
     @pytest.mark.parametrize("bad", [True, "0.5", None, math.nan, math.inf])
     @pytest.mark.parametrize("key", ["goal_g", "termination_fraction"])
@@ -171,18 +197,18 @@ class TestConfig:
     def test_integral_counts_load_as_int(self):
         cfg = small_config(n_runs=4.0, seed=1234.0, arms=[
             {"name": "std", "method": "standard", "n_live": 40.0,
-             "seed": None},
+             "n_init": None},
             {"name": "dyn", "method": "dyn1", "n_init": 5.0, "budget": 300.0,
-             "n_batch": 2.0, "seed": 9.0}])
+             "n_batch": 2.0}])
         assert cfg == small_config(arms=[
             {"name": "std", "method": "standard", "n_live": 40},
             {"name": "dyn", "method": "dyn1", "n_init": 5, "budget": 300,
-             "n_batch": 2, "seed": 9}])
+             "n_batch": 2}])
         for value in (cfg.n_runs, cfg.seed, cfg.arms[0].n_live,
                       *(getattr(cfg.arms[1], k)
-                        for k in ("n_init", "budget", "n_batch", "seed"))):
+                        for k in ("n_init", "budget", "n_batch"))):
             assert type(value) is int
-        assert cfg.arms[0].seed is None
+        assert cfg.arms[0].n_init is None
         with pytest.raises(ValueError, match="arm n_batch must be an integer"):
             ArmConfig.from_dict({"name": "a", "method": "dyn1", "n_init": 5,
                                  "n_batch": None})
@@ -295,14 +321,20 @@ class TestCompare:
     def test_identical_seeded_arms_gain_exactly_one(self, tmp_path):
         cfg = small_config(
             n_runs=3,
-            arms=[{"name": "a", "method": "standard", "n_live": 30,
-                   "seed": 777},
+            arms=[{"name": "a", "method": "standard", "n_live": 30},
                   {"name": "b", "method": "standard", "n_live": 30,
-                   "seed": 777, "gain_vs": "a"}])
+                   "gain_vs": "a"}])
         out = str(tmp_path / "twin")
-        generate_ensemble(cfg, out)
-        assert open(os.path.join(out, "a", "run_00002.json"), "rb").read() == \
-            open(os.path.join(out, "b", "run_00002.json"), "rb").read()
+        manifest = generate_ensemble(cfg, out)
+        # each arm has its own streams, so b becomes a copy of a
+        a, b = manifest["arms"]
+        b.update(mean_samples=a["mean_samples"], runs=[
+            {**rec, "n_samples": a_rec["n_samples"]}
+            for rec, a_rec in zip(b["runs"], a["runs"])])
+        for a_rec, rec in zip(a["runs"], b["runs"]):
+            shutil.copy(os.path.join(out, a_rec["path"]),
+                        os.path.join(out, rec["path"]))
+        write_manifest(out, manifest)
         report = compare_report(cfg, out)
         for key in report.estimator_keys:
             assert report.gain("b", key).gain == 1.0
@@ -366,6 +398,46 @@ class TestCompare:
                           bootstrap_table_rows):
                 with pytest.raises(ValueError, match="run path"):
                     stage(cfg, out)
+
+    def test_malformed_manifest_rejected(self, tmp_path):
+        # a malformed manifest used to raise KeyError or TypeError in the
+        # stage that read it
+        cfg = small_config(n_runs=2,
+                           arms=[{"name": "std", "method": "standard",
+                                  "n_live": 20}])
+        out = str(tmp_path / "ens")
+        manifest = generate_ensemble(cfg, out)
+        runs = ("arms", 0, "runs")
+        rel = manifest["arms"][0]["runs"][1]["path"]
+        for keys, value, message in [
+                ((), [manifest], "manifest must be a JSON object"),
+                (("arms",), None, "manifest has no 'arms'"),
+                (("arms",), {"std": []}, "manifest arms must be a JSON list"),
+                (("arms", 0, "name"), None, "manifest arm has no 'name'"),
+                (runs, 5, "runs of arm 'std' must be a JSON list"),
+                ((*runs, 1), rel, "manifest run must be a JSON object"),
+                ((*runs, 1, "path"), None, "manifest run has no 'path'"),
+                ((*runs, 1, "n_samples"), None,
+                 "manifest run has no 'n_samples'"),
+                ((*runs, 1, "n_samples"), "8",
+                 f"manifest n_samples of {rel!r} must be an integer")]:
+            bad = json.loads(json.dumps(manifest))
+            if not keys:
+                bad = value
+            else:
+                parent = bad
+                for key in keys[:-1]:
+                    parent = parent[key]
+                if value is None:
+                    del parent[keys[-1]]
+                else:
+                    parent[keys[-1]] = value
+            write_manifest(out, bad)
+            for stage in (compare_report, alloc_profile_rows,
+                          bootstrap_table_rows):
+                with pytest.raises(ValueError) as err:
+                    stage(cfg, out)
+                assert str(err.value).startswith(message), (keys, stage)
 
     def test_single_run_rejected(self, tmp_path):
         cfg = small_config(n_runs=1,
