@@ -1,12 +1,12 @@
 """Regenerates the benchmark ensemble cache used by the acceptance tests.
 
 Each block is one seeded ensemble written as an experiment config: a model
-plus a list of arms run many times, through the per-run sampler and budget
-matching of `varlive.experiments`.  The cache stores per-run sample counts
-and estimator values - plus bootstrap spread columns for the block's
-table_arm - rather than the runs themselves, so the committed files stay
-small while the tests can recompute every gain and coverage statistic
-exactly.
+plus a list of arms run many times, through the arm loop of
+`varlive.experiments` that `varlive generate` runs.  The cache stores
+per-run sample counts and estimator values - plus bootstrap spread columns
+for the block's table_arm - rather than the runs themselves, so the
+committed files stay small while the tests can recompute every gain and
+coverage statistic exactly.
 
     python3 -m varlive.accept_gen              # build missing blocks
     python3 -m varlive.accept_gen --force c1   # rebuild one block
@@ -24,12 +24,9 @@ import os
 import sys
 import time
 
-import numpy as np
-
-from .analysis import bootstrap_replicates, estimates
-from .experiments import (_STREAM_BOOT, ExperimentConfig, _bootstrap_columns,
-                          _map_tasks, _resolve_arm, _run_spawn_key,
-                          _sample_run, _stream, config_from_dict)
+from .analysis import estimates
+from .experiments import (ExperimentConfig, _arm_rows, _bootstrap_columns,
+                          _sample_run, config_from_dict)
 from .models import ModelSpec
 
 __all__ = ["BLOCKS", "EST_KEYS", "block_config", "default_cache_dir",
@@ -119,13 +116,11 @@ def run_row(m: ModelSpec, resolved: dict, entropy: int, arm_index: int,
             run_index: int, eids, boot_reps: int) -> dict:
     """One cached run: sample count, estimates and, when boot_reps > 0, the
     bootstrap spread columns."""
-    run = _sample_run(m, resolved,
-                      _stream(entropy, _run_spawn_key(arm_index, run_index)))
+    run = _sample_run(m, resolved, entropy, arm_index, run_index)
     out = {"n": len(run), "est": estimates(run, eids).tolist()}
     if boot_reps:
-        rng = _stream(entropy, (_STREAM_BOOT, arm_index, run_index))
-        boot_std, cred95 = _bootstrap_columns(
-            bootstrap_replicates(run, eids, boot_reps, rng))
+        boot_std, cred95 = _bootstrap_columns(run, eids, boot_reps, entropy,
+                                              arm_index, run_index)
         out["boot_std"] = boot_std.tolist()
         out["cred_upper95"] = cred95.tolist()
     return out
@@ -134,34 +129,33 @@ def run_row(m: ModelSpec, resolved: dict, entropy: int, arm_index: int,
 def generate_block(name: str, out_dir: str, n_runs: int | None = None,
                    workers: int = 1, log=print) -> dict:
     config = block_config(name, n_runs)
-    t_start = time.perf_counter()
-    arms_out = []
-    realized = {}
-    for arm_index, arm in enumerate(config.arms):
-        resolved = _resolve_arm(config, arm, realized)
+
+    def arm_args(arm):
+        # only the table arm carries bootstrap columns
         boot_reps = config.bootstrap_reps if arm.name == config.table_arm \
             else 0
-        tasks = [(config.model, resolved, config.seed, arm_index, j,
-                  config.estimators, boot_reps) for j in range(config.n_runs)]
-        t0 = time.perf_counter()
-        results = _map_tasks(run_row, tasks, workers)
-        dt = time.perf_counter() - t0
-        counts = [r["n"] for r in results]
-        realized[arm.name] = float(np.mean(counts))
-        settings = {k: v for k, v in resolved.items()
-                    if k != "termination_fraction"}
-        entry = {"name": arm.name, "settings": {"name": arm.name, **settings},
-                 "n_samples": counts,
-                 "mean_samples": realized[arm.name],
-                 "estimates": {key: [r["est"][k] for r in results]
+        return config.estimators, boot_reps
+
+    t_start = t0 = time.perf_counter()
+    arms_out = []
+    for arm, resolved, rows, mean_samples in _arm_rows(config, run_row,
+                                                       workers, arm_args):
+        entry = {"name": arm.name,
+                 "settings": {k: v for k, v in resolved.items()
+                              if k != "termination_fraction"},
+                 "n_samples": [r["n"] for r in rows],
+                 "mean_samples": mean_samples,
+                 "estimates": {key: [r["est"][k] for r in rows]
                                for k, key in enumerate(EST_KEYS)}}
-        if boot_reps:
+        if arm.name == config.table_arm:
             for column in ("boot_std", "cred_upper95"):
-                entry[column] = {key: [r[column][k] for r in results]
+                entry[column] = {key: [r[column][k] for r in rows]
                                  for k, key in enumerate(EST_KEYS)}
         arms_out.append(entry)
         log(f"  [{name}] arm {arm.name}: {config.n_runs} runs, "
-            f"mean {realized[arm.name]:.0f} samples, {dt:.1f}s")
+            f"mean {mean_samples:.0f} samples, "
+            f"{time.perf_counter() - t0:.1f}s")
+        t0 = time.perf_counter()
     block = {"version": CACHE_VERSION, "name": name,
              "model": BLOCKS[name]["model"], "seed": config.seed,
              "n_runs": config.n_runs, "estimator_keys": list(EST_KEYS),

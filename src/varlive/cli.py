@@ -14,12 +14,16 @@ import json
 import os
 import sys
 
-from .experiments import (MissingRunsError, alloc_profile_rows,
-                          bootstrap_table_rows, compare_report,
-                          generate_ensemble, load_experiment_config,
-                          write_alloc_profile_csv, write_bootstrap_table_csv)
+from . import experiments
 
 __all__ = ["main"]
+
+# each report stage: the file it writes and the experiments function that
+# builds its rows, looked up on the module when the stage runs, so a wrapper
+# put on the module attribute (bench/layertrace.py) is the one called
+_REPORTS = {"compare": ("report.csv", "compare_report"),
+            "alloc-profile": ("alloc_profile.csv", "alloc_profile_rows"),
+            "bootstrap-table": ("bootstrap_table.csv", "bootstrap_table_rows")}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -43,7 +47,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config(args):
-    config = load_experiment_config(args.config)
+    config = experiments.load_experiment_config(args.config)
     overrides = {}
     if args.seed is not None:
         overrides["seed"] = args.seed
@@ -66,23 +70,16 @@ def main(argv=None) -> int:
     try:
         config = _load_config(args)
         if args.command == "generate":
-            generate_ensemble(config, args.out)
-            out_path = os.path.join(args.out, "manifest.json")
-        elif args.command == "compare":
-            report = compare_report(config, args.out)
-            out_path = os.path.join(args.out, "report.csv")
-            report.write_csv(out_path)
-        elif args.command == "alloc-profile":
-            rows = alloc_profile_rows(config, args.out)
-            out_path = os.path.join(args.out, "alloc_profile.csv")
-            write_alloc_profile_csv(rows, out_path)
+            experiments.generate_ensemble(config, args.out)
+            out_path = os.path.join(args.out, experiments.MANIFEST_NAME)
         else:
-            rows = bootstrap_table_rows(config, args.out)
-            out_path = os.path.join(args.out, "bootstrap_table.csv")
-            write_bootstrap_table_csv(rows, config, out_path)
+            file_name, builder = _REPORTS[args.command]
+            rows = getattr(experiments, builder)(config, args.out)
+            out_path = os.path.join(args.out, file_name)
+            experiments.write_csv(rows, out_path)
     except Exception as exc:  # noqa: BLE001 - every failure becomes a record
         record = {"error": type(exc).__name__, "message": str(exc)}
-        if isinstance(exc, MissingRunsError):
+        if isinstance(exc, experiments.MissingRunsError):
             record["missing"] = list(exc.missing)
         print(json.dumps(record), file=sys.stderr)
         return 1

@@ -14,12 +14,12 @@ import json
 import math
 import os
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import PurePath
 
 import numpy as np
 
-from .analysis import (EstimatorId, GainEstimate, bootstrap_replicates,
+from .analysis import (EstimatorId, bootstrap_replicates,
                        efficiency_gain, estimates, estimator_from_key,
                        jackknife_std_sigma, weighted_quantile)
 from .dynamic import (AlgorithmOneConfig, AlgorithmTwoConfig, GoalConfig,
@@ -34,12 +34,10 @@ from .sampler import SamplerConfig, standard_run
 
 __all__ = [
     "ArmConfig", "ExperimentConfig", "MissingRunsError",
-    "EstimatorSummary", "ExperimentReport",
     "config_from_dict", "load_experiment_config", "estimator_truth",
     "generate_ensemble", "load_manifest",
-    "compare_report", "alloc_profile_rows", "write_alloc_profile_csv",
-    "bootstrap_table_rows", "write_bootstrap_table_csv",
-    "MANIFEST_NAME",
+    "compare_report", "alloc_profile_rows", "bootstrap_table_rows",
+    "write_csv", "MANIFEST_NAME",
 ]
 
 MANIFEST_NAME = "manifest.json"
@@ -54,6 +52,13 @@ _STREAM_BOOT = 2
 # fraction of the matched standard arm's live-point count used when a
 # dynamic arm leaves n_init unset
 _DEFAULT_INIT_FRACTION = {"dyn1": 0.1, "dyn2": 0.2}
+
+# the settings each method never reads: an arm may leave them at their
+# defaults, but a value that differs is refused rather than dropped
+_UNREAD = {"standard": ("n_init", "budget", "goal_g", "importance_variant",
+                        "n_batch"),
+           "dyn1": ("n_live",),
+           "dyn2": ("n_live", "n_batch")}
 
 
 @dataclass(frozen=True)
@@ -82,6 +87,11 @@ class ArmConfig:
             raise ValueError(f"bad arm name {self.name!r}")
         if self.method not in _METHODS:
             raise ValueError(f"unknown method {self.method!r}")
+        unread = [k for k in _UNREAD[self.method]
+                  if getattr(self, k) != self.__dataclass_fields__[k].default]
+        if unread:
+            raise ValueError(f"arm {self.name!r}: a {self.method} arm does "
+                             f"not read {unread}")
         if self.importance_variant not in IMPORTANCE_VARIANTS:
             raise ValueError(f"unknown importance variant {self.importance_variant!r}")
         if self.method == "standard":
@@ -144,13 +154,22 @@ class ExperimentConfig:
         names = [a.name for a in self.arms]
         if len(set(names)) != len(names):
             raise ValueError("arm names must be unique")
-        for arm in self.arms:
+        for i, arm in enumerate(self.arms):
             if arm.gain_vs is not None and arm.gain_vs not in names:
                 raise ValueError(f"arm {arm.name!r} references unknown arm {arm.gain_vs!r}")
             if arm.gain_vs == arm.name:
                 raise ValueError(f"arm {arm.name!r} cannot reference itself")
+            if arm.method == "standard":
+                continue
+            # every failure _resolve_arm can meet is found here, so generate
+            # never writes part of an ensemble and then raises
+            if arm.budget is None and arm.gain_vs not in names[:i]:
+                raise ValueError(
+                    f"arm {arm.name!r} needs an explicit budget or must come "
+                    f"after its gain_vs arm {arm.gain_vs!r}")
+            n_init = _arm_n_init(self, arm)
             # Algorithm 2 smooths over 2 n_init + 1 points with a cubic
-            if arm.method == "dyn2" and (n_init := _arm_n_init(self, arm)) < 2:
+            if arm.method == "dyn2" and n_init < 2:
                 raise ValueError(
                     f"arm {arm.name!r}: dyn2 needs n_init >= 2, got {n_init}")
         for key in ("profile_arm", "table_arm"):
@@ -243,7 +262,7 @@ def _arm_n_init(config: ExperimentConfig, arm: ArmConfig) -> int:
     if arm.n_init is not None:
         return arm.n_init
     ref = config.arm(arm.gain_vs)
-    if ref.method != "standard" or ref.n_live is None:
+    if ref.method != "standard":
         raise ValueError(
             f"arm {arm.name!r}: n_init can only default off a standard arm")
     return max(1, round(_DEFAULT_INIT_FRACTION[arm.method] * ref.n_live))
@@ -251,29 +270,22 @@ def _arm_n_init(config: ExperimentConfig, arm: ArmConfig) -> int:
 
 def _resolve_arm(config: ExperimentConfig, arm: ArmConfig,
                  realized_mean: dict[str, float]) -> dict:
-    """Fill in derived budget / n_init; returns a plain picklable dict."""
-    base = {"method": arm.method,
+    """The arm's name and settings as a plain picklable dict, with n_init
+    and budget filled in; a budget left unset is the mean sample count of
+    the gain_vs arm in realized_mean."""
+    base = {"name": arm.name, "method": arm.method,
             "termination_fraction": arm.termination_fraction}
     if arm.method == "standard":
         base["n_live"] = int(arm.n_live)
         return base
-    n_init = _arm_n_init(config, arm)
     budget = arm.budget
     if budget is None:
-        if arm.gain_vs not in realized_mean:
-            raise ValueError(
-                f"arm {arm.name!r} needs an explicit budget or must come after "
-                f"its gain_vs arm {arm.gain_vs!r}")
         budget = int(round(realized_mean[arm.gain_vs]))
-    base.update(n_init=int(n_init), budget=int(budget),
+    base.update(n_init=int(_arm_n_init(config, arm)), budget=int(budget),
                 goal_g=float(arm.goal_g),
                 importance_variant=arm.importance_variant,
                 n_batch=int(arm.n_batch))
     return base
-
-
-def _run_spawn_key(arm_index: int, run_index: int) -> tuple[int, int, int]:
-    return (_STREAM_GENERATE, arm_index, run_index)
 
 
 def _stream(entropy: int, spawn_key: tuple) -> np.random.Generator:
@@ -281,20 +293,11 @@ def _stream(entropy: int, spawn_key: tuple) -> np.random.Generator:
                                                         spawn_key=spawn_key))
 
 
-def _map_tasks(fn, tasks: list[tuple], workers: int) -> list:
-    """fn(*task) for every task, in order, over a process pool when
-    workers > 1."""
-    if workers > 1:
-        # imported here: concurrent.futures and multiprocessing add to the
-        # start-up of every process that never uses a pool
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, *zip(*tasks)))
-    return [fn(*t) for t in tasks]
-
-
-def _sample_run(m: ModelSpec, resolved: dict, rng) -> NestedRun:
-    """One run of an arm resolved by _resolve_arm."""
+def _sample_run(m: ModelSpec, resolved: dict, seed: int, arm_index: int,
+                run_index: int) -> NestedRun:
+    """Run run_index of an arm resolved by _resolve_arm, drawn from the
+    stream (seed, (0, arm_index, run_index))."""
+    rng = _stream(seed, (_STREAM_GENERATE, arm_index, run_index))
     method = resolved["method"]
     if method == "standard":
         cfg = SamplerConfig(n_live=resolved["n_live"],
@@ -315,12 +318,39 @@ def _sample_run(m: ModelSpec, resolved: dict, rng) -> NestedRun:
     return dynamic_run_algorithm2(m, goal, cfg, rng=rng)
 
 
-def _generate_one(model_dict: dict, resolved: dict, entropy: int,
-                  spawn_key: tuple, path: str) -> int:
-    run = _sample_run(ModelSpec.from_dict(model_dict), resolved,
-                      _stream(entropy, spawn_key))
-    save_run(run, path)
-    return len(run)
+def _arm_rows(config: ExperimentConfig, task, workers: int, arm_args):
+    """Yields (arm, resolved settings, rows, mean sample count) for each arm
+    in order.  The rows are task(config.model, resolved, config.seed,
+    arm_index, run_index, *arm_args(arm)) for each run, over a process pool
+    when workers > 1; each holds its run's sample count as "n", and their
+    mean sets the budget of a later arm that leaves it to this one."""
+    realized_mean: dict[str, float] = {}
+    for arm_index, arm in enumerate(config.arms):
+        resolved = _resolve_arm(config, arm, realized_mean)
+        extra = arm_args(arm)
+        tasks = [(config.model, resolved, config.seed, arm_index, j, *extra)
+                 for j in range(config.n_runs)]
+        if workers > 1:
+            # imported here: concurrent.futures and multiprocessing add to
+            # the start-up of every process that never uses a pool
+            from concurrent.futures import ProcessPoolExecutor
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                rows = list(pool.map(task, *zip(*tasks)))
+        else:
+            rows = [task(*t) for t in tasks]
+        realized_mean[arm.name] = float(np.mean([r["n"] for r in rows]))
+        yield arm, resolved, rows, realized_mean[arm.name]
+
+
+def _generate_one(m: ModelSpec, resolved: dict, seed: int, arm_index: int,
+                  run_index: int, out_dir: str) -> dict:
+    """Samples one run and saves it under out_dir; returns its sample count
+    and its path relative to out_dir."""
+    run = _sample_run(m, resolved, seed, arm_index, run_index)
+    os.makedirs(os.path.join(out_dir, resolved["name"]), exist_ok=True)
+    rel = os.path.join(resolved["name"], f"run_{run_index:05d}.json")
+    save_run(run, os.path.join(out_dir, rel))
+    return {"n": len(run), "path": rel}
 
 
 def generate_ensemble(config: ExperimentConfig, out_dir: str,
@@ -333,29 +363,14 @@ def generate_ensemble(config: ExperimentConfig, out_dir: str,
     """
     workers = config.workers if workers is None else workers
     os.makedirs(out_dir, exist_ok=True)
-    model_dict = config.model.to_dict()
-    realized_mean: dict[str, float] = {}
-    arm_entries = []
-    for arm_index, arm in enumerate(config.arms):
-        resolved = _resolve_arm(config, arm, realized_mean)
-        arm_dir = os.path.join(out_dir, arm.name)
-        os.makedirs(arm_dir, exist_ok=True)
-        rels = [os.path.join(arm.name, f"run_{j:05d}.json")
-                for j in range(config.n_runs)]
-        sizes = _map_tasks(_generate_one, [
-            (model_dict, resolved, config.seed, _run_spawn_key(arm_index, j),
-             os.path.join(out_dir, rel)) for j, rel in enumerate(rels)],
-            workers)
-        mean_samples = float(np.mean(sizes))
-        realized_mean[arm.name] = mean_samples
-        entry = {"name": arm.name, "mean_samples": mean_samples,
-                 "gain_vs": arm.gain_vs,
-                 "runs": [{"index": j, "path": rel, "n_samples": int(n)}
-                          for j, (rel, n) in enumerate(zip(rels, sizes))]}
-        entry.update(resolved)
-        arm_entries.append(entry)
+    arm_entries = [
+        {**resolved, "mean_samples": mean_samples, "gain_vs": arm.gain_vs,
+         "runs": [{"index": j, "path": r["path"], "n_samples": r["n"]}
+                  for j, r in enumerate(rows)]}
+        for arm, resolved, rows, mean_samples in _arm_rows(
+            config, _generate_one, workers, lambda arm: (out_dir,))]
     manifest = {"version": 1, "seed": config.seed, "n_runs": config.n_runs,
-                "model": model_dict, "arms": arm_entries}
+                "model": config.model.to_dict(), "arms": arm_entries}
     tmp = os.path.join(out_dir, MANIFEST_NAME + ".tmp")
     with open(tmp, "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, separators=(",", ":"), sort_keys=True)
@@ -422,16 +437,21 @@ def _manifest_arm(manifest: dict, name: str) -> dict:
     raise ValueError(f"arm {name!r} not present in manifest")
 
 
-def _write_csv(path: str, columns, rows: Iterable[dict]) -> None:
-    """Writes a header and rows to path + ".tmp", then renames it to path,
-    so a row source that fails part way leaves no file at path."""
+def write_csv(rows: Iterable[dict], path: str) -> None:
+    """Writes rows to path as CSV, the first row's keys as the header.  The
+    text goes to path + ".tmp", which is then renamed to path, so a row
+    source that fails part way leaves no file at path."""
+    rows = iter(rows)
+    first = next(rows, None)
     tmp = path + ".tmp"
     try:
         with open(tmp, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=columns,
-                                    lineterminator="\n")
-            writer.writeheader()
-            writer.writerows(rows)
+            if first is not None:
+                writer = csv.DictWriter(fh, fieldnames=list(first),
+                                        lineterminator="\n")
+                writer.writeheader()
+                writer.writerow(first)
+                writer.writerows(rows)
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):
@@ -449,72 +469,27 @@ def _default_focus_arm(config: ExperimentConfig) -> str:
 # compare
 
 
-@dataclass(frozen=True)
-class EstimatorSummary:
-    mean: float
-    std: float
-    std_sigma: float
-    rmse: float | None
-    truth: float | None
+# the columns of a compare row, in order; a row leaves empty those it
+# does not use
+_COMPARE_ROW = dict.fromkeys(("row", "arm", "estimator", "baseline", "value",
+                              "sigma", "spread", "spread_sigma", "rmse",
+                              "truth"), "")
 
 
-@dataclass
-class ExperimentReport:
-    arm_order: tuple[str, ...]
-    estimator_keys: tuple[str, ...]
-    mean_samples: dict = field(default_factory=dict)
-    summaries: dict = field(default_factory=dict)   # (arm, key) -> EstimatorSummary
-    gains: dict = field(default_factory=dict)       # (arm, key) -> GainEstimate
-    baselines: dict = field(default_factory=dict)   # arm -> gain_vs arm
-    n_runs: int = 0
-
-    _COLUMNS = ("row", "arm", "estimator", "baseline", "value", "sigma",
-                "spread", "spread_sigma", "rmse", "truth")
-
-    def to_rows(self) -> list[dict]:
-        def fmt(x):
-            return "" if x is None else repr(float(x))
-        rows = []
-        for arm in self.arm_order:
-            rows.append({"row": "samples", "arm": arm, "estimator": "",
-                         "baseline": "", "value": fmt(self.mean_samples[arm]),
-                         "sigma": "", "spread": "", "spread_sigma": "",
-                         "rmse": "", "truth": ""})
-            for key in self.estimator_keys:
-                s = self.summaries[(arm, key)]
-                sem = s.std / math.sqrt(self.n_runs)
-                rows.append({"row": "estimate", "arm": arm, "estimator": key,
-                             "baseline": "", "value": fmt(s.mean),
-                             "sigma": fmt(sem), "spread": fmt(s.std),
-                             "spread_sigma": fmt(s.std_sigma),
-                             "rmse": fmt(s.rmse), "truth": fmt(s.truth)})
-        for arm in self.arm_order:
-            base = self.baselines.get(arm)
-            if base is None:
-                continue
-            for key in self.estimator_keys:
-                g = self.gains[(arm, key)]
-                rows.append({"row": "gain", "arm": arm, "estimator": key,
-                             "baseline": base, "value": fmt(g.gain),
-                             "sigma": fmt(g.sigma), "spread": "",
-                             "spread_sigma": "", "rmse": "", "truth": ""})
-        return rows
-
-    def write_csv(self, path: str) -> None:
-        _write_csv(path, self._COLUMNS, self.to_rows())
-
-    def gain(self, arm: str, key: str) -> GainEstimate:
-        return self.gains[(arm, key)]
+def _fmt(x) -> str:
+    return "" if x is None else repr(float(x))
 
 
-def compare_report(config: ExperimentConfig, out_dir: str) -> ExperimentReport:
+def compare_report(config: ExperimentConfig, out_dir: str) -> list[dict]:
+    """Report rows: per arm, its mean sample count ("samples") and a summary
+    of each estimator over its runs ("estimate"); then, per arm with a
+    gain_vs arm, each estimator's efficiency gain over it ("gain")."""
     if config.n_runs < 2:
         raise ValueError("compare needs n_runs >= 2")
     manifest = load_manifest(out_dir)
-    keys = tuple(e.key for e in config.estimators)
-    report = ExperimentReport(arm_order=tuple(a.name for a in config.arms),
-                              estimator_keys=keys, n_runs=config.n_runs)
+    rows = []
     values: dict[str, np.ndarray] = {}
+    mean_samples: dict[str, float] = {}
     for arm in config.arms:
         entry = _manifest_arm(manifest, arm.name)
         mat = np.empty((len(entry["runs"]), len(config.estimators)))
@@ -529,33 +504,39 @@ def compare_report(config: ExperimentConfig, out_dir: str) -> ExperimentReport:
             mat[i] = estimates(run, config.estimators)
         values[arm.name] = mat
         # the mean generate wrote, from the runs themselves
-        mean_samples = float(np.mean(lengths))
-        if as_float(entry.get("mean_samples"), "mean_samples") != mean_samples:
+        mean = float(np.mean(lengths))
+        if as_float(entry.get("mean_samples"), "mean_samples") != mean:
             raise ValueError(f"manifest mean_samples of arm {arm.name!r} "
                              f"is {entry['mean_samples']!r}, but its runs "
-                             f"hold {mean_samples!r} on average")
-        report.mean_samples[arm.name] = mean_samples
+                             f"hold {mean!r} on average")
+        mean_samples[arm.name] = mean
+        rows.append({**_COMPARE_ROW, "row": "samples", "arm": arm.name,
+                     "value": _fmt(mean)})
         for k, eid in enumerate(config.estimators):
             col = mat[:, k]
             truth = estimator_truth(config.model, eid)
             rmse = None if truth is None else \
                 float(np.sqrt(np.mean((col - truth) ** 2)))
-            report.summaries[(arm.name, keys[k])] = EstimatorSummary(
-                mean=float(col.mean()), std=float(col.std(ddof=1)),
-                std_sigma=jackknife_std_sigma(col), rmse=rmse, truth=truth)
+            std = float(col.std(ddof=1))
+            rows.append({**_COMPARE_ROW, "row": "estimate", "arm": arm.name,
+                         "estimator": eid.key, "value": _fmt(col.mean()),
+                         "sigma": _fmt(std / math.sqrt(config.n_runs)),
+                         "spread": _fmt(std),
+                         "spread_sigma": _fmt(jackknife_std_sigma(col)),
+                         "rmse": _fmt(rmse), "truth": _fmt(truth)})
     for arm_index, arm in enumerate(config.arms):
         if arm.gain_vs is None:
             continue
-        report.baselines[arm.name] = arm.gain_vs
-        base = values[arm.gain_vs]
-        mine = values[arm.name]
         for k, eid in enumerate(config.estimators):
             rng = _stream(config.seed, (_STREAM_GAIN, arm_index, k))
-            report.gains[(arm.name, keys[k])] = efficiency_gain(
-                base[:, k], mine[:, k],
-                report.mean_samples[arm.gain_vs], report.mean_samples[arm.name],
+            g = efficiency_gain(
+                values[arm.gain_vs][:, k], values[arm.name][:, k],
+                mean_samples[arm.gain_vs], mean_samples[arm.name],
                 n_boot=config.gain_boot, rng=rng)
-    return report
+            rows.append({**_COMPARE_ROW, "row": "gain", "arm": arm.name,
+                         "estimator": eid.key, "baseline": arm.gain_vs,
+                         "value": _fmt(g.gain), "sigma": _fmt(g.sigma)})
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -611,10 +592,6 @@ def alloc_profile_rows(config: ExperimentConfig,
     return rows()
 
 
-def write_alloc_profile_csv(rows: Iterable[dict], path: str) -> None:
-    _write_csv(path, ("row", "name", "index", "log_x", "value"), rows)
-
-
 # ---------------------------------------------------------------------------
 # bootstrap table
 
@@ -624,9 +601,12 @@ _TABLE_STATS = ("mean", "repeats_std", "bootstrap_std",
                 "credible_upper_95", "coverage_95")
 
 
-def _bootstrap_columns(reps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-estimator spread and 95% upper credible bound of a replicate
-    matrix from bootstrap_replicates."""
+def _bootstrap_columns(run: NestedRun, eids, n_reps: int, seed: int,
+                       *key: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-estimator spread and 95% upper credible bound of n_reps bootstrap
+    replicates of run, drawn from the stream (seed, (2, *key))."""
+    reps = bootstrap_replicates(run, eids, n_reps,
+                                _stream(seed, (_STREAM_BOOT, *key)))
     uniform = np.ones(reps.shape[0])
     cred95 = [weighted_quantile(reps[:, k], uniform, 0.95)
               for k in range(reps.shape[1])]
@@ -661,9 +641,8 @@ def bootstrap_table_rows(config: ExperimentConfig, out_dir: str) -> list[dict]:
     for j, rec in enumerate(entry["runs"]):
         run = load_run(os.path.join(out_dir, rec["path"]))
         est[j] = estimates(run, eids)
-        reps = bootstrap_replicates(run, eids, config.bootstrap_reps,
-                                    _stream(config.seed, (_STREAM_BOOT, j)))
-        boot_std[j], cred95[j] = _bootstrap_columns(reps)
+        boot_std[j], cred95[j] = _bootstrap_columns(
+            run, eids, config.bootstrap_reps, config.seed, j)
     repeats_std = est.std(axis=0, ddof=1)
     mean_boot = boot_std.mean(axis=0)
     stats = {
@@ -683,7 +662,3 @@ def bootstrap_table_rows(config: ExperimentConfig, out_dir: str) -> list[dict]:
         rows.append(row)
     return rows
 
-
-def write_bootstrap_table_csv(rows: list[dict], config: ExperimentConfig,
-                              path: str) -> None:
-    _write_csv(path, ["statistic"] + [e.key for e in config.estimators], rows)

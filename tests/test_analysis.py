@@ -439,12 +439,14 @@ class TestBootstrapError:
         run = chain_run([0.5, 1.0, 2.0])  # one thread: every replicate equal
         reps = bootstrap_replicates(run, [LOG_Z], 16, np.random.default_rng(3))
         assert reps.shape == (16, 1)
-        assert _bootstrap_columns(reps)[0][0] == 0.0
+        assert _bootstrap_columns(run, [LOG_Z], 16, 3)[0][0] == 0.0
 
     def test_std_positive_for_multithread(self):
         run = standard_run(M3, SamplerConfig(n_live=15, seed=21))
-        reps = bootstrap_replicates(run, [LOG_Z], 25, np.random.default_rng(4))
-        std, cred95 = _bootstrap_columns(reps)
+        std, cred95 = _bootstrap_columns(run, [LOG_Z], 25, 4, 0)
+        # the replicates come from the stream (seed, (2, *key))
+        reps = bootstrap_replicates(run, [LOG_Z], 25, np.random.default_rng(
+            np.random.SeedSequence(4, spawn_key=(2, 0))))
         assert std[0] > 0.0
         assert reps.min() <= cred95[0] <= reps.max()
 

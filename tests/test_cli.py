@@ -1,5 +1,6 @@
 """Command-line behaviour: exit codes, outputs, error records."""
 
+import csv
 import json
 import os
 
@@ -58,6 +59,29 @@ def test_alloc_profile_and_bootstrap_table(config_path, generated):
     lines = open(table, encoding="utf-8").read().splitlines()
     assert len(lines) == 8  # header plus seven statistics
     assert lines[0] == "statistic,log_z,median_radius"
+
+
+@pytest.mark.parametrize("stage, file_name, builder", [
+    ("compare", "report.csv", "compare_report"),
+    ("alloc-profile", "alloc_profile.csv", "alloc_profile_rows"),
+    ("bootstrap-table", "bootstrap_table.csv", "bootstrap_table_rows")])
+def test_report_csv_holds_the_builder_rows(config_path, generated, stage,
+                                           file_name, builder):
+    # every report goes through one writer, with the first row's keys as
+    # the header; the bootstrap table's header follows the estimator list
+    from varlive import experiments
+    assert main([stage, "--config", config_path, "--out", generated]) == 0
+    with open(os.path.join(generated, file_name), newline="",
+              encoding="utf-8") as fh:
+        reader = csv.DictReader(fh)
+        got = list(reader)
+    config = experiments.load_experiment_config(config_path)
+    want = [{k: str(v) for k, v in row.items()}
+            for row in getattr(experiments, builder)(config, generated)]
+    assert got == want
+    if stage == "bootstrap-table":
+        assert reader.fieldnames == ["statistic"] + [
+            e.key for e in config.estimators]
 
 
 def test_zero_curve_error_record(config_path, generated, tmp_path, capsys,

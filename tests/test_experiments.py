@@ -16,8 +16,7 @@ from varlive.experiments import (ArmConfig, ExperimentConfig,
                                  MissingRunsError, alloc_profile_rows,
                                  bootstrap_table_rows, compare_report,
                                  config_from_dict, estimator_truth,
-                                 generate_ensemble, load_manifest,
-                                 write_alloc_profile_csv)
+                                 generate_ensemble, load_manifest, write_csv)
 from varlive.models import ModelSpec
 
 
@@ -152,6 +151,38 @@ class TestConfig:
             ArmConfig.from_dict({"name": "a", "method": "standard",
                                  "n_live": 5, "seed": 9})
 
+    @pytest.mark.parametrize("method, key, value", [
+        ("standard", "n_init", 5), ("standard", "budget", 100),
+        ("standard", "goal_g", 0.5), ("standard", "importance_variant", "tuned"),
+        ("standard", "n_batch", 7), ("dyn1", "n_live", 99),
+        ("dyn2", "n_live", 99), ("dyn2", "n_batch", 7)])
+    def test_settings_the_method_never_reads_are_refused(self, method, key,
+                                                         value):
+        # a dyn2 arm with n_batch 7 and n_live 99 used to load; its manifest
+        # recorded n_batch 7 and n_live vanished
+        size = {"n_live": 5} if method == "standard" else {"n_init": 5}
+        arm = {"name": "a", "method": method, **size}
+        assert ArmConfig.from_dict(arm).method == method
+        with pytest.raises(ValueError, match=(
+                rf"arm 'a': a {method} arm does not read \['{key}'\]")):
+            ArmConfig.from_dict({**arm, key: value})
+
+    @pytest.mark.parametrize("arms", [
+        # n_init derived off a gain_vs arm that is not standard
+        [{"name": "std", "method": "standard", "n_live": 20},
+         {"name": "d2", "method": "dyn2", "n_init": 4, "budget": 100},
+         {"name": "a", "method": "dyn1", "budget": 100, "gain_vs": "d2"}],
+        # a budget matched to a gain_vs arm that comes later in the list
+        [{"name": "s0", "method": "standard", "n_live": 20},
+         {"name": "a", "method": "dyn1", "n_init": 4, "gain_vs": "std"},
+         {"name": "std", "method": "standard", "n_live": 20}]],
+        ids=["n_init_off_a_dynamic_arm", "gain_vs_arm_listed_later"])
+    def test_arm_resolution_checked_at_load(self, arms):
+        # both used to load, and generate wrote the runs of the arms before
+        # arm 'a' and then raised
+        with pytest.raises(ValueError, match="arm 'a'"):
+            small_config(arms=arms)
+
     @pytest.mark.parametrize("n_init", [None, 1])
     def test_dyn2_n_init_checked_at_load(self, n_init):
         # a dyn2 arm's n_init, given or derived (20% of its gain_vs arm's
@@ -259,9 +290,7 @@ class TestGenerate:
         for rel in ("manifest.json", os.path.join("dyn1", "run_00000.json")):
             assert open(os.path.join(seq, rel), "rb").read() == \
                 open(os.path.join(par, rel), "rb").read(), rel
-        rep_seq = compare_report(cfg, seq)
-        rep_par = compare_report(cfg, par)
-        assert rep_seq.to_rows() == rep_par.to_rows()
+        assert compare_report(cfg, seq) == compare_report(cfg, par)
 
 
 class TestTruths:
@@ -291,8 +320,7 @@ class TestTruths:
 class TestCompare:
     def test_report_structure(self, ensemble):
         cfg, out, _ = ensemble
-        report = compare_report(cfg, out)
-        rows = report.to_rows()
+        rows = compare_report(cfg, out)
         kinds = [r["row"] for r in rows]
         assert kinds.count("samples") == 3
         assert kinds.count("estimate") == 9
@@ -308,15 +336,14 @@ class TestCompare:
                 assert float(r["sigma"]) > 0.0
 
     def test_csv_written(self, ensemble, tmp_path):
-        cfg, out, _ = ensemble
-        report = compare_report(cfg, out)
+        cfg, out, manifest = ensemble
         path = str(tmp_path / "report.csv")
-        report.write_csv(path)
+        write_csv(compare_report(cfg, out), path)
         with open(path, newline="", encoding="utf-8") as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 3 + 9 + 6
         got = next(r for r in rows if r["row"] == "samples" and r["arm"] == "std")
-        assert float(got["value"]) == report.mean_samples["std"]
+        assert float(got["value"]) == manifest["arms"][0]["mean_samples"]
 
     def test_identical_seeded_arms_gain_exactly_one(self, tmp_path):
         cfg = small_config(
@@ -335,9 +362,9 @@ class TestCompare:
             shutil.copy(os.path.join(out, a_rec["path"]),
                         os.path.join(out, rec["path"]))
         write_manifest(out, manifest)
-        report = compare_report(cfg, out)
-        for key in report.estimator_keys:
-            assert report.gain("b", key).gain == 1.0
+        gains = {r["estimator"]: float(r["value"])
+                 for r in compare_report(cfg, out) if r["row"] == "gain"}
+        assert gains == {e.key: 1.0 for e in cfg.estimators}
 
     def test_missing_runs_listed(self, tmp_path):
         cfg = small_config(n_runs=2,
@@ -363,9 +390,10 @@ class TestCompare:
                                   "n_live": 10, "gain_vs": "std"}])
         out = str(tmp_path / "counts")
         manifest = generate_ensemble(cfg, out)
-        report = compare_report(cfg, out)
-        assert report.mean_samples == {a["name"]: a["mean_samples"]
-                                       for a in manifest["arms"]}
+        rows = compare_report(cfg, out)
+        assert {r["arm"]: float(r["value"]) for r in rows
+                if r["row"] == "samples"} == {a["name"]: a["mean_samples"]
+                                              for a in manifest["arms"]}
         for arm, key, value in [(1, "mean_samples", True),
                                 (1, "mean_samples", 1e6),
                                 (0, "mean_samples", None),
@@ -512,15 +540,14 @@ class TestCsvWriters:
             raise RuntimeError("halfway")
 
         with pytest.raises(RuntimeError, match="halfway"):
-            write_alloc_profile_csv(rows(), path)
+            write_csv(rows(), path)
         assert os.listdir(tmp_path) == []
 
     def test_replaces_an_old_file(self, tmp_path):
         path = tmp_path / "alloc_profile.csv"
         path.write_text("old\n")
-        write_alloc_profile_csv(iter([{"row": "curve", "name": "c",
-                                       "index": "", "log_x": "-0.5",
-                                       "value": "2.0"}]), str(path))
+        write_csv(iter([{"row": "curve", "name": "c", "index": "",
+                         "log_x": "-0.5", "value": "2.0"}]), str(path))
         assert path.read_bytes() == (b"row,name,index,log_x,value\n"
                                      b"curve,c,,-0.5,2.0\n")
         assert os.listdir(tmp_path) == ["alloc_profile.csv"]
@@ -576,7 +603,7 @@ def test_pinned_report_rows(tmp_path, fresh_model_caches):
                   "n_init": 5, "n_batch": 3, "gain_vs": "std"}]})
     out = str(tmp_path / "pinned")
     generate_ensemble(cfg, out)
-    assert rows_digest(compare_report(cfg, out).to_rows()) == (
+    assert rows_digest(compare_report(cfg, out)) == (
         "bef41815db5aa396ea115f04d89cbce81cb97c905dbe567d802f9aa55da88f9a")
     assert rows_digest(list(alloc_profile_rows(cfg, out))) == (
         "77c0b477ad5744a2bccb910cbb6cb015089f3eb984d2d4e4996fe4d4efb82250")
