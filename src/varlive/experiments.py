@@ -484,15 +484,17 @@ def compare_report(config: ExperimentConfig, out_dir: str) -> list[dict]:
     """Report rows: per arm, its mean sample count ("samples") and a summary
     of each estimator over its runs ("estimate"); then, per arm with a
     gain_vs arm, each estimator's efficiency gain over it ("gain")."""
-    if config.n_runs < 2:
-        raise ValueError("compare needs n_runs >= 2")
     manifest = load_manifest(out_dir)
     rows = []
     values: dict[str, np.ndarray] = {}
     mean_samples: dict[str, float] = {}
     for arm in config.arms:
         entry = _manifest_arm(manifest, arm.name)
-        mat = np.empty((len(entry["runs"]), len(config.estimators)))
+        n_runs = len(entry["runs"])
+        if n_runs < 2:
+            raise ValueError(f"compare needs n_runs >= 2, but the manifest "
+                             f"lists {n_runs} for arm {arm.name!r}")
+        mat = np.empty((n_runs, len(config.estimators)))
         lengths = []
         for i, rec in enumerate(entry["runs"]):
             run = load_run(os.path.join(out_dir, rec["path"]))
@@ -520,7 +522,7 @@ def compare_report(config: ExperimentConfig, out_dir: str) -> list[dict]:
             std = float(col.std(ddof=1))
             rows.append({**_COMPARE_ROW, "row": "estimate", "arm": arm.name,
                          "estimator": eid.key, "value": _fmt(col.mean()),
-                         "sigma": _fmt(std / math.sqrt(config.n_runs)),
+                         "sigma": _fmt(std / math.sqrt(n_runs)),
                          "spread": _fmt(std),
                          "spread_sigma": _fmt(jackknife_std_sigma(col)),
                          "rmse": _fmt(rmse), "truth": _fmt(truth)})

@@ -26,6 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import specialfn as sf
+from .specialfn import _blocks
 
 __all__ = [
     "GAUSSIAN",
@@ -232,15 +233,6 @@ def log_x_from_log_likelihood(m: ModelSpec, logl):
 # ---------------------------------------------------------------------------
 # Cached monotone contour tables
 
-# queries and the table builds run in blocks whose temporaries stay in cache
-_QUERY_BLOCK = 8192
-
-
-def _blocks(n: int):
-    """Slices that cover range(n) in runs of _QUERY_BLOCK."""
-    return (slice(lo, min(lo + _QUERY_BLOCK, n))
-            for lo in range(0, n, _QUERY_BLOCK))
-
 
 def _pchip_end_slope(h0: float, h1: float, m0: float, m1: float) -> float:
     """One-sided three-point slope at an end node, with the two shape masks
@@ -271,7 +263,7 @@ def _pchip_table(x: np.ndarray, y: np.ndarray,
     scipy's PchipInterpolator in the same order, so d[:-1] holds the bits
     of its linear coefficients.  Besides d it allocates only block-sized
     temporaries: the interval slopes and spacings are built in blocks of
-    _QUERY_BLOCK.
+    specialfn._QUERY_BLOCK.
     """
     d = np.empty(y.size) if out is None else out
     d.fill(0.0)
@@ -393,6 +385,10 @@ class ContourMap:
     straight into their rows, so the build peaks at the five arrays it
     keeps plus block temporaries.  At d=1000 that is 2.1M nodes and about
     81 MiB held, in every `--workers` process.
+
+    Time: the node ln X pass runs the incomplete-gamma series block by
+    block, so the deep-tail nodes, which converge in a few terms, stop
+    there rather than at the slowest node's term count.
     """
 
     COARSE_NODES = 20_001

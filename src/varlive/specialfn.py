@@ -20,9 +20,13 @@ The public functions of x take two kinds of x:
   array; in log_reg_lower_inc_gamma it runs the series or continued
   fraction in Python floats and finishes with the array path's numpy and
   ln Gamma calls (`_log_p_0d`), at a few microseconds per call;
-* an array iterates until every element has converged, so an element
-  that converged early takes further factors close to 1 in the continued
-  fraction, and its last bit can depend on the other elements.
+* an array runs the series one block of x at a time, and each block
+  stops when its own elements have converged; the later terms of a
+  converged sum are below half an ulp of it, so the stop moves no bit.
+  The continued fraction alone iterates over the whole array, until every
+  element above a + 1 has converged, so an element that converged early
+  takes further factors close to 1, and its last bit can depend on the
+  other elements.
 
 The inverse solver alone evaluates ln P and ln Q through private kernels
 in Python floats that finish with `math` calls (`_log_p_float`,
@@ -56,6 +60,9 @@ _SERIES_MAX_TERMS = 20000
 _CF_MAX_ITER = 20000
 _CF_TINY = 1e-300
 _LN_HALF = math.log(0.5)
+# the series, contour queries and the contour table builds run in blocks
+# whose temporaries stay in cache
+_QUERY_BLOCK = 8192
 # the bracket of the inverse solve reaches ln x = -745 (x = 0) or 709 (x
 # overflows) from its start in at most about ten doublings
 _BRACKET_DOUBLINGS = 64
@@ -73,6 +80,12 @@ _LGAM_C = (-3.51815701436523470549E2, -1.70642106651881159223E4,
            -2.53252307177582951285E6, -2.01889141433532773231E6)
 _LS2PI = 0.91893853320467274178     # ln sqrt(2 pi)
 _MAXLGM = 2.556348e305              # ln Gamma overflows above this
+
+
+def _blocks(n: int):
+    """Slices that cover range(n) in runs of _QUERY_BLOCK."""
+    return (slice(lo, min(lo + _QUERY_BLOCK, n))
+            for lo in range(0, n, _QUERY_BLOCK))
 
 
 def _lgam(x: float) -> float:
@@ -184,41 +197,26 @@ def _log_q_float(a: float, x: float) -> float:
     return a * math.log(x) - x - math.lgamma(a) + math.log(_cf_value(a, x))
 
 
-def _log_p_series(a, x, out=None):
-    """ln P(a, x) by the ascending series; valid elementwise for x <= a + 1.
+def _log_p_series(a, x):
+    """ln P(a, x) by the ascending series; valid elementwise for x <= a + 1,
+    and -inf at x = 0.
 
     P(a,x) = x^a e^-x / Gamma(a+1) * sum_k c_k with c_0 = 1 and
     c_k = c_{k-1} * x / (a + k).  In the valid region every term ratio is
     below 1, so the sum is between 1 and its term count and log(sum) is safe.
-
-    The sum builds up in out (allocated when None), which is returned,
-    beside two scratch arrays of x's size and a flag buffer; the result
-    (a ln x - x - ln Gamma(a+1)) + ln(sum) is finished in place with the
-    operations of the whole-array expression, in the same order.
+    The loop stops when every element of x has converged.
     """
-    x = np.asarray(x, dtype=float)
-    total = np.empty_like(x) if out is None else out
-    total.fill(1.0)
+    total = np.ones_like(x)
     term = np.ones_like(x)
-    scratch = np.empty_like(x)
-    flags = np.empty(x.shape, dtype=bool)
     for k in range(1, _SERIES_MAX_TERMS + 1):
-        term *= np.divide(x, a + k, out=scratch)
+        term *= x / (a + k)
         total += term
-        if np.less_equal(term, np.multiply(total, 1e-17, out=scratch),
-                         out=flags).all():
+        if np.all(term <= 1e-17 * total):
             break
     else:
         raise RuntimeError("incomplete gamma series failed to converge")
-    lead = scratch
     with np.errstate(divide="ignore"):
-        np.log(x, out=lead)
-        np.log(total, out=total)
-    lead *= a
-    lead -= x
-    lead -= _gammaln(a + 1.0)
-    total += lead
-    return total
+        return a * np.log(x) - x - _gammaln(a + 1.0) + np.log(total)
 
 
 def _log_q_cf(a, x):
@@ -258,11 +256,11 @@ def log_reg_lower_inc_gamma(a, x):
 
     x must be >= 0; x = 0 maps to -inf.
 
-    When the series region 0 < x <= a + 1 is one run of a 1-d x, as it is
-    for every ascending x, the series reads that run of x and writes that
-    run of the output as views, so the call peaks at the output, the
-    series' two scratch arrays and the region masks.  Otherwise the series
-    runs on a masked copy of x.  Both give the same bits.
+    The series runs on one block of _QUERY_BLOCK entries of x at a time,
+    each with its own series-region mask, and stops when that block's
+    elements have converged; the continued fraction runs once on every
+    element above a + 1.  A call peaks at the output, the continued
+    fraction's region mask and block temporaries.
     """
     a = _validate_a(a)
     x_arr = np.asarray(x, dtype=float)
@@ -270,20 +268,14 @@ def log_reg_lower_inc_gamma(a, x):
         return _log_p_0d(a, float(x_arr))
     if np.any(x_arr < 0.0) or np.any(np.isnan(x_arr)):
         raise ValueError("x must be nonnegative")
-    out = np.empty_like(x_arr)
-    zero = x_arr == 0.0
-    out[zero] = -np.inf
-    lower = np.logical_not(zero, out=zero)
-    lower &= x_arr <= a + 1.0
+    out = np.empty(x_arr.shape)
+    flat_x = x_arr.reshape(-1)
+    flat_out = out.reshape(-1)
+    for b in _blocks(flat_x.size):
+        x_block = flat_x[b]
+        lower = x_block <= a + 1.0
+        flat_out[b][lower] = _log_p_series(a, x_block[lower])
     upper = x_arr > a + 1.0
-    if np.any(lower):
-        # the region's first index and its length
-        start = int(np.argmax(lower))
-        run = slice(start, start + np.count_nonzero(lower))
-        if x_arr.ndim == 1 and lower[run].all():
-            _log_p_series(a, x_arr[run], out=out[run])
-        else:
-            out[lower] = _log_p_series(a, x_arr[lower])
     if np.any(upper):
         # P = 1 - Q with Q < 0.5 here, so log1p loses nothing.
         out[upper] = np.log1p(-np.exp(_log_q_cf(a, x_arr[upper])))

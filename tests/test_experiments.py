@@ -476,6 +476,20 @@ class TestCompare:
         with pytest.raises(ValueError, match="n_runs"):
             compare_report(cfg, out)
 
+    def test_sigma_counts_the_runs_the_manifest_lists(self, ensemble):
+        # sigma is the spread over the root of the number of runs compared;
+        # a config whose n_runs differs from the ensemble's (4 runs per arm)
+        # used to divide by the root of its own n_runs, or to refuse n_runs 1
+        cfg, out, manifest = ensemble
+        assert all(len(arm["runs"]) == 4 for arm in manifest["arms"])
+        rows = compare_report(cfg, out)
+        for n_runs in (1, 16):
+            assert compare_report(dataclasses.replace(cfg, n_runs=n_runs),
+                                  out) == rows
+        for r in rows:
+            if r["row"] == "estimate":
+                assert float(r["sigma"]) == float(r["spread"]) / 2.0
+
 
 class TestAllocProfile:
     def test_area_self_consistency(self, ensemble):

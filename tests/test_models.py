@@ -34,12 +34,14 @@ from reference import (
 )
 from varlive import models as md
 from varlive.models import ModelSpec
+from varlive.specialfn import _QUERY_BLOCK
 
 G10 = ModelSpec(md.GAUSSIAN, 10, 10.0)
 G3 = ModelSpec(md.GAUSSIAN, 3, 10.0)
 EP2 = ModelSpec(md.EXP_POWER, 10, 10.0, b=2.0)
 EP34 = ModelSpec(md.EXP_POWER, 10, 10.0, b=0.75)
 C10 = ModelSpec(md.CAUCHY, 10, 10.0)
+EP1000 = ModelSpec(md.EXP_POWER, 1000, 10.0, b=2.0)
 
 # every lru_cache of varlive.models as the process holds it, taken when this
 # module is collected, before any test swaps one in
@@ -359,15 +361,27 @@ class TestContourMap:
         assert held <= 5 * array + slack
         assert peak <= 5.5 * array + slack
 
-    # sha256 of log_l then radius on a fixed grid, from empty caches;
-    # recorded while the tables were scipy PchipInterpolator objects
+    # sha256 of log_l then radius on a grid from 30 below the requested
+    # floor to the top node, from empty caches; the gaussian and cauchy
+    # maps were recorded while the tables were scipy PchipInterpolator
+    # objects, the d=1000 map of the dyn2_d1000 benchmark workload (at the
+    # floor of a 2-point run, as its pipeline builds it) while the series
+    # ran over the whole node array
     @pytest.mark.parametrize("m,digest", [
-        (G3, "525b0a4e3670e3ac63ca9d8a4361c5a3b36bdc84798417565cf5abc581ef7008"),
-        (C10, "7c27e4ffa00ef3076b6f54ed12fa9f00608e4eade77595dce8b8f58f09449684"),
+        ((G3, -60.0),
+         "525b0a4e3670e3ac63ca9d8a4361c5a3b36bdc84798417565cf5abc581ef7008"),
+        ((C10, -60.0),
+         "7c27e4ffa00ef3076b6f54ed12fa9f00608e4eade77595dce8b8f58f09449684"),
+        ((EP1000, None),
+         "06d13c4e3d402da15f8ab80ded1da54d7d9a9a113c1fc56d34cbae43810bcbc1"),
     ])
     def test_tables_pinned(self, fresh_model_caches, m, digest):
-        cmap = md.get_contour_map(m, -60.0)
-        grid = np.append(np.linspace(-90.0, -1e-9, 50_001), cmap.log_x_top)
+        model, floor = m
+        if floor is None:
+            floor = md.sampling_log_x_floor(model, 2)
+        cmap = md.get_contour_map(model, floor)
+        grid = np.append(np.linspace(floor - 30.0, -1e-9, 50_001),
+                         cmap.log_x_top)
         h = hashlib.sha256()
         h.update(cmap.log_l(grid).tobytes())
         h.update(cmap.radius(grid).tobytes())
@@ -520,7 +534,7 @@ class TestPchipTable:
             [np.nextafter(x[0], -np.inf), np.nextafter(x[-1], np.inf),
              np.nextafter(x[-1], -np.inf), -np.inf, np.inf, np.nan]])
         if long:
-            q = np.resize(q, md._QUERY_BLOCK + 17)
+            q = np.resize(q, _QUERY_BLOCK + 17)
         for query in (q, q[-1], q.reshape(1, -1)):
             query = np.asarray(query)
             want = reference_pchip_eval(nodes, tables, query)
@@ -537,15 +551,15 @@ class TestPchipTable:
         rng = np.random.default_rng(7)
         x = np.cumsum(rng.uniform(1e-3, 1.0, 500))
         y = np.cumsum(rng.normal(size=500))
-        q = rng.uniform(x[0] - 1.0, x[-1] + 1.0, (3, md._QUERY_BLOCK + 11))
+        q = rng.uniform(x[0] - 1.0, x[-1] + 1.0, (3, _QUERY_BLOCK + 11))
         q[0, :5] = [np.nan, x[0], x[-1], -np.inf, np.inf]
         got = md._pchip_eval(x, y, md._pchip_table(x, y), q)
         ref = PchipInterpolator(x, y, extrapolate=False)
         assert got.shape == q.shape
         assert same_bits(got, ref(q))
 
-    @pytest.mark.parametrize("shape", [(2 * md._QUERY_BLOCK + 123,),
-                                       (3, md._QUERY_BLOCK + 11)])
+    @pytest.mark.parametrize("shape", [(2 * _QUERY_BLOCK + 123,),
+                                       (3, _QUERY_BLOCK + 11)])
     def test_long_query_matches_block_concatenation(self, shape):
         # the preallocated output holds the bytes of one query per block,
         # concatenated, NaN outside the nodes included, for one and for two
@@ -567,7 +581,7 @@ class TestPchipTable:
         # whose node slopes are nonzero at every block edge, then values
         # with sign changes throughout and flat runs next to the edges;
         # queried on every node and interval midpoint
-        block = md._QUERY_BLOCK
+        block = _QUERY_BLOCK
         rng = np.random.default_rng(11)
         x = np.cumsum(rng.uniform(1e-3, 1.0, 2 * block + 7))
         steps = rng.normal(size=x.size - 1)

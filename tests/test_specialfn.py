@@ -16,7 +16,12 @@ from hypothesis import strategies as st
 from scipy import special as sp
 
 from conftest import traced_memory
-from reference import log_gamma, log_reg_upper_inc_gamma, reg_lower_inc_gamma
+from reference import (
+    log_gamma,
+    log_reg_upper_inc_gamma,
+    reference_log_reg_lower_inc_gamma,
+    reg_lower_inc_gamma,
+)
 from varlive import specialfn as sf
 
 # Frozen oracle values (computed once, independently of the implementation).
@@ -198,7 +203,7 @@ class TestRegLowerIncGamma:
         # later term is smaller still (x / (a + k) < 1 for x <= a + 1 and
         # k >= 2) and below half an ulp of the sum (at least 2**-54 * total),
         # so each addition rounds back to the same sum.  A series that stops
-        # per element therefore gives the same bits.
+        # per block of x therefore gives the same bits.
         x = np.array(fracs) * (a + 1.0)
         got = sf._log_p_series(a, x)
         for xi, gi in zip(x, got):
@@ -211,14 +216,13 @@ class TestRegLowerIncGamma:
                           min_size=1, max_size=30),
            above=st.lists(st.floats(1.0, 3.0), max_size=4),
            seed=st.integers(0, 2**32 - 1))
-    def test_view_and_masked_series_paths_bitwise(self, a, below, above,
+    def test_ascending_and_shuffled_calls_bitwise(self, a, below, above,
                                                   seed):
-        # An ascending x runs the series on views of x and of the output;
-        # the same values shuffled run it on masked copies.  Both must give
-        # the same bytes, and on the zeros and the series region those of
-        # each element's own 0-d call.  Above a + 1 the continued fraction
-        # runs until its slowest element converges, so there an element's
-        # bits are those of the array of the points above a + 1 alone.
+        # The same values ascending and shuffled give the same bytes, and on
+        # the zeros and the series region those of each element's own 0-d
+        # call.  Above a + 1 the continued fraction runs until its slowest
+        # element converges, so there an element's bits are those of the
+        # array of the points above a + 1 alone.
         x = np.sort(np.array(below + above) * (a + 1.0))
         got = sf.log_reg_lower_inc_gamma(a, x)
         perm = np.random.default_rng(seed).permutation(x.size)
@@ -231,18 +235,39 @@ class TestRegLowerIncGamma:
             alone = sf.log_reg_lower_inc_gamma(a, x[upper])
             assert got[upper].tobytes() == alone.tobytes(), (a, x)
 
-    def test_series_out_holds_the_returned_bytes(self):
-        a = 7.5
-        x = np.linspace(0.0, a + 1.0, 1001)[1:]
-        buf = np.full_like(x, np.nan)
-        got = sf._log_p_series(a, x, out=buf)
-        assert got is buf
-        assert buf.tobytes() == sf._log_p_series(a, x).tobytes()
+    @settings(deadline=None)
+    @given(a=st.floats(0.5, 600.0),
+           blocks=st.integers(1, 2), extra=st.sampled_from([-1, 0, 1]),
+           distinct=st.integers(1, 4 * sf._QUERY_BLOCK),
+           upper_share=st.sampled_from([0.0, 0.01, 0.3]),
+           ascending=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_equals_whole_array_series_bitwise(self, a, blocks, extra,
+                                               distinct, upper_share,
+                                               ascending, seed):
+        # The series stops block by block; the whole-array series of the
+        # reference runs every element until the slowest has converged.
+        # x holds `distinct` values at most (ties), zeros, x = a + 1
+        # exactly, the smallest subnormal, and a share of points above
+        # a + 1, so shuffled x mixes both regions inside one block; block
+        # boundaries fall at, one before and one after the end of x.
+        rng = np.random.default_rng(seed)
+        n = blocks * sf._QUERY_BLOCK + extra
+        pool = rng.uniform(0.0, 1.0, distinct)
+        above = rng.random(distinct) < upper_share
+        pool[above] = rng.uniform(1.0, 3.0, np.count_nonzero(above))
+        x = pool[rng.integers(0, distinct, n)] * (a + 1.0)
+        x[rng.integers(0, n, 4)] = [0.0, a + 1.0, 5e-324,
+                                    math.nextafter(a + 1.0, math.inf)]
+        if ascending:
+            x.sort()
+        got = sf.log_reg_lower_inc_gamma(a, x)
+        want = reference_log_reg_lower_inc_gamma(a, x)
+        assert got.tobytes() == want.tobytes(), (a, n, ascending, seed)
 
     def test_ascending_call_memory_budget(self):
-        # On an ascending x the series runs on views, so the call peaks at
-        # the output, the series' two scratch arrays and flag buffer, and
-        # the region masks (about 3.5 arrays), with no masked copy of x.
+        # The series runs one block of x at a time, so the call peaks at
+        # the output, the continued fraction's region mask (1/8 of an array)
+        # and block temporaries, with no copy or mask of x beyond them.
         # All of x but a zero and a few points of the continued fraction's
         # region is in the series region.
         a = 500.0
@@ -250,7 +275,7 @@ class TestRegLowerIncGamma:
                       np.linspace(a + 2.0, 3.0 * a, 10))
         out, _, peak = traced_memory(lambda: sf.log_reg_lower_inc_gamma(a, x))
         assert out.shape == x.shape and out[0] == -np.inf
-        assert peak <= 3.5 * x.nbytes + 64 * 1024
+        assert peak <= 1.5 * x.nbytes + 64 * 1024
 
     def test_rejects_negative_x(self):
         with pytest.raises(ValueError):
