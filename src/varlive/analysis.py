@@ -8,8 +8,9 @@ conventions that matter:
   interval (cumulative weight minus half its own) and interpolate linearly,
   which reduces exactly to the ordinary sample quantile under equal weights;
 * sampling errors come from resampling whole threads with replacement,
-  optionally stratified so the initial-run threads are drawn separately
-  from the dynamically added ones.
+  stratified by the run itself: when its provenance names its initial
+  threads (init_thread_ids), they are drawn separately from the
+  dynamically added ones.
 """
 
 from __future__ import annotations
@@ -174,16 +175,13 @@ def information_content(run: NestedRun) -> float:
     return float(np.exp(-np.sum(nz * np.log(nz))))
 
 
-def _resample_index(run: NestedRun, separate_initial: bool):
+def _resample_index(run: NestedRun):
     """What every replicate of the run draws from: its thread index, the
     resampling classes (positions into the index's thread ids) and the
     relabelled initial thread ids of a replicate."""
     ids, rows, offsets, open_pos = thread_index(run)
-    if separate_initial:
-        init_ids = run.provenance.init_thread_ids
-        if init_ids is None:
-            raise ValueError(
-                "separate_initial requires init thread ids in provenance")
+    init_ids = run.provenance.init_thread_ids
+    if init_ids is not None:
         in_init = np.isin(ids, init_ids)
         classes = [np.flatnonzero(in_init), np.flatnonzero(~in_init)]
         new_init = tuple(range(len(classes[0])))
@@ -193,18 +191,18 @@ def _resample_index(run: NestedRun, separate_initial: bool):
     return rows, offsets, open_pos, classes, new_init
 
 
-def bootstrap_resample(run: NestedRun, rng, separate_initial: bool = False,
-                       *, _index=None) -> NestedRun:
+def bootstrap_resample(run: NestedRun, rng, *, _index=None) -> NestedRun:
     """Resample whole threads with replacement, preserving the thread count.
 
-    With separate_initial the initial-run threads (identified through
-    provenance) form their own resampling class, so the constant-count
-    scaffold of a dynamic run is preserved in every replication.
-    _index is the run's _resample_index, passed in by callers that draw
-    many replicates of one run.
+    When the run's provenance names its initial threads, they form their
+    own resampling class, so the constant-count scaffold of a dynamic run
+    is preserved in every replication; a run without init_thread_ids
+    resamples all its threads as one class.  _index is the run's
+    _resample_index, passed in by callers that draw many replicates of one
+    run.
     """
     if _index is None:
-        _index = _resample_index(run, separate_initial)
+        _index = _resample_index(run)
     rows, offsets, open_pos, classes, new_init = _index
     picked = np.concatenate([np.empty(0, dtype=np.int64), *(
         cls[rng.integers(0, len(cls), size=len(cls))]
@@ -232,21 +230,16 @@ def bootstrap_resample(run: NestedRun, rng, separate_initial: bool = False,
             init_thread_ids=new_init))
 
 
-def bootstrap_replicates(run: NestedRun, eids, n_reps: int, rng,
-                         separate_initial: bool | None = None) -> np.ndarray:
+def bootstrap_replicates(run: NestedRun, eids, n_reps: int, rng) -> np.ndarray:
     """n_reps x len(eids) estimates, one row per thread-bootstrap replicate
-    of the run, so every estimator sees the same replicate noise.
-    separate_initial=None stratifies whenever the run's provenance
-    identifies its initial threads."""
+    (bootstrap_resample) of the run, so every estimator sees the same
+    replicate noise."""
     if n_reps < 2:
         raise ValueError("need at least 2 replications")
-    if separate_initial is None:
-        separate_initial = run.provenance.init_thread_ids is not None
-    index = _resample_index(run, separate_initial)
+    index = _resample_index(run)
     reps = np.empty((n_reps, len(eids)))
     for r in range(n_reps):
-        reps[r] = estimates(
-            bootstrap_resample(run, rng, separate_initial, _index=index), eids)
+        reps[r] = estimates(bootstrap_resample(run, rng, _index=index), eids)
     return reps
 
 

@@ -353,22 +353,20 @@ def _generate_one(m: ModelSpec, resolved: dict, seed: int, arm_index: int,
     return {"n": len(run), "path": rel}
 
 
-def generate_ensemble(config: ExperimentConfig, out_dir: str,
-                      workers: int | None = None) -> dict:
+def generate_ensemble(config: ExperimentConfig, out_dir: str) -> dict:
     """Write every run file plus a manifest; returns the manifest dict.
 
-    The manifest is byte-identical across repeats and worker counts for
-    a fixed config: no timestamps, sorted keys, derived settings frozen
-    into it.
+    The manifest is byte-identical across repeats and worker counts
+    (config.workers) for a fixed config: no timestamps, sorted keys,
+    derived settings frozen into it.
     """
-    workers = config.workers if workers is None else workers
     os.makedirs(out_dir, exist_ok=True)
     arm_entries = [
         {**resolved, "mean_samples": mean_samples, "gain_vs": arm.gain_vs,
          "runs": [{"index": j, "path": r["path"], "n_samples": r["n"]}
                   for j, r in enumerate(rows)]}
         for arm, resolved, rows, mean_samples in _arm_rows(
-            config, _generate_one, workers, lambda arm: (out_dir,))]
+            config, _generate_one, config.workers, lambda arm: (out_dir,))]
     manifest = {"version": 1, "seed": config.seed, "n_runs": config.n_runs,
                 "model": config.model.to_dict(), "arms": arm_entries}
     tmp = os.path.join(out_dir, MANIFEST_NAME + ".tmp")

@@ -2,7 +2,8 @@
 
 Floats travel as JSON numbers (repr round-trip keeps them bit-exact); the
 few non-finite values (prior-wide births) are encoded as strings so the
-files stay standard JSON.
+files stay standard JSON.  A loaded file must list its points by log_l;
+tied points are put in thread id order as every run's are.
 """
 
 from __future__ import annotations
@@ -73,7 +74,9 @@ def _section(doc: dict, key: str, keys=()) -> dict:
 
 def run_from_dict(doc: dict) -> NestedRun:
     """The run a document describes; raises ValueError when the document
-    is not a run document or breaks a run invariant (NestedRun.validate)."""
+    is not a run document, lists its points out of log_l order, or breaks a
+    run invariant (NestedRun.validate).  Tied points come out in thread id
+    order, whatever order the file lists them in."""
     if not isinstance(doc, dict):
         raise ValueError("run file must hold a JSON object, "
                          f"got {type(doc).__name__}")
@@ -87,16 +90,19 @@ def run_from_dict(doc: dict) -> NestedRun:
     opens = _section(doc, "open_intervals",
                      ("birth_log_l", "end_log_l", "thread_id"))
     provenance = RunProvenance.from_dict(_section(doc, "provenance"))
+    log_l = _dec(pts["log_l"])
+    # a writer lists points by log_l; NestedRun would sort any other order
+    if (log_l[1:] < log_l[:-1]).any():
+        raise ValueError("run file points not sorted by log_l")
     run = NestedRun(
         model,
-        _dec(pts["log_l"]), _dec(pts["birth_log_l"]), _dec(pts["theta1"]),
+        log_l, _dec(pts["birth_log_l"]), _dec(pts["theta1"]),
         _dec(pts["radius"]), _dec(pts["true_log_x"]),
         _dec_ids(pts["thread_id"]),
         open_birth_log_l=_dec(opens["birth_log_l"]),
         open_end_log_l=_dec(opens["end_log_l"]),
         open_thread_id=_dec_ids(opens["thread_id"]),
-        provenance=provenance,
-        presorted=True)
+        provenance=provenance)
     run.validate()
     return run
 

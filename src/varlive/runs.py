@@ -5,6 +5,10 @@ contour it was born inside (birth_log_l) and a thread label.  Live point
 counts are never stored: they are derived from the birth/death contours by a
 sweep, which is what makes runs combinable by simple concatenation.
 
+The (log_l, thread_id, arrival) order is the run's own: NestedRun sorts
+points that break it, so a valid run built from its points in any order is
+the same run, and no caller says whether its points are sorted.
+
 Runs may additionally carry censored alive-intervals: (birth, end] likelihood
 ranges through which a thread was alive but whose terminal point is not part
 of the recorded sequence.  A standard run that discards its final live points
@@ -102,8 +106,9 @@ class NestedRun:
 
     Points are kept as parallel arrays (log_l, birth_log_l, theta1, radius,
     true_log_x, thread_id), sorted ascending by log_l with ties broken by
-    (thread_id, arrival order).  true_log_x is the generator's actual volume,
-    carried for diagnostics only; estimators never read it.
+    (thread_id, arrival order); points already in that order are kept as
+    given.  true_log_x is the generator's actual volume, carried for
+    diagnostics only; estimators never read it.
     """
 
     __slots__ = ("model", "log_l", "birth_log_l", "theta1", "radius",
@@ -113,7 +118,7 @@ class NestedRun:
     def __init__(self, model: ModelSpec, log_l, birth_log_l, theta1, radius,
                  true_log_x, thread_id, *, open_birth_log_l=None,
                  open_end_log_l=None, open_thread_id=None,
-                 provenance: RunProvenance | None = None, presorted: bool = False):
+                 provenance: RunProvenance | None = None):
         log_l = np.ascontiguousarray(log_l, dtype=np.float64)
         birth_log_l = np.ascontiguousarray(birth_log_l, dtype=np.float64)
         theta1 = np.ascontiguousarray(theta1, dtype=np.float64)
@@ -128,15 +133,15 @@ class NestedRun:
             raise ValueError("every point must have a finite log_l")
         if (log_l <= birth_log_l).any():
             raise ValueError("every point must lie strictly above its birth contour")
-        if not presorted and n > 1:
+        if n > 1 and _out_of_order(log_l, thread_id):
             # the stable order is the (log_l, thread_id, arrival) order
             # unless thread_id falls inside some tie group; timsort merges
-            # presorted parts in linear time
+            # sorted parts in linear time
             order = log_l.argsort(kind="stable")
             sorted_l = log_l[order]
             sorted_tid = thread_id[order]
-            if _tie_ids_fall(sorted_l, sorted_tid):
-                order = np.lexsort((np.arange(n), thread_id, log_l))
+            if _out_of_order(sorted_l, sorted_tid):
+                order = np.lexsort((thread_id, log_l))
                 sorted_l = log_l[order]
                 sorted_tid = thread_id[order]
             log_l = sorted_l
@@ -185,12 +190,10 @@ class NestedRun:
                          open_birth_log_l=self.open_birth_log_l,
                          open_end_log_l=self.open_end_log_l,
                          open_thread_id=self.open_thread_id,
-                         provenance=provenance, presorted=True)
+                         provenance=provenance)
 
     def validate(self) -> None:
         """Full invariant check; O(N log N), meant for tests and ingestion."""
-        if np.any(np.diff(self.log_l) < 0.0):
-            raise ValueError("points not sorted by log_l")
         if np.any(self.radius < 0.0):
             raise ValueError("negative radius")
         if np.any(np.abs(self.theta1) > self.radius):
@@ -214,10 +217,13 @@ class NestedRun:
             raise ValueError("orphan sample with zero live count")
 
 
-def _tie_ids_fall(log_l: np.ndarray, thread_id: np.ndarray) -> bool:
-    """Whether thread ids fall inside some tie group of sorted log_l, so
-    that the stable order is not the (log_l, thread_id, arrival) order."""
-    tie = log_l[1:] == log_l[:-1]
+def _out_of_order(log_l: np.ndarray, thread_id: np.ndarray) -> bool:
+    """Whether points break the (log_l, thread_id) order: log_l falls
+    somewhere, or thread ids fall inside some tie group of log_l."""
+    prev, nxt = log_l[:-1], log_l[1:]
+    if (nxt < prev).any():
+        return True
+    tie = nxt == prev
     return bool(tie.any()
                 and (thread_id[1:][tie] < thread_id[:-1][tie]).any())
 
@@ -321,9 +327,8 @@ def combine_runs(runs: Sequence[NestedRun]) -> NestedRun:
 
     Every run is sorted, so merging them one after another into the sorted
     result gives the stable sort of their concatenated points in linear
-    time.  When thread ids fall inside a tie group of that order (possible
-    for a run loaded from a file), the concatenation is sorted by
-    (log_l, thread_id, arrival) instead, as NestedRun does."""
+    time.  Relabelled ids rise from run to run, so that merge is already in
+    (log_l, thread_id) order, and NestedRun keeps it as it is."""
     runs = list(runs)
     if not runs:
         raise ValueError("nothing to combine")
@@ -331,7 +336,6 @@ def combine_runs(runs: Sequence[NestedRun]) -> NestedRun:
     for r in runs[1:]:
         if r.model is not model and r.model != model:
             raise ValueError("cannot combine runs over different models")
-    parts = []
     open_parts = []
     merged = None
     offset = 0
@@ -350,13 +354,9 @@ def combine_runs(runs: Sequence[NestedRun]) -> NestedRun:
             all_init.extend([int(i) + shift for i in prov_ids])
         part = (r.log_l, r.birth_log_l, r.theta1, r.radius, r.true_log_x,
                 r.thread_id + shift)
-        parts.append(part)
         merged = part if merged is None else _merge_sorted(merged, part)
         if r.n_open:
             open_parts.append((r, shift))
-    presorted = not _tie_ids_fall(merged[0], merged[5])
-    if not presorted:
-        merged = [np.concatenate(cols) for cols in zip(*parts)]
     open_kwargs = {}
     if open_parts:
         open_kwargs = dict(
@@ -369,8 +369,7 @@ def combine_runs(runs: Sequence[NestedRun]) -> NestedRun:
     prov = RunProvenance(
         algorithm="combined",
         init_thread_ids=tuple(all_init) if have_init else None)
-    return NestedRun(model, *merged, provenance=prov, presorted=presorted,
-                     **open_kwargs)
+    return NestedRun(model, *merged, provenance=prov, **open_kwargs)
 
 
 def _merge_sorted(a, b):

@@ -184,23 +184,16 @@ def _assemble(m: ModelSpec, cfg: SamplerConfig, rng, depth: np.ndarray,
     idx = np.flatnonzero(has_next)
     next_flat[idx] = lnl_flat[idx + 1]
     next_s = next_flat[order]
-    # positions of each flat point in the merged order
-    pos_flat = np.empty(total, dtype=np.int64)
-    pos_flat[order] = np.arange(total)
 
-    k_term = _termination_index(m, cfg, lnl_s, next_s, lnl_flat, pos_flat,
+    k_term = _termination_index(m, cfg, lnl_s, next_s, lnl_flat, tid_s,
                                 offsets, counts, n)
     if k_term is None:
         return None
 
-    # live set at the termination step: each thread's first position > k_term
-    live_idx = np.empty(n, dtype=np.int64)
-    for t in range(n):
-        row = pos_flat[offsets[t]:offsets[t + 1]]
-        j = int(np.searchsorted(row, k_term + 1))
-        if j >= counts[t]:
-            return None  # thread exhausted before termination cleared it
-        live_idx[t] = offsets[t] + j
+    # live set at the termination step
+    live_idx = _first_from(tid_s, offsets, counts, k_term + 1)
+    if live_idx is None:
+        return None  # thread exhausted before termination cleared it
 
     dead = order[:k_term + 1]
     birth_flat = np.where(seq_flat == 0, -np.inf,
@@ -224,11 +217,21 @@ def _assemble(m: ModelSpec, cfg: SamplerConfig, rng, depth: np.ndarray,
     prov = RunProvenance(algorithm="standard", seed=cfg.seed,
                          init_thread_ids=tuple(range(n)))
     return NestedRun(m, lnl_flat[keep], birth_flat[keep], theta1, radius,
-                     lnx_keep, tid_flat[keep], provenance=prov,
-                     presorted=True, **open_kwargs)
+                     lnx_keep, tid_flat[keep], provenance=prov, **open_kwargs)
 
 
-def _termination_index(m, cfg, lnl_s, next_s, lnl_flat, pos_flat, offsets,
+def _first_from(tid_s, offsets, counts, k: int) -> np.ndarray | None:
+    """Flat index of each thread's first point at merged position k or
+    later, or None when some thread has no point there.  A thread's points
+    keep their chain order in the merge, so the first k merged points hold
+    the first few of each thread."""
+    j = np.bincount(tid_s[:k], minlength=counts.shape[0])
+    if (j >= counts).any():
+        return None
+    return offsets[:-1] + j
+
+
+def _termination_index(m, cfg, lnl_s, next_s, lnl_flat, tid_s, offsets,
                        counts, n) -> int | None:
     """First step where mean-live-likelihood evidence drops below the
     termination fraction of dead evidence, or None if not reached."""
@@ -257,14 +260,13 @@ def _termination_index(m, cfg, lnl_s, next_s, lnl_flat, pos_flat, offsets,
     hit_lo = lower < 0.0
     k_lo = int(np.argmax(hit_lo)) if hit_lo.any() else k_hi
     scale = float(max_live[k_hi])
-    # live sum just before the window
+    # live sum just before the window, added in thread order
+    live_idx = _first_from(tid_s, offsets, counts, k_lo)
+    if live_idx is None:
+        return None
     live0 = 0.0
-    for t in range(n):
-        row = pos_flat[offsets[t]:offsets[t + 1]]
-        j = int(np.searchsorted(row, k_lo))
-        if j >= counts[t]:
-            return None
-        live0 += math.exp(lnl_flat[offsets[t] + j] - scale)
+    for x in (lnl_flat[live_idx] - scale).tolist():
+        live0 += math.exp(x)
     win = slice(k_lo, k_hi + 1)
     gain = np.exp(next_s[win] - scale) - np.exp(lnl_s[win] - scale)  # >= 0
     live_sum = live0 + np.cumsum(gain)

@@ -279,13 +279,13 @@ class TestCriterion8:
         births = np.concatenate(([-np.inf], chain[:-1]))
         scaffold = NestedRun(m, chain, births, np.zeros(n), np.zeros(n),
                              -np.arange(1, n + 1, dtype=float),
-                             np.zeros(n, dtype=np.int64), presorted=True)
+                             np.zeros(n, dtype=np.int64))
         log_l = -point_log_weights(scaffold)
         assert np.all(np.diff(log_l) > 0)
         flat = NestedRun(m, log_l, np.concatenate(([-np.inf], log_l[:-1])),
                          np.zeros(n), np.zeros(n),
                          -np.arange(1, n + 1, dtype=float),
-                         np.zeros(n, dtype=np.int64), presorted=True)
+                         np.zeros(n, dtype=np.int64))
         assert information_content(flat) == pytest.approx(16.0, abs=1e-9)
 
     def test_weighted_quantile_brute_force(self):

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -296,38 +297,34 @@ class TestBootstrapResample:
         assert len(split_into_threads(out)) == len(split_into_threads(run))
         out.validate()
 
-    def test_separate_initial_requires_provenance(self):
-        run = chain_run([0.5, 1.0])
-        with pytest.raises(ValueError):
-            bootstrap_resample(run, np.random.default_rng(0),
-                               separate_initial=True)
-
-    def test_separate_initial_preserves_class_sizes(self):
+    def test_initial_class_sizes_preserved(self):
         dyn = dynamic_run_algorithm1(
             M3, GoalConfig(goal_g=1.0),
             AlgorithmOneConfig(n_init=10, sample_budget=250, n_batch=4),
             seed=17)
         n_threads = len(split_into_threads(dyn))
-        out = bootstrap_resample(dyn, np.random.default_rng(2),
-                                 separate_initial=True)
+        out = bootstrap_resample(dyn, np.random.default_rng(2))
         assert len(split_into_threads(out)) == n_threads
         assert len(out.provenance.init_thread_ids) == 10
         out.validate()
 
     @settings(deadline=None, max_examples=25)
     @given(seed=st.integers(0, 2 ** 32 - 1), n_init=st.integers(2, 8),
-           separate=st.booleans())
+           stratified=st.booleans())
     def test_replicate_keeps_thread_and_class_counts(self, seed, n_init,
-                                                     separate):
+                                                     stratified):
         dyn = dynamic_run_algorithm1(
             M3, GoalConfig(goal_g=0.5),
             AlgorithmOneConfig(n_init=n_init, sample_budget=60 * n_init + 60,
                                n_batch=2), seed=seed)
-        out = bootstrap_resample(dyn, np.random.default_rng(seed),
-                                 separate_initial=separate)
+        if not stratified:
+            # a run whose provenance names no initial threads
+            dyn = dyn.with_provenance(dataclasses.replace(
+                dyn.provenance, init_thread_ids=None))
+        out = bootstrap_resample(dyn, np.random.default_rng(seed))
         threads = split_into_threads(out)
         assert len(threads) == len(split_into_threads(dyn))
-        if separate:
+        if stratified:
             # every replicate thread is a copy from its own class
             def chains(run, in_class):
                 ids = set(run.provenance.init_thread_ids)
@@ -384,15 +381,18 @@ class TestBootstrapGather:
     @settings(deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), n_threads=st.integers(0, 15),
            n_ghosts=st.integers(0, 4), censor=st.booleans(),
-           separate=st.booleans())
+           stratified=st.booleans())
     def test_equals_combined_picked_threads(self, seed, n_threads, n_ghosts,
-                                            censor, separate):
+                                            censor, stratified):
         run = threaded_run(np.random.default_rng(seed), n_threads, n_ghosts,
                            censor)
-        out = bootstrap_resample(run, np.random.default_rng(seed), separate)
+        if not stratified:
+            run = run.with_provenance(dataclasses.replace(
+                run.provenance, init_thread_ids=None))
+        out = bootstrap_resample(run, np.random.default_rng(seed))
         # replay the picks: one draw per nonempty class, initial class first
         threads = split_into_threads(run)
-        if separate:
+        if stratified:
             init = set(run.provenance.init_thread_ids)
             classes = [[th for th in threads if th.thread_id in init],
                        [th for th in threads if th.thread_id not in init]]
@@ -411,7 +411,7 @@ class TestBootstrapGather:
             algorithm="bootstrap", n_init=prov.n_init, goal_g=prov.goal_g,
             sample_budget=prov.sample_budget,
             importance_variant=prov.importance_variant,
-            init_thread_ids=tuple(range(len(classes[0]))) if separate
+            init_thread_ids=tuple(range(len(classes[0]))) if stratified
             else None)
 
     def test_pinned_stratified_replicate(self, fresh_model_caches):
@@ -423,8 +423,7 @@ class TestBootstrapGather:
             M3, GoalConfig(goal_g=0.5),
             AlgorithmTwoConfig(n_init=10, total_budget=800), seed=2024)
         assert dyn.n_open > 0
-        out = bootstrap_resample(dyn, np.random.default_rng(5),
-                                 separate_initial=True)
+        out = bootstrap_resample(dyn, np.random.default_rng(5))
         h = hashlib.sha256()
         for field in RUN_FIELDS:
             h.update(getattr(out, field).tobytes())

@@ -285,8 +285,8 @@ class TestGenerate:
                                   "goal_g": 0.5, "gain_vs": "std"}])
         seq = str(tmp_path / "w1")
         par = str(tmp_path / "w2")
-        generate_ensemble(cfg, seq, workers=1)
-        generate_ensemble(cfg, par, workers=2)
+        generate_ensemble(dataclasses.replace(cfg, workers=1), seq)
+        generate_ensemble(dataclasses.replace(cfg, workers=2), par)
         for rel in ("manifest.json", os.path.join("dyn1", "run_00000.json")):
             assert open(os.path.join(seq, rel), "rb").read() == \
                 open(os.path.join(par, rel), "rb").read(), rel

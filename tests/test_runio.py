@@ -14,6 +14,7 @@ from varlive.dynamic import (AlgorithmOneConfig, AlgorithmTwoConfig,
 from varlive.models import ModelSpec
 from varlive.runio import (_dec, _enc, load_run, run_from_dict, run_to_dict,
                            save_run)
+from varlive.runs import NestedRun
 from varlive.sampler import SamplerConfig, standard_run
 
 M3 = ModelSpec(family="gaussian", d=3, sigma_pi=10.0)
@@ -123,6 +124,29 @@ def test_swapped_log_l_rejected_on_load(tmp_path):
     path.write_text(json.dumps(doc), encoding="utf-8")
     with pytest.raises(ValueError, match="sorted"):
         load_run(str(path))
+
+
+def test_falling_tie_order_loads_in_thread_order(tmp_path):
+    # three threads tie at log_l 2 and 3; the file lists each tie group in
+    # falling thread id order, which loaded as written before the run
+    # ordered its own points
+    births = {0: [-np.inf, 1.0, 2.0], 1: [-np.inf, 2.0], 2: [-np.inf]}
+    chains = {0: [1.0, 2.0, 3.0], 1: [2.0, 3.0], 2: [3.0]}
+    tid = np.repeat([0, 1, 2], [3, 2, 1])
+    log_l = np.concatenate([chains[t] for t in range(3)])
+    run = NestedRun(M3, log_l, np.concatenate([births[t] for t in range(3)]),
+                    np.linspace(-0.5, 0.5, 6), np.linspace(1.0, 2.0, 6),
+                    np.linspace(-0.1, -1.0, 6), tid)
+    assert run.thread_id.tolist() == [0, 0, 1, 0, 1, 2]
+    doc = run_to_dict(run)
+    falling = [0, 2, 1, 5, 4, 3]
+    for key, values in doc["points"].items():
+        doc["points"][key] = [values[i] for i in falling]
+    assert doc["points"]["thread_id"] == [0, 1, 0, 2, 1, 0]
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    back = load_run(str(path))
+    assert run_to_dict(back) == run_to_dict(run)
 
 
 def test_second_open_interval_rejected_on_load(tmp_path):

@@ -30,6 +30,9 @@ from varlive.runs import (
 
 M = ModelSpec(family=GAUSSIAN, d=2, sigma_pi=10.0)
 M_OTHER = ModelSpec(family=GAUSSIAN, d=3, sigma_pi=10.0)
+POINT_FIELDS = ("log_l", "birth_log_l", "theta1", "radius", "true_log_x",
+                "thread_id")
+OPEN_FIELDS = ("open_birth_log_l", "open_end_log_l", "open_thread_id")
 
 
 def build_run(threads, opens=None, model=M):
@@ -110,19 +113,14 @@ def tied_run(rng, n_threads=6, censor=False, model=M):
 
 
 def falling_ties(run):
-    """The run's points in (log_l, falling thread id) order, built presorted
-    as a run file is loaded: it validates, but its tie groups are not in
-    thread order."""
-    order = np.lexsort((-run.thread_id, run.log_l))
-    out = NestedRun(run.model, run.log_l[order], run.birth_log_l[order],
-                    run.theta1[order], run.radius[order],
-                    run.true_log_x[order], run.thread_id[order],
-                    open_birth_log_l=run.open_birth_log_l,
-                    open_end_log_l=run.open_end_log_l,
-                    open_thread_id=run.open_thread_id,
-                    provenance=run.provenance, presorted=True)
-    out.validate()
-    return out
+    """The run loaded from a run file that lists its points in (log_l,
+    falling thread id) order: the file is sorted by log_l, but its tie
+    groups are not in thread order."""
+    doc = run_to_dict(run)
+    order = np.lexsort((-run.thread_id, run.log_l)).tolist()
+    for key, values in doc["points"].items():
+        doc["points"][key] = [values[i] for i in order]
+    return run_from_dict(doc)
 
 
 def combine_reference(runs):
@@ -176,14 +174,14 @@ class TestConstruction:
     @settings(deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(0, 200),
            n_parts=st.integers(1, 4), ties=st.booleans(),
-           presorted_parts=st.booleans(), tid_rising=st.booleans())
+           sorted_parts=st.booleans(), tid_rising=st.booleans())
     def test_order_equals_lexsort_reference(self, seed, n, n_parts, ties,
-                                            presorted_parts, tid_rising):
+                                            sorted_parts, tid_rising):
         rng = np.random.default_rng(seed)
         log_l = (rng.integers(0, max(n // 3, 1), n).astype(float) if ties
                  else rng.standard_normal(n))
         tid = rng.integers(0, 6, n)
-        if presorted_parts:
+        if sorted_parts:
             # concatenated likelihood-sorted parts, as combine_runs builds
             parts = np.split(np.arange(n),
                              np.sort(rng.integers(0, n + 1, n_parts - 1)))
@@ -208,9 +206,6 @@ class TestConstruction:
         with pytest.raises(ValueError, match="finite"):
             NestedRun(M, [1.0, bad], [-np.inf, 1.0], [0.0, 0.0], [1.0, 1.0],
                       [-1.0, -2.0], [0, 0])
-        with pytest.raises(ValueError, match="finite"):
-            NestedRun(M, [1.0, bad], [-np.inf, 1.0], [0.0, 0.0], [1.0, 1.0],
-                      [-1.0, -2.0], [0, 0], presorted=True)
 
     def test_sorted_on_entry(self):
         run = build_run({0: (-np.inf, [3.0, 5.0]), 1: (-np.inf, [1.0, 4.0])})
@@ -222,6 +217,31 @@ class TestConstruction:
         run = NestedRun(M, [2.0, 2.0], [-np.inf, -np.inf], [0.0, 0.0],
                         [1.0, 1.0], [-0.5, -0.6], [5, 2])
         assert run.thread_id.tolist() == [2, 5]
+
+    @settings(deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n_threads=st.integers(1, 12),
+           censor=st.booleans(), ties=st.booleans())
+    def test_any_row_order_gives_the_canonical_run(self, seed, n_threads,
+                                                   censor, ties):
+        rng = np.random.default_rng(seed)
+        make = tied_run if ties else random_run
+        run = make(rng, n_threads=n_threads, censor=censor)
+        kwargs = dict(open_birth_log_l=run.open_birth_log_l,
+                      open_end_log_l=run.open_end_log_l,
+                      open_thread_id=run.open_thread_id,
+                      provenance=run.provenance)
+        cols = [getattr(run, f) for f in POINT_FIELDS]
+        canonical = NestedRun(M, *cols, **kwargs)
+        # points already in order are kept as given, not copied
+        assert all(getattr(canonical, f) is getattr(run, f)
+                   for f in POINT_FIELDS)
+        perm = rng.permutation(len(run))
+        shuffled = NestedRun(M, *(c[perm] for c in cols), **kwargs)
+        for field in POINT_FIELDS + OPEN_FIELDS:
+            got, want = getattr(shuffled, field), getattr(canonical, field)
+            assert got.dtype == want.dtype, field
+            np.testing.assert_array_equal(got, want, err_msg=field)
+        assert shuffled.provenance == canonical.provenance
 
     def test_birth_must_be_below(self):
         with pytest.raises(ValueError):
@@ -587,8 +607,7 @@ def thread_as_run(th, model=M):
                       open_end_log_l=[th.open_end_log_l],
                       open_thread_id=[th.thread_id])
     return NestedRun(model, th.log_l, th.birth_log_l, th.theta1, th.radius,
-                     th.true_log_x, np.full(n, th.thread_id), presorted=True,
-                     **kwargs)
+                     th.true_log_x, np.full(n, th.thread_id), **kwargs)
 
 
 class TestCombineThreads:

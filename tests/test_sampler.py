@@ -10,6 +10,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reference import argmax_log_x_relative_posterior_mass
 from varlive.models import (
@@ -252,6 +254,34 @@ class TestStandardRun:
         with pytest.raises(RuntimeError,
                            match=f"after {sampler.MAX_DEEPENINGS} deepenings"):
             standard_run(M3, SamplerConfig(n_live=3, seed=49))
+
+    @settings(deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 12))
+    def test_first_from_equals_per_thread_search(self, seed, n):
+        # the per-thread searchsorted loop standard_run ran before, over a
+        # random merge that keeps each thread's chain order
+        rng = np.random.default_rng(seed)
+        counts = rng.integers(1, 8, size=n)
+        offsets = np.concatenate([[0], np.cumsum(counts)])
+        total = int(offsets[-1])
+        tid_flat = np.repeat(np.arange(n, dtype=np.int64), counts)
+        keys = rng.random(total)
+        for t in range(n):
+            keys[offsets[t]:offsets[t + 1]].sort()
+        order = np.argsort(keys, kind="stable")
+        pos_flat = np.empty(total, dtype=np.int64)
+        pos_flat[order] = np.arange(total)
+        for k in range(total + 1):
+            want = []
+            for t in range(n):
+                row = pos_flat[offsets[t]:offsets[t + 1]]
+                j = int(np.searchsorted(row, k))
+                want.append(None if j >= counts[t] else offsets[t] + j)
+            got = sampler._first_from(tid_flat[order], offsets, counts, k)
+            if None in want:
+                assert got is None
+            else:
+                assert got.tolist() == want
 
     def test_provenance(self):
         run = standard_run(M3, SamplerConfig(n_live=5, seed=48))
