@@ -19,6 +19,7 @@ so a rebuild reproduces the committed files bit for bit.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -28,6 +29,7 @@ from .analysis import estimates
 from .experiments import (ExperimentConfig, _arm_rows, _bootstrap_columns,
                           _sample_run, config_from_dict)
 from .models import ModelSpec
+from .runio import write_json
 
 __all__ = ["BLOCKS", "EST_KEYS", "block_config", "default_cache_dir",
            "run_row", "generate_block", "load_block", "main"]
@@ -128,7 +130,7 @@ def run_row(m: ModelSpec, resolved: dict, entropy: int, arm_index: int,
 
 def generate_block(name: str, out_dir: str, n_runs: int | None = None,
                    workers: int = 1, log=print) -> dict:
-    config = block_config(name, n_runs)
+    config = dataclasses.replace(block_config(name, n_runs), workers=workers)
 
     def arm_args(arm):
         # only the table arm carries bootstrap columns
@@ -139,10 +141,8 @@ def generate_block(name: str, out_dir: str, n_runs: int | None = None,
     t_start = t0 = time.perf_counter()
     arms_out = []
     for arm, resolved, rows, mean_samples in _arm_rows(config, run_row,
-                                                       workers, arm_args):
-        entry = {"name": arm.name,
-                 "settings": {k: v for k, v in resolved.items()
-                              if k != "termination_fraction"},
+                                                       arm_args):
+        entry = {"name": arm.name, "settings": resolved,
                  "n_samples": [r["n"] for r in rows],
                  "mean_samples": mean_samples,
                  "estimates": {key: [r["est"][k] for r in rows]
@@ -163,11 +163,7 @@ def generate_block(name: str, out_dir: str, n_runs: int | None = None,
              "arms": arms_out}
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, f"{name}.json")
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(block, fh, separators=(",", ":"), sort_keys=True)
-        fh.write("\n")
-    os.replace(tmp, path)
+    write_json(block, path)
     log(f"  [{name}] wrote {path} ({block['wall_seconds']:.1f}s total)")
     return block
 

@@ -86,7 +86,6 @@ class AlgorithmOneConfig:
     n_init: int
     sample_budget: int
     n_batch: int = 1
-    termination_fraction: float = 1e-3
 
     def __post_init__(self):
         if self.n_init < 1:
@@ -104,7 +103,6 @@ class AlgorithmTwoConfig:
 
     n_init: int
     total_budget: int
-    termination_fraction: float = 1e-3
 
     def __post_init__(self):
         if self.n_init < 2:
@@ -186,10 +184,7 @@ def dynamic_run_algorithm1(m: ModelSpec, goal: GoalConfig,
     current high-importance region until the sample budget is spent."""
     if rng is None:
         rng = np.random.default_rng(seed)
-    init_cfg = SamplerConfig(
-        n_live=cfg.n_init, termination_fraction=cfg.termination_fraction,
-        keep_final_live=True)
-    run = standard_run(m, init_cfg, rng)
+    run = standard_run(m, SamplerConfig(n_live=cfg.n_init), rng)
     while len(run) < cfg.sample_budget:
         prof = combined_importance(run, goal)
         high = (prof > REGION_FRACTION * prof.max()).nonzero()[0]
@@ -303,10 +298,8 @@ def dynamic_run_algorithm2(m: ModelSpec, goal: GoalConfig,
     with censored supplement threads."""
     if rng is None:
         rng = np.random.default_rng(seed)
-    init_cfg = SamplerConfig(
-        n_live=cfg.n_init, termination_fraction=cfg.termination_fraction,
-        keep_final_live=False)
-    init_run = standard_run(m, init_cfg, rng)
+    init_run = standard_run(
+        m, SamplerConfig(n_live=cfg.n_init, keep_final_live=False), rng)
     n_init = cfg.n_init
     extra = algorithm2_allocation(init_run, goal, cfg)
 

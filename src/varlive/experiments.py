@@ -27,10 +27,10 @@ from .dynamic import (AlgorithmOneConfig, AlgorithmTwoConfig, GoalConfig,
 from .models import (GAUSSIAN, ModelSpec, analytic_log_evidence, as_float,
                      as_int, as_object, posterior_mass_remaining,
                      relative_posterior_mass)
-from .runio import load_run, save_run
+from .runio import load_run, save_run, write_json
 from .runs import (IMPORTANCE_VARIANTS, NestedRun, live_point_counts,
                    log_prior_volumes)
-from .sampler import SamplerConfig, standard_run
+from .sampler import TERMINATION_FRACTION, SamplerConfig, standard_run
 
 __all__ = [
     "ArmConfig", "ExperimentConfig", "MissingRunsError",
@@ -80,7 +80,6 @@ class ArmConfig:
     importance_variant: str = "standard"
     gain_vs: str | None = None
     n_batch: int = 1
-    termination_fraction: float = 1e-3
 
     def __post_init__(self):
         if not self.name or "/" in self.name or self.name != self.name.strip():
@@ -108,8 +107,6 @@ class ArmConfig:
                 raise ValueError("dynamic arms need n_init or a gain_vs arm to derive it")
         if self.n_batch < 1:
             raise ValueError("n_batch must be >= 1")
-        if not 0.0 < self.termination_fraction < 1.0:
-            raise ValueError("termination_fraction must be in (0, 1)")
 
     @classmethod
     def from_dict(cls, data: dict) -> "ArmConfig":
@@ -120,8 +117,7 @@ class ArmConfig:
             raise ValueError(f"unknown arm keys: {sorted(extra)}")
         data = _typed_fields(cls, data, as_int, (
             "n_live", "n_init", "budget", "n_batch"), "arm")
-        return cls(**_typed_fields(cls, data, as_float, (
-            "goal_g", "termination_fraction"), "arm"))
+        return cls(**_typed_fields(cls, data, as_float, ("goal_g",), "arm"))
 
 
 @dataclass(frozen=True)
@@ -273,8 +269,7 @@ def _resolve_arm(config: ExperimentConfig, arm: ArmConfig,
     """The arm's name and settings as a plain picklable dict, with n_init
     and budget filled in; a budget left unset is the mean sample count of
     the gain_vs arm in realized_mean."""
-    base = {"name": arm.name, "method": arm.method,
-            "termination_fraction": arm.termination_fraction}
+    base = {"name": arm.name, "method": arm.method}
     if arm.method == "standard":
         base["n_live"] = int(arm.n_live)
         return base
@@ -300,41 +295,36 @@ def _sample_run(m: ModelSpec, resolved: dict, seed: int, arm_index: int,
     rng = _stream(seed, (_STREAM_GENERATE, arm_index, run_index))
     method = resolved["method"]
     if method == "standard":
-        cfg = SamplerConfig(n_live=resolved["n_live"],
-                            termination_fraction=resolved["termination_fraction"],
-                            keep_final_live=True)
-        return standard_run(m, cfg, rng)
+        return standard_run(m, SamplerConfig(n_live=resolved["n_live"]), rng)
     goal = GoalConfig(goal_g=resolved["goal_g"],
                       importance_variant=resolved["importance_variant"])
     if method == "dyn1":
         cfg = AlgorithmOneConfig(
             n_init=resolved["n_init"], sample_budget=resolved["budget"],
-            n_batch=resolved["n_batch"],
-            termination_fraction=resolved["termination_fraction"])
+            n_batch=resolved["n_batch"])
         return dynamic_run_algorithm1(m, goal, cfg, rng=rng)
-    cfg = AlgorithmTwoConfig(
-        n_init=resolved["n_init"], total_budget=resolved["budget"],
-        termination_fraction=resolved["termination_fraction"])
+    cfg = AlgorithmTwoConfig(n_init=resolved["n_init"],
+                             total_budget=resolved["budget"])
     return dynamic_run_algorithm2(m, goal, cfg, rng=rng)
 
 
-def _arm_rows(config: ExperimentConfig, task, workers: int, arm_args):
+def _arm_rows(config: ExperimentConfig, task, arm_args):
     """Yields (arm, resolved settings, rows, mean sample count) for each arm
     in order.  The rows are task(config.model, resolved, config.seed,
     arm_index, run_index, *arm_args(arm)) for each run, over a process pool
-    when workers > 1; each holds its run's sample count as "n", and their
-    mean sets the budget of a later arm that leaves it to this one."""
+    when config.workers > 1; each holds its run's sample count as "n", and
+    their mean sets the budget of a later arm that leaves it to this one."""
     realized_mean: dict[str, float] = {}
     for arm_index, arm in enumerate(config.arms):
         resolved = _resolve_arm(config, arm, realized_mean)
         extra = arm_args(arm)
         tasks = [(config.model, resolved, config.seed, arm_index, j, *extra)
                  for j in range(config.n_runs)]
-        if workers > 1:
+        if config.workers > 1:
             # imported here: concurrent.futures and multiprocessing add to
             # the start-up of every process that never uses a pool
             from concurrent.futures import ProcessPoolExecutor
-            with ProcessPoolExecutor(max_workers=workers) as pool:
+            with ProcessPoolExecutor(max_workers=config.workers) as pool:
                 rows = list(pool.map(task, *zip(*tasks)))
         else:
             rows = [task(*t) for t in tasks]
@@ -362,18 +352,15 @@ def generate_ensemble(config: ExperimentConfig, out_dir: str) -> dict:
     """
     os.makedirs(out_dir, exist_ok=True)
     arm_entries = [
-        {**resolved, "mean_samples": mean_samples, "gain_vs": arm.gain_vs,
+        {**resolved, "termination_fraction": TERMINATION_FRACTION,
+         "mean_samples": mean_samples, "gain_vs": arm.gain_vs,
          "runs": [{"index": j, "path": r["path"], "n_samples": r["n"]}
                   for j, r in enumerate(rows)]}
         for arm, resolved, rows, mean_samples in _arm_rows(
-            config, _generate_one, config.workers, lambda arm: (out_dir,))]
+            config, _generate_one, lambda arm: (out_dir,))]
     manifest = {"version": 1, "seed": config.seed, "n_runs": config.n_runs,
                 "model": config.model.to_dict(), "arms": arm_entries}
-    tmp = os.path.join(out_dir, MANIFEST_NAME + ".tmp")
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, separators=(",", ":"), sort_keys=True)
-        fh.write("\n")
-    os.replace(tmp, os.path.join(out_dir, MANIFEST_NAME))
+    write_json(manifest, os.path.join(out_dir, MANIFEST_NAME))
     return manifest
 
 

@@ -30,6 +30,8 @@ def _enc(values: np.ndarray) -> list:
 
 
 def _dec(values) -> np.ndarray:
+    if not isinstance(values, list):
+        raise ValueError("run file arrays must be flat lists")
     out = np.array(values, dtype=float)
     if out.ndim != 1:
         raise ValueError("run file arrays must be flat lists")
@@ -107,13 +109,19 @@ def run_from_dict(doc: dict) -> NestedRun:
     return run
 
 
-def save_run(run: NestedRun, path: str) -> None:
-    doc = run_to_dict(run)
+def write_json(doc: dict, path: str) -> None:
+    """Writes doc to path as compact JSON with sorted keys and a final
+    newline.  The text goes to path + ".tmp", which is then renamed to
+    path, so no reader sees a half-written file."""
     tmp = path + ".tmp"
     text = json.dumps(doc, separators=(",", ":"), sort_keys=True)
     with open(tmp, "w", encoding="utf-8") as fh:
         fh.write(text + "\n")
     os.replace(tmp, path)
+
+
+def save_run(run: NestedRun, path: str) -> None:
+    write_json(run_to_dict(run), path)
 
 
 def load_run(path: str) -> NestedRun:

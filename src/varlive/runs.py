@@ -75,6 +75,9 @@ class RunProvenance:
             val = data.get(key)
             return None if val is None else convert(val, f"provenance {key}")
         ids = data.get("init_thread_ids")
+        if ids is not None and not isinstance(ids, list):
+            raise ValueError("provenance init_thread_ids must be a list, "
+                             f"got {ids!r}")
         algorithm = data.get("algorithm", "unknown")
         if not isinstance(algorithm, str):
             raise ValueError("provenance algorithm must be a string, "
@@ -199,7 +202,7 @@ class NestedRun:
         if np.any(np.abs(self.theta1) > self.radius):
             raise ValueError("theta1 outside [-radius, radius]")
         # per-thread chains: strictly increasing log_l, birth linkage
-        _, rows, offsets, open_pos = thread_index(self)
+        ids, rows, offsets, open_pos = thread_index(self)
         tid = self.thread_id[rows]
         ll = self.log_l[rows]
         bb = self.birth_log_l[rows]
@@ -215,6 +218,11 @@ class NestedRun:
             raise ValueError("open interval does not continue its thread")
         if np.any(live_point_counts(self) < 1):
             raise ValueError("orphan sample with zero live count")
+        # the bootstrap draws the initial threads as their own class
+        stray = set(self.provenance.init_thread_ids or ()) - set(ids.tolist())
+        if stray:
+            raise ValueError(f"initial thread ids {sorted(stray)} name no "
+                             "thread of the run")
 
 
 def _out_of_order(log_l: np.ndarray, thread_id: np.ndarray) -> bool:

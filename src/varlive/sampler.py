@@ -38,30 +38,28 @@ MAX_DEEPENINGS = 20
 # blocks of shrinkage draws one _ensure_depth call may add; the first block
 # already reaches its target with a margin of 12 standard deviations
 MAX_TOP_UPS = 50
+# a standard run, and so each dynamic run's initial run, stops once the
+# evidence still held by the live points (mean live likelihood times current
+# volume) drops below this fraction of the dead-point evidence
+TERMINATION_FRACTION = 1e-3
 
 
 @dataclass(frozen=True)
 class SamplerConfig:
     """Standard-run settings.
 
-    termination_fraction: stop once the evidence still held by the live
-    points (mean live likelihood times current volume) drops below this
-    fraction of the dead-point evidence.
     keep_final_live: append the surviving live points as a decreasing-count
     tail; otherwise record censored alive-intervals so derived counts stay
     at n_live everywhere.
     """
 
     n_live: int
-    termination_fraction: float = 1e-3
     keep_final_live: bool = True
     seed: int | None = None
 
     def __post_init__(self):
         if self.n_live < 1:
             raise ValueError("n_live must be >= 1")
-        if not 0.0 < self.termination_fraction < 1.0:
-            raise ValueError("termination_fraction must be in (0, 1)")
 
 
 def sample_thread_batch(m: ModelSpec, start_log_l: float, end_log_l: float,
@@ -185,8 +183,8 @@ def _assemble(m: ModelSpec, cfg: SamplerConfig, rng, depth: np.ndarray,
     next_flat[idx] = lnl_flat[idx + 1]
     next_s = next_flat[order]
 
-    k_term = _termination_index(m, cfg, lnl_s, next_s, lnl_flat, tid_s,
-                                offsets, counts, n)
+    k_term = _termination_index(lnl_s, next_s, lnl_flat, tid_s, offsets,
+                                counts, n)
     if k_term is None:
         return None
 
@@ -231,16 +229,16 @@ def _first_from(tid_s, offsets, counts, k: int) -> np.ndarray | None:
     return offsets[:-1] + j
 
 
-def _termination_index(m, cfg, lnl_s, next_s, lnl_flat, tid_s, offsets,
-                       counts, n) -> int | None:
-    """First step where mean-live-likelihood evidence drops below the
-    termination fraction of dead evidence, or None if not reached."""
+def _termination_index(lnl_s, next_s, lnl_flat, tid_s, offsets, counts,
+                       n) -> int | None:
+    """First step where mean-live-likelihood evidence drops below
+    TERMINATION_FRACTION of dead evidence, or None if not reached."""
     total = lnl_s.shape[0]
     steps = np.arange(total)
     ln_dx = -steps / n + math.log(-math.expm1(-1.0 / n))  # X_{k-1} - X_k
     ln_dead = np.logaddexp.accumulate(lnl_s + ln_dx)
     ln_x_after = -(steps + 1.0) / n
-    rhs = math.log(cfg.termination_fraction) + ln_dead
+    rhs = math.log(TERMINATION_FRACTION) + ln_dead
     # each death removes the minimum of the live set, so the live maximum is
     # a running max over inserted successors; the mean lies within a factor
     # n of it.  Bracket the crossing with those bounds, then evaluate the

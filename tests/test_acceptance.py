@@ -345,8 +345,7 @@ def replayed_rows(block_name, run_index):
     for arm_index, arm_cfg in enumerate(config.arms):
         entry = blk["arms"][arm_index]
         resolved = _resolve_arm(config, arm_cfg, realized)
-        assert entry["settings"] == {k: v for k, v in resolved.items()
-                                     if k != "termination_fraction"}
+        assert entry["settings"] == resolved
         boot_reps = config.bootstrap_reps \
             if arm_cfg.name == config.table_arm else 0
         assert ("boot_std" in entry) == (boot_reps > 0)

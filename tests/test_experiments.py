@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from varlive.analysis import estimator_from_key
-from varlive.experiments import (ArmConfig, ExperimentConfig,
+from varlive.experiments import (MANIFEST_NAME, ArmConfig, ExperimentConfig,
                                  MissingRunsError, alloc_profile_rows,
                                  bootstrap_table_rows, compare_report,
                                  config_from_dict, estimator_truth,
@@ -146,10 +146,13 @@ class TestConfig:
 
     def test_arm_seed_is_an_unknown_key(self):
         # every arm's streams are keyed off the experiment seed, as
-        # accept_gen.run_row keys them
-        with pytest.raises(ValueError, match=r"unknown arm keys: \['seed'\]"):
-            ArmConfig.from_dict({"name": "a", "method": "standard",
-                                 "n_live": 5, "seed": 9})
+        # accept_gen.run_row keys them, and every run stops at
+        # sampler.TERMINATION_FRACTION
+        for key, value in (("seed", 9), ("termination_fraction", 1e-3)):
+            with pytest.raises(ValueError,
+                               match=rf"unknown arm keys: \['{key}'\]"):
+                ArmConfig.from_dict({"name": "a", "method": "standard",
+                                     "n_live": 5, key: value})
 
     @pytest.mark.parametrize("method, key, value", [
         ("standard", "n_init", 5), ("standard", "budget", 100),
@@ -202,28 +205,19 @@ class TestConfig:
         assert small_config(arms=arms).arms[1].method == "dyn2"
 
     @pytest.mark.parametrize("bad", [True, "0.5", None, math.nan, math.inf])
-    @pytest.mark.parametrize("key", ["goal_g", "termination_fraction"])
+    @pytest.mark.parametrize("key", ["goal_g"])
     def test_arm_reals_must_be_finite_numbers(self, key, bad):
-        # {"goal_g": true} used to run G = 1, and a bool termination_fraction
-        # failed only inside the sampler
+        # {"goal_g": true} used to run G = 1
         for arm in ({"name": "a", "method": "dyn1", "n_init": 5},
                     {"name": "a", "method": "standard", "n_live": 5}):
             with pytest.raises(ValueError,
                                match=f"arm {key} must be a finite number"):
                 ArmConfig.from_dict({**arm, key: bad})
 
-    @pytest.mark.parametrize("frac", [0.0, 1.0, -0.25, 1.5])
-    def test_termination_fraction_checked_at_load(self, frac):
-        for arm in ({"name": "a", "method": "dyn2", "n_init": 5},
-                    {"name": "a", "method": "standard", "n_live": 5}):
-            with pytest.raises(ValueError, match=r"termination_fraction must be in \(0, 1\)"):
-                ArmConfig.from_dict({**arm, "termination_fraction": frac})
-
     def test_integral_reals_load_as_float(self):
         arm = ArmConfig.from_dict({"name": "a", "method": "dyn1", "n_init": 5,
-                                   "goal_g": 1, "termination_fraction": 0.5})
+                                   "goal_g": 1})
         assert type(arm.goal_g) is float and arm.goal_g == 1.0
-        assert arm.termination_fraction == 0.5
 
     def test_integral_counts_load_as_int(self):
         cfg = small_config(n_runs=4.0, seed=1234.0, arms=[
@@ -604,7 +598,9 @@ def test_pinned_report_rows(tmp_path, fresh_model_caches):
     # sha256 of the compare and alloc-profile rows of a seeded gaussian d=3
     # ensemble, recorded while efficiency_gain drew one replicate at a time
     # and the profile summed its areas in a Python loop; an empty map cache
-    # and empty posterior-grid caches fix the sampled bits and the curves
+    # and empty posterior-grid caches fix the sampled bits and the curves.
+    # The manifest's sha256 was recorded while arms still set
+    # termination_fraction, so it checks the entry written from the constant
     cfg = config_from_dict({
         "model": {"family": "gaussian", "d": 3, "sigma_pi": 10.0},
         "n_runs": 6, "seed": 3,
@@ -617,6 +613,9 @@ def test_pinned_report_rows(tmp_path, fresh_model_caches):
                   "n_init": 5, "n_batch": 3, "gain_vs": "std"}]})
     out = str(tmp_path / "pinned")
     generate_ensemble(cfg, out)
+    with open(os.path.join(out, MANIFEST_NAME), "rb") as fh:
+        assert hashlib.sha256(fh.read()).hexdigest() == (
+            "61971e609afbe7df0358d6f995587ad94676e50b12bade27d4f444d2481fe445")
     assert rows_digest(compare_report(cfg, out)) == (
         "bef41815db5aa396ea115f04d89cbce81cb97c905dbe567d802f9aa55da88f9a")
     assert rows_digest(list(alloc_profile_rows(cfg, out))) == (

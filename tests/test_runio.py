@@ -230,3 +230,41 @@ def test_bad_provenance_label_rejected(key, value):
     doc["provenance"][key] = value
     with pytest.raises(ValueError, match=f"provenance {key} must be"):
         run_from_dict(doc)
+
+
+M2 = ModelSpec(family="gaussian", d=2, sigma_pi=10.0)
+
+
+def five_thread_doc() -> dict:
+    return run_to_dict(standard_run(M2, SamplerConfig(n_live=5, seed=1)))
+
+
+@pytest.mark.parametrize("section,key", [("points", "log_l"),
+                                         ("open_intervals", "end_log_l")])
+def test_array_given_as_object_rejected(section, key):
+    # used to raise TypeError from numpy
+    doc = five_thread_doc()
+    doc[section][key] = {"a": 1}
+    with pytest.raises(ValueError, match="run file arrays must be flat lists"):
+        run_from_dict(doc)
+
+
+@pytest.mark.parametrize("value", [5, "12"])
+def test_init_thread_ids_must_be_a_list(value):
+    # 5 used to raise TypeError, and "12" was read digit by digit
+    doc = five_thread_doc()
+    doc["provenance"]["init_thread_ids"] = value
+    with pytest.raises(ValueError,
+                       match="provenance init_thread_ids must be a list"):
+        run_from_dict(doc)
+
+
+def test_init_thread_ids_of_no_thread_rejected():
+    # used to load, and the bootstrap then drew its initial class from
+    # threads the run does not hold
+    doc = five_thread_doc()
+    assert doc["provenance"]["init_thread_ids"] == [0, 1, 2, 3, 4]
+    doc["provenance"]["init_thread_ids"] = [99, 100]
+    with pytest.raises(ValueError, match=r"initial thread ids \[99, 100\] "
+                                         "name no thread of the run"):
+        run_from_dict(doc)

@@ -278,6 +278,16 @@ class TestConstruction:
         with pytest.raises(ValueError, match="continue"):
             run.validate()
 
+    def test_validate_rejects_initial_ids_of_no_thread(self):
+        # a point-free censored thread (7) is a thread of the run
+        run = build_run({0: (-np.inf, [1.0, 2.0]), 1: (-np.inf, [1.5])},
+                        opens=[(7, 0.5, 1.5)])
+        run.with_provenance(RunProvenance(init_thread_ids=(0, 7))).validate()
+        bad = run.with_provenance(RunProvenance(init_thread_ids=(0, 2, 9)))
+        with pytest.raises(ValueError,
+                           match=r"initial thread ids \[2, 9\] name no"):
+            bad.validate()
+
     def test_degenerate_open_interval_dropped(self):
         run = build_run({0: (-np.inf, [1.0])}, opens=[(0, 1.0, 1.0)])
         assert run.n_open == 0

@@ -51,10 +51,6 @@ class TestConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
             SamplerConfig(n_live=0)
-        with pytest.raises(ValueError):
-            SamplerConfig(n_live=5, termination_fraction=0.0)
-        with pytest.raises(ValueError):
-            SamplerConfig(n_live=5, termination_fraction=1.0)
 
 
 def draws_above(m, log_x, n, rng):
