@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Subcommands: generate, compare, alloc-profile, bootstrap-table.  Each takes
---config (experiment JSON) and --out (ensemble directory); generate also
-honours --workers and --seed overrides.  Failures exit nonzero after
-printing a one-line JSON error record to stderr.
+--config (experiment JSON), --out (ensemble directory) and a --seed
+override; generate also takes a --workers override, the only stage that
+runs a process pool.  Failures exit nonzero after printing a one-line JSON
+error record to stderr.
 """
 
 from __future__ import annotations
@@ -39,10 +40,11 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="experiment JSON file")
         p.add_argument("--out", required=True, help="ensemble directory")
-        p.add_argument("--workers", type=int, default=None,
-                       help="override worker count from the config")
         p.add_argument("--seed", type=int, default=None,
                        help="override root seed from the config")
+        if name == "generate":
+            p.add_argument("--workers", type=int, default=None,
+                           help="override worker count from the config")
     return parser
 
 
@@ -51,7 +53,7 @@ def _load_config(args):
     overrides = {}
     if args.seed is not None:
         overrides["seed"] = args.seed
-    if args.workers is not None:
+    if getattr(args, "workers", None) is not None:
         overrides["workers"] = args.workers
     if overrides:
         config = dataclasses.replace(config, **overrides)

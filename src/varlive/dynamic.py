@@ -39,7 +39,8 @@ from .runs import (
     combine_threads,
     live_point_counts,
 )
-from .sampler import SamplerConfig, sample_thread_batch, standard_run
+from .sampler import (SamplerConfig, _resolve_rng, sample_thread_batch,
+                      standard_run)
 
 __all__ = [
     "GoalConfig",
@@ -178,12 +179,10 @@ def combined_importance(run: NestedRun, goal: GoalConfig) -> np.ndarray:
 
 
 def dynamic_run_algorithm1(m: ModelSpec, goal: GoalConfig,
-                           cfg: AlgorithmOneConfig, rng=None,
-                           seed: int | None = None) -> NestedRun:
+                           cfg: AlgorithmOneConfig, rng=None) -> NestedRun:
     """Iterative scheduler: repeatedly spawn a batch of threads across the
     current high-importance region until the sample budget is spent."""
-    if rng is None:
-        rng = np.random.default_rng(seed)
+    rng, seed = _resolve_rng(rng)
     run = standard_run(m, SamplerConfig(n_live=cfg.n_init), rng)
     while len(run) < cfg.sample_budget:
         prof = combined_importance(run, goal)
@@ -196,8 +195,7 @@ def dynamic_run_algorithm1(m: ModelSpec, goal: GoalConfig,
             else float(run.log_l[-1])
         if not start < end:  # degenerate single-contour region
             end = np.inf
-        # combine_threads relabels, so the batch's own ids do not matter
-        threads = sample_thread_batch(m, start, end, rng, range(cfg.n_batch))
+        threads = sample_thread_batch(m, start, end, rng, cfg.n_batch)
         run = combine_runs([run, combine_threads(m, threads)])
     init_ids = run.provenance.init_thread_ids
     return run.with_provenance(RunProvenance(
@@ -291,13 +289,11 @@ def algorithm2_allocation(init_run: NestedRun, goal: GoalConfig,
 
 
 def dynamic_run_algorithm2(m: ModelSpec, goal: GoalConfig,
-                           cfg: AlgorithmTwoConfig, rng=None,
-                           seed: int | None = None) -> NestedRun:
+                           cfg: AlgorithmTwoConfig, rng=None) -> NestedRun:
     """Single-pass scheduler: smooth the initial run's importance, scale it
     to the remaining budget, and realize the resulting live-count profile
     with censored supplement threads."""
-    if rng is None:
-        rng = np.random.default_rng(seed)
+    rng, seed = _resolve_rng(rng)
     init_run = standard_run(
         m, SamplerConfig(n_live=cfg.n_init, keep_final_live=False), rng)
     n_init = cfg.n_init
@@ -323,8 +319,7 @@ def dynamic_run_algorithm2(m: ModelSpec, goal: GoalConfig,
             start, end = float(opens[a]), float(closes[a])
             if start < end:
                 threads.extend(sample_thread_batch(
-                    m, start, end, rng, range(n_init + a, n_init + b),
-                    censor_at_end=True))
+                    m, start, end, rng, b - a, censor_at_end=True))
         run = combine_runs([init_run, combine_threads(m, threads)])
     init_ids = run.provenance.init_thread_ids
     return run.with_provenance(RunProvenance(

@@ -28,8 +28,7 @@ from .models import (GAUSSIAN, ModelSpec, analytic_log_evidence, as_float,
                      as_int, as_object, posterior_mass_remaining,
                      relative_posterior_mass)
 from .runio import load_run, save_run, write_json
-from .runs import (IMPORTANCE_VARIANTS, NestedRun, live_point_counts,
-                   log_prior_volumes)
+from .runs import NestedRun, live_point_counts, log_prior_volumes
 from .sampler import TERMINATION_FRACTION, SamplerConfig, standard_run
 
 __all__ = [
@@ -91,22 +90,11 @@ class ArmConfig:
         if unread:
             raise ValueError(f"arm {self.name!r}: a {self.method} arm does "
                              f"not read {unread}")
-        if self.importance_variant not in IMPORTANCE_VARIANTS:
-            raise ValueError(f"unknown importance variant {self.importance_variant!r}")
-        if self.method == "standard":
-            if self.n_live is None or self.n_live < 1:
-                raise ValueError("standard arms need n_live >= 1")
-        else:
-            if not 0.0 <= self.goal_g <= 1.0:
-                raise ValueError("goal_g must lie in [0, 1]")
-            if self.n_init is not None and self.n_init < 1:
-                raise ValueError("n_init must be >= 1 when given")
-            if self.budget is not None and self.budget < 1:
-                raise ValueError("budget must be >= 1 when given")
-            if self.n_init is None and self.gain_vs is None:
-                raise ValueError("dynamic arms need n_init or a gain_vs arm to derive it")
-        if self.n_batch < 1:
-            raise ValueError("n_batch must be >= 1")
+        if self.method == "standard" and self.n_live is None:
+            raise ValueError("standard arms need n_live")
+        if self.method != "standard" and self.n_init is None \
+                and self.gain_vs is None:
+            raise ValueError("dynamic arms need n_init or a gain_vs arm to derive it")
 
     @classmethod
     def from_dict(cls, data: dict) -> "ArmConfig":
@@ -155,19 +143,19 @@ class ExperimentConfig:
                 raise ValueError(f"arm {arm.name!r} references unknown arm {arm.gain_vs!r}")
             if arm.gain_vs == arm.name:
                 raise ValueError(f"arm {arm.name!r} cannot reference itself")
-            if arm.method == "standard":
-                continue
-            # every failure _resolve_arm can meet is found here, so generate
-            # never writes part of an ensemble and then raises
-            if arm.budget is None and arm.gain_vs not in names[:i]:
+            if arm.method != "standard" and arm.budget is None \
+                    and arm.gain_vs not in names[:i]:
                 raise ValueError(
                     f"arm {arm.name!r} needs an explicit budget or must come "
                     f"after its gain_vs arm {arm.gain_vs!r}")
-            n_init = _arm_n_init(self, arm)
-            # Algorithm 2 smooths over 2 n_init + 1 points with a cubic
-            if arm.method == "dyn2" and n_init < 2:
-                raise ValueError(
-                    f"arm {arm.name!r}: dyn2 needs n_init >= 2, got {n_init}")
+            # the arm's settings are checked here by the code generate runs,
+            # so a bad one fails before any run file is written; a budget
+            # left to the gain_vs arm is checked as 1, the least mean sample
+            # count a run can have
+            try:
+                _arm_sampler(_resolve_arm(self, arm, dict.fromkeys(names, 1)))
+            except ValueError as exc:
+                raise ValueError(f"arm {arm.name!r}: {exc}") from None
         for key in ("profile_arm", "table_arm"):
             focus = getattr(self, key)
             if focus is not None and focus not in names:
@@ -259,8 +247,7 @@ def _arm_n_init(config: ExperimentConfig, arm: ArmConfig) -> int:
         return arm.n_init
     ref = config.arm(arm.gain_vs)
     if ref.method != "standard":
-        raise ValueError(
-            f"arm {arm.name!r}: n_init can only default off a standard arm")
+        raise ValueError("n_init can only default off a standard arm")
     return max(1, round(_DEFAULT_INIT_FRACTION[arm.method] * ref.n_live))
 
 
@@ -288,24 +275,30 @@ def _stream(entropy: int, spawn_key: tuple) -> np.random.Generator:
                                                         spawn_key=spawn_key))
 
 
+def _arm_sampler(resolved: dict) -> tuple:
+    """(sampler, configs) for an arm resolved by _resolve_arm: the sampler
+    function and the config objects it takes after the model, whose
+    constructors check every setting's range."""
+    method = resolved["method"]
+    if method == "standard":
+        return standard_run, (SamplerConfig(n_live=resolved["n_live"]),)
+    goal = GoalConfig(goal_g=resolved["goal_g"],
+                      importance_variant=resolved["importance_variant"])
+    if method == "dyn1":
+        return dynamic_run_algorithm1, (goal, AlgorithmOneConfig(
+            n_init=resolved["n_init"], sample_budget=resolved["budget"],
+            n_batch=resolved["n_batch"]))
+    return dynamic_run_algorithm2, (goal, AlgorithmTwoConfig(
+        n_init=resolved["n_init"], total_budget=resolved["budget"]))
+
+
 def _sample_run(m: ModelSpec, resolved: dict, seed: int, arm_index: int,
                 run_index: int) -> NestedRun:
     """Run run_index of an arm resolved by _resolve_arm, drawn from the
     stream (seed, (0, arm_index, run_index))."""
-    rng = _stream(seed, (_STREAM_GENERATE, arm_index, run_index))
-    method = resolved["method"]
-    if method == "standard":
-        return standard_run(m, SamplerConfig(n_live=resolved["n_live"]), rng)
-    goal = GoalConfig(goal_g=resolved["goal_g"],
-                      importance_variant=resolved["importance_variant"])
-    if method == "dyn1":
-        cfg = AlgorithmOneConfig(
-            n_init=resolved["n_init"], sample_budget=resolved["budget"],
-            n_batch=resolved["n_batch"])
-        return dynamic_run_algorithm1(m, goal, cfg, rng=rng)
-    cfg = AlgorithmTwoConfig(n_init=resolved["n_init"],
-                             total_budget=resolved["budget"])
-    return dynamic_run_algorithm2(m, goal, cfg, rng=rng)
+    sampler, configs = _arm_sampler(resolved)
+    return sampler(m, *configs,
+                   _stream(seed, (_STREAM_GENERATE, arm_index, run_index)))
 
 
 def _arm_rows(config: ExperimentConfig, task, arm_args):
@@ -422,6 +415,18 @@ def _manifest_arm(manifest: dict, name: str) -> dict:
     raise ValueError(f"arm {name!r} not present in manifest")
 
 
+def _arm_runs(out_dir: str, recs: list) -> Iterator[NestedRun]:
+    """The runs of manifest run records recs, loaded in order; ValueError
+    for a run whose sample count differs from its record's n_samples."""
+    for rec in recs:
+        run = load_run(os.path.join(out_dir, rec["path"]))
+        if rec["n_samples"] != len(run):
+            raise ValueError(f"manifest n_samples of {rec['path']!r} is "
+                             f"{rec['n_samples']!r}, but the run holds "
+                             f"{len(run)}")
+        yield run
+
+
 def write_csv(rows: Iterable[dict], path: str) -> None:
     """Writes rows to path as CSV, the first row's keys as the header.  The
     text goes to path + ".tmp", which is then renamed to path, so a row
@@ -481,12 +486,7 @@ def compare_report(config: ExperimentConfig, out_dir: str) -> list[dict]:
                              f"lists {n_runs} for arm {arm.name!r}")
         mat = np.empty((n_runs, len(config.estimators)))
         lengths = []
-        for i, rec in enumerate(entry["runs"]):
-            run = load_run(os.path.join(out_dir, rec["path"]))
-            if rec["n_samples"] != len(run):
-                raise ValueError(f"manifest n_samples of {rec['path']!r} "
-                                 f"is {rec['n_samples']!r}, but the run "
-                                 f"holds {len(run)}")
+        for i, run in enumerate(_arm_runs(out_dir, entry["runs"])):
             lengths.append(len(run))
             mat[i] = estimates(run, config.estimators)
         values[arm.name] = mat
@@ -547,8 +547,7 @@ def alloc_profile_rows(config: ExperimentConfig,
     areas = []
     low = 0.0
     m = config.model
-    for rec in recs:
-        run = load_run(os.path.join(out_dir, rec["path"]))
+    for rec, run in zip(recs, _arm_runs(out_dir, recs)):
         logv = log_prior_volumes(run)
         counts = live_point_counts(run)
         # cumsum adds left to right like a running total; np.sum pairs
@@ -625,8 +624,7 @@ def bootstrap_table_rows(config: ExperimentConfig, out_dir: str) -> list[dict]:
     est = np.empty((n_runs, n_est))
     boot_std = np.empty((n_runs, n_est))
     cred95 = np.empty((n_runs, n_est))
-    for j, rec in enumerate(entry["runs"]):
-        run = load_run(os.path.join(out_dir, rec["path"]))
+    for j, run in enumerate(_arm_runs(out_dir, entry["runs"])):
         est[j] = estimates(run, eids)
         boot_std[j], cred95[j] = _bootstrap_columns(
             run, eids, config.bootstrap_reps, config.seed, j)

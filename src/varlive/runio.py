@@ -19,6 +19,7 @@ from .runs import NestedRun, RunProvenance
 __all__ = ["save_run", "load_run", "FORMAT_VERSION"]
 
 FORMAT_VERSION = 1
+_NON_FINITE = {"nan", "inf", "-inf"}
 
 
 def _enc(values: np.ndarray) -> list:
@@ -30,14 +31,22 @@ def _enc(values: np.ndarray) -> list:
 
 
 def _dec(values) -> np.ndarray:
+    """A float array from a list of numbers and the strings "nan", "inf" and
+    "-inf", as _enc writes it; ValueError for any other entry (null, a
+    bool, a bare NaN, another string, an object or a list)."""
     if not isinstance(values, list):
         raise ValueError("run file arrays must be flat lists")
+    kinds = set(map(type, values))
+    if not kinds <= {float, int} and not (
+            kinds <= {float, int, str}
+            and {v for v in values if type(v) is str} <= _NON_FINITE):
+        raise ValueError("run file arrays must be flat lists of numbers "
+                         "and the strings 'nan', 'inf', '-inf' (no null, "
+                         "bool, object, list or other string)")
     out = np.array(values, dtype=float)
-    if out.ndim != 1:
-        raise ValueError("run file arrays must be flat lists")
-    # numpy reads JSON null as nan too; the writer encodes nan as "nan"
+    # json reads a bare NaN as a float; the writer encodes nan as "nan"
     if any(values[i] != "nan" for i in np.flatnonzero(np.isnan(out)).tolist()):
-        raise ValueError("run file array holds a null or a bare NaN")
+        raise ValueError("run file array holds a bare NaN")
     return out
 
 

@@ -55,7 +55,6 @@ class SamplerConfig:
 
     n_live: int
     keep_final_live: bool = True
-    seed: int | None = None
 
     def __post_init__(self):
         if self.n_live < 1:
@@ -63,10 +62,10 @@ class SamplerConfig:
 
 
 def sample_thread_batch(m: ModelSpec, start_log_l: float, end_log_l: float,
-                        rng, thread_ids, censor_at_end: bool = False
+                        rng, n: int, censor_at_end: bool = False
                         ) -> list[Thread]:
-    """Run one live point per id from the start contour until it first
-    exceeds the end contour.
+    """Run n live points, threads 0..n-1, from the start contour until each
+    first exceeds the end contour.
 
     The overshooting point is retained by default; with censor_at_end it is
     discarded and each thread carries an open alive-interval through
@@ -75,9 +74,7 @@ def sample_thread_batch(m: ModelSpec, start_log_l: float, end_log_l: float,
     all angular draws from one batch, so a whole spawn costs a few array
     operations.
     """
-    ids = [int(t) for t in thread_ids]
-    nb = len(ids)
-    if nb == 0:
+    if n == 0:
         return []
     if not start_log_l < end_log_l:
         raise ValueError("need start_log_l < end_log_l")
@@ -85,11 +82,11 @@ def sample_thread_batch(m: ModelSpec, start_log_l: float, end_log_l: float,
 
     if end_log_l == np.inf:
         # one point above the start contour per thread
-        lnx_flat = log_x0 - rng.standard_exponential(nb)
-        counts = np.ones(nb, dtype=np.int64)
+        lnx_flat = log_x0 - rng.standard_exponential(n)
+        counts = np.ones(n, dtype=np.int64)
     else:
         span = log_x0 - log_x_from_log_likelihood(m, float(end_log_l))
-        depth = _ensure_depth(rng, nb, None, span + 40.0)
+        depth = _ensure_depth(rng, n, None, span + 40.0)
         cross = (depth > span).argmax(axis=1)  # first point past the end
         counts = cross + (0 if censor_at_end else 1)
         keep = np.arange(depth.shape[1])[None, :] < counts[:, None]
@@ -116,7 +113,7 @@ def sample_thread_batch(m: ModelSpec, start_log_l: float, end_log_l: float,
                    log_l=lnl_flat[a:b], birth_log_l=birth_flat[a:b],
                    theta1=theta_flat[a:b], radius=radius_flat[a:b],
                    true_log_x=lnx_flat[a:b], open_end_log_l=open_end)
-            for tid, a, b in zip(ids, starts.tolist(), ends.tolist())]
+            for tid, (a, b) in enumerate(zip(starts.tolist(), ends.tolist()))]
 
 
 def _ensure_depth(rng, n: int, depth: np.ndarray | None, target: float):
@@ -138,16 +135,28 @@ def _ensure_depth(rng, n: int, depth: np.ndarray | None, target: float):
     return depth
 
 
+def _resolve_rng(rng) -> tuple[np.random.Generator, int | None]:
+    """(generator, seed the run records) for a sampler's rng argument: an
+    int seed or None goes through np.random.default_rng, and an int is
+    recorded; any other value is the generator itself and records none."""
+    if isinstance(rng, (bool, np.bool_)):
+        raise TypeError("rng must be an int seed, None or a generator, "
+                        "not a bool")
+    if rng is not None and not isinstance(rng, (int, np.integer)):
+        return rng, None
+    return np.random.default_rng(rng), None if rng is None else int(rng)
+
+
 def standard_run(m: ModelSpec, cfg: SamplerConfig, rng=None) -> NestedRun:
-    """Constant-count nested sampling run; bit-reproducible given cfg.seed."""
-    if rng is None:
-        rng = np.random.default_rng(cfg.seed)
+    """Constant-count nested sampling run drawn from rng, an int seed (which
+    the run records), None or a generator (_resolve_rng)."""
+    rng, seed = _resolve_rng(rng)
     n = cfg.n_live
     floor = sampling_log_x_floor(m, n)
     depth = None
     for _ in range(MAX_DEEPENINGS + 1):
         depth = _ensure_depth(rng, n, depth, -floor)
-        out = _assemble(m, cfg, rng, depth, floor)
+        out = _assemble(m, cfg, rng, depth, floor, seed)
         if out is not None:
             return out
         floor -= 15.0  # termination not reached in covered depth; go deeper
@@ -157,7 +166,7 @@ def standard_run(m: ModelSpec, cfg: SamplerConfig, rng=None) -> NestedRun:
 
 
 def _assemble(m: ModelSpec, cfg: SamplerConfig, rng, depth: np.ndarray,
-              floor: float) -> NestedRun | None:
+              floor: float, seed: int | None) -> NestedRun | None:
     n = cfg.n_live
     usable = depth <= -floor
     counts = usable.sum(axis=1)
@@ -212,7 +221,7 @@ def _assemble(m: ModelSpec, cfg: SamplerConfig, rng, depth: np.ndarray,
     lnx_keep = lnx_flat[keep]
     radius = np.asarray(cm.radius(np.minimum(lnx_keep, cm.log_x_top)))
     theta1 = radius * sample_beta_first_coordinate(m.d, rng, size=keep.size)
-    prov = RunProvenance(algorithm="standard", seed=cfg.seed,
+    prov = RunProvenance(algorithm="standard", seed=seed,
                          init_thread_ids=tuple(range(n)))
     return NestedRun(m, lnl_flat[keep], birth_flat[keep], theta1, radius,
                      lnx_keep, tid_flat[keep], provenance=prov, **open_kwargs)

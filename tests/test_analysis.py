@@ -92,8 +92,8 @@ class TestLogEvidence:
             math.log(0.5) + 3.7, abs=1e-14)
 
     def test_combine_order_invariance(self):
-        a = standard_run(M3, SamplerConfig(n_live=10, seed=1))
-        b = standard_run(M3, SamplerConfig(n_live=7, seed=2))
+        a = standard_run(M3, SamplerConfig(n_live=10), 1)
+        b = standard_run(M3, SamplerConfig(n_live=7), 2)
         ab = estimate(combine_runs([a, b]), LOG_Z)
         ba = estimate(combine_runs([b, a]), LOG_Z)
         assert ab == ba
@@ -101,8 +101,8 @@ class TestLogEvidence:
     def test_mean_over_ensemble_near_truth(self):
         # smoke-level version of the ensemble bias check
         vals = [estimate(
-            standard_run(M3, SamplerConfig(n_live=100, keep_final_live=False,
-                                           seed=60000 + s)), LOG_Z)
+            standard_run(M3, SamplerConfig(n_live=100, keep_final_live=False),
+                         60000 + s), LOG_Z)
                 for s in range(60)]
         truth = analytic_log_evidence(M3)
         assert truth == pytest.approx(-9.6797, abs=5e-4)
@@ -200,7 +200,7 @@ def _digest(values):
 
 class TestEstimates:
     def test_matches_single_estimator_calls(self):
-        run = standard_run(M3, SamplerConfig(n_live=20, seed=5))
+        run = standard_run(M3, SamplerConfig(n_live=20), 5)
         got = estimates(run, ALL_ESTIMATORS)
         assert got.tolist() == [estimate(run, e) for e in ALL_ESTIMATORS]
         assert estimates(run, ALL_ESTIMATORS[::-1]).tolist() == \
@@ -217,7 +217,7 @@ class TestEstimates:
         # posterior_weights looks the name up in runs
         monkeypatch.setattr(runs, "point_log_weights", counted)
         monkeypatch.setattr(analysis, "point_log_weights", counted)
-        run = standard_run(M3, SamplerConfig(n_live=20, seed=5))
+        run = standard_run(M3, SamplerConfig(n_live=20), 5)
         estimates(run, ALL_ESTIMATORS)
         assert len(calls) == 1
 
@@ -230,7 +230,7 @@ class TestEstimates:
             calls.append(1)
             return argsort(*args, **kwargs)
 
-        run = standard_run(M3, SamplerConfig(n_live=20, seed=5))
+        run = standard_run(M3, SamplerConfig(n_live=20), 5)
         monkeypatch.setattr(np, "argsort", counted)
         estimates(run, ALL_ESTIMATORS)
         assert len(calls) == 2
@@ -246,12 +246,12 @@ class TestEstimates:
         # sha256 of the seven estimates, recorded before estimates() shared
         # one weight pass between them; an empty map cache fixes the
         # sampled bits (they depend on the deepest map built so far)
-        std = standard_run(M3, SamplerConfig(n_live=30, keep_final_live=False,
-                                             seed=2024))
+        std = standard_run(M3, SamplerConfig(n_live=30, keep_final_live=False),
+                           2024)
         dyn = dynamic_run_algorithm1(
             M3, GoalConfig(goal_g=1.0),
             AlgorithmOneConfig(n_init=10, sample_budget=1500, n_batch=5),
-            seed=2024)
+            rng=2024)
         expect = {
             "standard": "9a0ec624a5c45eedcc74789fd1fbb73a"
                         "cb4aa68ff91bdcf2a75f974fd470cc9a",
@@ -278,7 +278,7 @@ class TestInformationContent:
 
     def test_bounds_on_sampled_runs(self):
         for s in range(5):
-            run = standard_run(M3, SamplerConfig(n_live=20, seed=300 + s))
+            run = standard_run(M3, SamplerConfig(n_live=20), 300 + s)
             h = information_content(run)
             assert 1.0 <= h <= len(run) + 1e-9
 
@@ -292,7 +292,7 @@ class TestBootstrapResample:
                               live_point_counts(run))
 
     def test_thread_count_preserved_and_valid(self):
-        run = standard_run(M3, SamplerConfig(n_live=12, seed=9))
+        run = standard_run(M3, SamplerConfig(n_live=12), 9)
         out = bootstrap_resample(run, np.random.default_rng(1))
         assert len(split_into_threads(out)) == len(split_into_threads(run))
         out.validate()
@@ -301,7 +301,7 @@ class TestBootstrapResample:
         dyn = dynamic_run_algorithm1(
             M3, GoalConfig(goal_g=1.0),
             AlgorithmOneConfig(n_init=10, sample_budget=250, n_batch=4),
-            seed=17)
+            rng=17)
         n_threads = len(split_into_threads(dyn))
         out = bootstrap_resample(dyn, np.random.default_rng(2))
         assert len(split_into_threads(out)) == n_threads
@@ -316,7 +316,7 @@ class TestBootstrapResample:
         dyn = dynamic_run_algorithm1(
             M3, GoalConfig(goal_g=0.5),
             AlgorithmOneConfig(n_init=n_init, sample_budget=60 * n_init + 60,
-                               n_batch=2), seed=seed)
+                               n_batch=2), rng=seed)
         if not stratified:
             # a run whose provenance names no initial threads
             dyn = dyn.with_provenance(dataclasses.replace(
@@ -421,7 +421,7 @@ class TestBootstrapGather:
         # cache fixes the sampled bits
         dyn = dynamic_run_algorithm2(
             M3, GoalConfig(goal_g=0.5),
-            AlgorithmTwoConfig(n_init=10, total_budget=800), seed=2024)
+            AlgorithmTwoConfig(n_init=10, total_budget=800), rng=2024)
         assert dyn.n_open > 0
         out = bootstrap_resample(dyn, np.random.default_rng(5))
         h = hashlib.sha256()
@@ -441,7 +441,7 @@ class TestBootstrapError:
         assert _bootstrap_columns(run, [LOG_Z], 16, 3)[0][0] == 0.0
 
     def test_std_positive_for_multithread(self):
-        run = standard_run(M3, SamplerConfig(n_live=15, seed=21))
+        run = standard_run(M3, SamplerConfig(n_live=15), 21)
         std, cred95 = _bootstrap_columns(run, [LOG_Z], 25, 4, 0)
         # the replicates come from the stream (seed, (2, *key))
         reps = bootstrap_replicates(run, [LOG_Z], 25, np.random.default_rng(

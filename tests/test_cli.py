@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+from pathlib import Path
 
 import pytest
 
@@ -45,8 +46,8 @@ def test_compare_writes_report(config_path, generated, capsys):
     out_path = os.path.join(generated, "report.csv")
     assert os.path.exists(out_path)
     assert capsys.readouterr().out.strip().endswith("report.csv")
-    header = open(out_path, encoding="utf-8").readline().strip().split(",")
-    assert header[:4] == ["row", "arm", "estimator", "baseline"]
+    header = Path(out_path).read_text(encoding="utf-8").splitlines()[0]
+    assert header.split(",")[:4] == ["row", "arm", "estimator", "baseline"]
 
 
 def test_alloc_profile_and_bootstrap_table(config_path, generated):
@@ -56,7 +57,7 @@ def test_alloc_profile_and_bootstrap_table(config_path, generated):
     assert main(["bootstrap-table", "--config", config_path,
                  "--out", generated]) == 0
     table = os.path.join(generated, "bootstrap_table.csv")
-    lines = open(table, encoding="utf-8").read().splitlines()
+    lines = Path(table).read_text(encoding="utf-8").splitlines()
     assert len(lines) == 8  # header plus seven statistics
     assert lines[0] == "statistic,log_z,median_radius"
 
@@ -143,6 +144,18 @@ def test_usage_error_is_record_not_traceback(capsys):
     assert json.loads(err.strip().splitlines()[-1])["error"] == "UsageError"
 
 
+@pytest.mark.parametrize("stage", ["compare", "alloc-profile",
+                                   "bootstrap-table"])
+def test_workers_is_a_generate_flag(config_path, generated, stage, capsys):
+    # the report stages run no pool; they used to accept --workers, ignore
+    # it, and fail on --workers 0 with "workers must be >= 1"
+    rc = main([stage, "--config", config_path, "--out", generated,
+               "--workers", "2"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert json.loads(err.strip().splitlines()[-1])["error"] == "UsageError"
+
+
 def test_seed_override_changes_output(config_path, tmp_path):
     a = str(tmp_path / "a")
     b = str(tmp_path / "b")
@@ -150,6 +163,6 @@ def test_seed_override_changes_output(config_path, tmp_path):
     for out, seed in ((a, "900"), (b, "900"), (c, "901")):
         assert main(["generate", "--config", config_path, "--out", out,
                      "--seed", seed]) == 0
-    read = lambda d: open(os.path.join(d, "manifest.json"), "rb").read()
+    read = lambda d: Path(d, "manifest.json").read_bytes()
     assert read(a) == read(b)
     assert read(a) != read(c)

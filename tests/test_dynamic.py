@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -51,8 +52,8 @@ def chain_run(log_l, theta1=None, model=M3):
 
 
 def censored_standard(m, n_live, seed):
-    cfg = SamplerConfig(n_live=n_live, keep_final_live=False, seed=seed)
-    return standard_run(m, cfg)
+    cfg = SamplerConfig(n_live=n_live, keep_final_live=False)
+    return standard_run(m, cfg, seed)
 
 
 EVIDENCE = GoalConfig(goal_g=0.0)
@@ -72,7 +73,7 @@ class TestEvidenceImportance:
 
     def test_matches_brute_force_tail_sums(self):
         # retained final live points give a varying count profile
-        run = standard_run(M3, SamplerConfig(n_live=25, seed=88))
+        run = standard_run(M3, SamplerConfig(n_live=25), 88)
         lw = np.exp(run.log_l + point_log_weights(run))
         counts = live_point_counts(run)
         tail = np.array([lw[i:].sum() for i in range(len(run))])
@@ -209,7 +210,7 @@ class TestCombinedImportance:
         dyn = dynamic_run_algorithm1(
             M3, GoalConfig(goal_g=1.0),
             AlgorithmOneConfig(n_init=10, sample_budget=1500, n_batch=5),
-            seed=2024)
+            rng=2024)
         expect = {
             (0.0, "standard"): "657adf1d5d4b2121ba095bf7ecdd2975"
                                "40f29d95a59537794f02f1263d19b6eb",
@@ -246,10 +247,10 @@ class TestCombinedImportance:
 
 class TestAlgorithmOne:
     def test_budget_at_initial_run_is_identity(self):
-        std = standard_run(M2, SamplerConfig(n_live=15, seed=77))
+        std = standard_run(M2, SamplerConfig(n_live=15), 77)
         dyn = dynamic_run_algorithm1(
             M2, GoalConfig(goal_g=0.5),
-            AlgorithmOneConfig(n_init=15, sample_budget=len(std)), seed=77)
+            AlgorithmOneConfig(n_init=15, sample_budget=len(std)), rng=77)
         assert np.array_equal(dyn.log_l, std.log_l)
         assert np.array_equal(dyn.true_log_x, std.true_log_x)
         prov = dyn.provenance
@@ -261,12 +262,12 @@ class TestAlgorithmOne:
         assert prov.seed == 77
 
     def test_meets_budget_and_validates(self):
-        std = standard_run(M3, SamplerConfig(n_live=20, seed=5))
+        std = standard_run(M3, SamplerConfig(n_live=20), 5)
         budget = len(std) + 200
         dyn = dynamic_run_algorithm1(
             M3, GoalConfig(goal_g=1.0),
             AlgorithmOneConfig(n_init=20, sample_budget=budget, n_batch=5),
-            seed=5)
+            rng=5)
         assert len(dyn) >= budget
         dyn.validate()
         assert dyn.provenance.init_thread_ids == tuple(range(20))
@@ -288,7 +289,7 @@ class TestAlgorithmOne:
         dyn = dynamic_run_algorithm1(
             m, GoalConfig(goal_g=g, importance_variant=variant),
             AlgorithmOneConfig(n_init=n_init, sample_budget=budget,
-                               n_batch=n_batch), seed=seed)
+                               n_batch=n_batch), rng=seed)
         assert len(dyn) >= budget
         dyn.validate()
 
@@ -319,7 +320,7 @@ class TestAlgorithmOne:
         run = dynamic_run_algorithm1(
             M3, GoalConfig(goal_g=goal_g, importance_variant=variant),
             AlgorithmOneConfig(n_init=10, sample_budget=1500, n_batch=5),
-            seed=1704)
+            rng=1704)
         assert run_digest(run) == digest
 
     @settings(deadline=None, max_examples=60)
@@ -334,7 +335,7 @@ class TestAlgorithmOne:
         run = dynamic_run_algorithm1(
             m, GoalConfig(goal_g=g, importance_variant=variant),
             AlgorithmOneConfig(n_init=n_init, sample_budget=budget,
-                               n_batch=n_batch), seed=seed)
+                               n_batch=n_batch), rng=seed)
         assert len(run) >= budget
         # every batch thread holds a point and each merge relabels the batch
         # above every earlier id, so the last batch is the top n_batch ids
@@ -359,7 +360,7 @@ class TestAlgorithmOne:
         runs = [dynamic_run_algorithm1(
             M3, GoalConfig(goal_g=1.0),
             AlgorithmOneConfig(n_init=20, sample_budget=1600, n_batch=8),
-            seed=200 + s) for s in range(4)]
+            rng=200 + s) for s in range(4)]
         grid = np.linspace(peak - 5.0, peak + 5.0, 81)
         mean_prof = self._mean_count_profile(runs, grid)
         assert abs(grid[np.argmax(mean_prof)] - peak) <= 2.0
@@ -370,7 +371,7 @@ class TestAlgorithmOne:
         runs = [dynamic_run_algorithm1(
             M3, GoalConfig(goal_g=0.0),
             AlgorithmOneConfig(n_init=20, sample_budget=1600, n_batch=8),
-            seed=300 + s) for s in range(5)]
+            rng=300 + s) for s in range(5)]
         grid = np.linspace(peak, peak - 3.0, 20)  # deeper than the bulk
         mean_prof = self._mean_count_profile(runs, grid)
         sigma_post = math.sqrt(100.0 / 101.0)
@@ -437,14 +438,14 @@ class TestAlgorithmTwo:
         # process built before, so replay from an empty map cache
         run = dynamic_run_algorithm2(
             M3, GoalConfig(goal_g=goal_g),
-            AlgorithmTwoConfig(n_init=5, total_budget=2000), seed=2017)
+            AlgorithmTwoConfig(n_init=5, total_budget=2000), rng=2017)
         assert run_digest(run) == digest
 
     def test_budget_at_initial_run_is_identity(self):
         std = censored_standard(M2, 10, seed=321)
         dyn = dynamic_run_algorithm2(
             M2, GoalConfig(goal_g=0.0),
-            AlgorithmTwoConfig(n_init=10, total_budget=len(std)), seed=321)
+            AlgorithmTwoConfig(n_init=10, total_budget=len(std)), rng=321)
         assert np.array_equal(dyn.log_l, std.log_l)
         assert dyn.provenance.algorithm == "dynamic_alg2"
         assert dyn.provenance.init_thread_ids == tuple(range(10))
@@ -455,7 +456,7 @@ class TestAlgorithmTwo:
             dynamic_run_algorithm2(
                 M2, GoalConfig(goal_g=0.0),
                 AlgorithmTwoConfig(n_init=10, total_budget=len(std) - 5),
-                seed=321)
+                rng=321)
 
     def test_config_validation(self):
         # the smoothing window 2 n_init + 1 must be longer than the cubic
@@ -472,7 +473,7 @@ class TestAlgorithmTwo:
         cfg = AlgorithmTwoConfig(n_init=15, total_budget=len(init) + 900)
         extra = algorithm2_allocation(init, goal, cfg)
         assert extra.sum() > 0
-        dyn = dynamic_run_algorithm2(M3, goal, cfg, seed=99)
+        dyn = dynamic_run_algorithm2(M3, goal, cfg, rng=99)
         dyn.validate()
         counts = live_point_counts(dyn)
         idx = np.searchsorted(dyn.log_l, init.log_l)
@@ -497,8 +498,30 @@ class TestAlgorithmTwo:
             dyn = dynamic_run_algorithm2(
                 M10, GoalConfig(goal_g=1.0),
                 AlgorithmTwoConfig(n_init=20, total_budget=budget),
-                seed=4000 + s)
+                rng=4000 + s)
             totals.append(len(dyn))
             assert abs(len(dyn) - budget) <= 0.25 * budget
         assert abs(np.mean(totals) - budget) <= 0.1 * budget
         dyn.validate()
+
+
+@pytest.mark.parametrize("scheduler, cfg", [
+    (dynamic_run_algorithm1,
+     AlgorithmOneConfig(n_init=10, sample_budget=400, n_batch=5)),
+    (dynamic_run_algorithm2, AlgorithmTwoConfig(n_init=10, total_budget=600))],
+    ids=["algorithm1", "algorithm2"])
+def test_int_rng_is_a_seed(scheduler, cfg):
+    # as for standard_run: an int seed draws what default_rng(seed) draws
+    # and is recorded, a generator records none, and a bool is refused
+    goal = GoalConfig(goal_g=0.5)
+    seeded = scheduler(M2, goal, cfg, rng=5)
+    drawn = scheduler(M2, goal, cfg, rng=np.random.default_rng(5))
+    for field in ("log_l", "birth_log_l", "theta1", "radius", "true_log_x",
+                  "thread_id", "open_birth_log_l", "open_end_log_l",
+                  "open_thread_id"):
+        np.testing.assert_array_equal(getattr(seeded, field),
+                                      getattr(drawn, field))
+    assert seeded.provenance.seed == 5 and drawn.provenance.seed is None
+    assert seeded.provenance == dataclasses.replace(drawn.provenance, seed=5)
+    with pytest.raises(TypeError, match="not a bool"):
+        scheduler(M2, goal, cfg, rng=True)

@@ -7,6 +7,7 @@ import json
 import math
 import os
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -197,12 +198,50 @@ class TestConfig:
             dyn["n_init"] = n_init
         arms = [{"name": "std", "method": "standard", "n_live": 5}, dyn]
         with pytest.raises(ValueError,
-                           match="arm 'dyn': dyn2 needs n_init >= 2, got 1"):
+                           match="arm 'dyn': n_init must be >= 2"):
             small_config(arms=arms)
         arms[0]["n_live"] = 8  # round(0.2 * 8) = 2
         if n_init is not None:
             dyn["n_init"] = 2
         assert small_config(arms=arms).arms[1].method == "dyn2"
+
+    @pytest.mark.parametrize("arm, message", [
+        ({"method": "dyn1", "n_init": 5, "goal_g": 1.5},
+         "goal_g must lie in [0, 1]"),
+        ({"method": "dyn1", "n_init": 5, "importance_variant": "magic"},
+         "importance_variant must be one of"),
+        ({"method": "dyn1", "n_init": 0}, "n_init must be >= 1"),
+        ({"method": "dyn2", "n_init": 1}, "n_init must be >= 2"),
+        ({"method": "dyn1", "n_init": 5, "n_batch": 0},
+         "n_batch must be >= 1"),
+        ({"method": "dyn1", "n_init": 5, "budget": 0},
+         "sample_budget must be positive"),
+        ({"method": "dyn2", "n_init": 5, "budget": 0},
+         "total_budget must be positive"),
+        ({"method": "standard", "n_live": 0}, "n_live must be >= 1")],
+        ids=["goal_g", "importance_variant", "dyn1_n_init", "dyn2_n_init",
+             "n_batch", "dyn1_budget", "dyn2_budget", "n_live"])
+    def test_setting_ranges_checked_at_load(self, arm, message, tmp_path,
+                                            capsys):
+        # each range is checked by the sampler config that generate builds
+        # for the arm, the budget left to the gain_vs arm taken as 1; the
+        # error names the arm, and generate fails before it writes the
+        # first arm's runs
+        from varlive.cli import main
+        doc = small_config_doc(arms=[
+            {"name": "std", "method": "standard", "n_live": 20},
+            {"name": "bad", "gain_vs": "std", **arm}])
+        with pytest.raises(ValueError) as err:
+            config_from_dict(doc)
+        assert str(err.value).startswith(f"arm 'bad': {message}")
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["generate", "--config", str(path),
+                     "--out", str(out)]) == 1
+        record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert record["message"].startswith(f"arm 'bad': {message}")
+        assert not out.exists()
 
     @pytest.mark.parametrize("bad", [True, "0.5", None, math.nan, math.inf])
     @pytest.mark.parametrize("key", ["goal_g"])
@@ -246,8 +285,8 @@ class TestGenerate:
         generate_ensemble(cfg, again)
         for rel in ("manifest.json", os.path.join("std", "run_00001.json"),
                     os.path.join("dyn1", "run_00003.json")):
-            a = open(os.path.join(out, rel), "rb").read()
-            b = open(os.path.join(again, rel), "rb").read()
+            a = Path(out, rel).read_bytes()
+            b = Path(again, rel).read_bytes()
             assert a == b, rel
 
     def test_budget_matches_standard_arm(self, ensemble):
@@ -282,8 +321,8 @@ class TestGenerate:
         generate_ensemble(dataclasses.replace(cfg, workers=1), seq)
         generate_ensemble(dataclasses.replace(cfg, workers=2), par)
         for rel in ("manifest.json", os.path.join("dyn1", "run_00000.json")):
-            assert open(os.path.join(seq, rel), "rb").read() == \
-                open(os.path.join(par, rel), "rb").read(), rel
+            assert Path(seq, rel).read_bytes() == Path(par, rel).read_bytes(), \
+                rel
         assert compare_report(cfg, seq) == compare_report(cfg, par)
 
 
@@ -401,6 +440,25 @@ class TestCompare:
             write_manifest(out, bad)
             with pytest.raises(ValueError, match=key):
                 compare_report(cfg, out)
+
+    @pytest.mark.parametrize("stage", [compare_report, alloc_profile_rows,
+                                       bootstrap_table_rows])
+    def test_every_stage_checks_run_sample_counts(self, ensemble, tmp_path,
+                                                  stage):
+        # alloc-profile and bootstrap-table used to read a run whose
+        # manifest n_samples was off by 7 without complaint
+        cfg, out, manifest = ensemble
+        bad_out = str(tmp_path / "bad")
+        shutil.copytree(out, bad_out, ignore=shutil.ignore_patterns("*.csv"))
+        bad = json.loads(json.dumps(manifest))
+        rec = bad["arms"][1]["runs"][0]  # the focus arm of both tables
+        rec["n_samples"] += 7
+        write_manifest(bad_out, bad)
+        with pytest.raises(ValueError, match=(
+                f"manifest n_samples of {rec['path']!r} is "
+                f"{rec['n_samples']}, but the run holds "
+                f"{rec['n_samples'] - 7}")):
+            stage(cfg, bad_out)
 
     def test_run_paths_stay_inside_the_ensemble(self, tmp_path):
         cfg = small_config(n_runs=2,

@@ -412,7 +412,7 @@ class TestContourMap:
             "from varlive.sampler import SamplerConfig, standard_run",
             "m = ModelSpec('gaussian', 3, 10.0)",
             "get_contour_map(m, -60.0)",
-            "standard_run(m, SamplerConfig(n_live=20, seed=1))",
+            "standard_run(m, SamplerConfig(n_live=20), 1)",
             "loaded = sorted(k for k in sys.modules"
             " if k.partition('.')[0] == 'scipy')",
             "sys.modules['scipy'] = None",

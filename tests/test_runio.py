@@ -3,6 +3,7 @@
 import io
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -60,14 +61,14 @@ def test_resave_byte_identical(runs, tmp_path):
     b = str(tmp_path / "b.json")
     save_run(runs["alg1"], a)
     save_run(load_run(a), b)
-    assert open(a, "rb").read() == open(b, "rb").read()
+    assert Path(a).read_bytes() == Path(b).read_bytes()
 
 
 def test_file_is_strict_json(runs, tmp_path):
     # non-finite floats must travel as strings, not bare Infinity tokens
     path = str(tmp_path / "run.json")
     save_run(runs["standard"], path)
-    text = open(path, encoding="utf-8").read()
+    text = Path(path).read_text(encoding="utf-8")
     assert '"-inf"' in text  # prior-wide birth contours
 
     def reject(token):
@@ -111,12 +112,12 @@ def test_codec_matches_elementwise_reference(runs, tmp_path):
     ref = io.StringIO()
     json.dump(run_to_dict(runs["alg2"]), ref, separators=(",", ":"),
               sort_keys=True)
-    assert open(path, encoding="utf-8").read() == ref.getvalue() + "\n"
+    assert Path(path).read_text(encoding="utf-8") == ref.getvalue() + "\n"
 
 
 def test_swapped_log_l_rejected_on_load(tmp_path):
     # before load validated, this file loaded and ln Z read -9.557 (-8.645)
-    run = standard_run(M3, SamplerConfig(n_live=20, seed=1))
+    run = standard_run(M3, SamplerConfig(n_live=20), 1)
     doc = run_to_dict(run)
     log_l = doc["points"]["log_l"]
     log_l[0], log_l[17] = log_l[17], log_l[0]
@@ -152,8 +153,8 @@ def test_falling_tie_order_loads_in_thread_order(tmp_path):
 def test_second_open_interval_rejected_on_load(tmp_path):
     # before load checked this, the file loaded with counts reaching 21 and
     # ln Z -8.645536 (-8.645509), and splitting kept one of the two intervals
-    run = standard_run(M3, SamplerConfig(n_live=20, seed=1,
-                                         keep_final_live=False))
+    run = standard_run(M3, SamplerConfig(n_live=20,
+                                         keep_final_live=False), 1)
     doc = run_to_dict(run)
     for values in doc["open_intervals"].values():
         values.append(values[0])
@@ -169,8 +170,8 @@ def test_second_open_interval_rejected_on_load(tmp_path):
 def test_non_integer_field_rejected_on_load(tmp_path, field, value):
     # before load checked these, the file loaded: d 2.5 as a d=2 model, true
     # as d=1, thread id 5.25 as 5 (true as 1) and init id 0.5 as 0
-    run = standard_run(M3, SamplerConfig(n_live=20, seed=1,
-                                         keep_final_live=False))
+    run = standard_run(M3, SamplerConfig(n_live=20,
+                                         keep_final_live=False), 1)
     doc = run_to_dict(run)
     if field == "d":
         doc["model"]["d"] = value
@@ -189,7 +190,7 @@ def test_non_integer_field_rejected_on_load(tmp_path, field, value):
 @pytest.mark.parametrize("value", ["nan", "inf"])
 def test_non_finite_log_l_rejected_on_load(tmp_path, value):
     # before NestedRun checked this, either file loaded and ln Z read nan
-    run = standard_run(M3, SamplerConfig(n_live=20, seed=1))
+    run = standard_run(M3, SamplerConfig(n_live=20), 1)
     doc = run_to_dict(run)
     doc["points"]["log_l"][-1] = value
     path = tmp_path / "run.json"
@@ -211,7 +212,7 @@ def test_non_object_document_rejected(doc):
 def test_bad_section_rejected(section, value):
     # used to raise KeyError for a missing section, TypeError or
     # AttributeError for one that is not an object
-    doc = run_to_dict(standard_run(M3, SamplerConfig(n_live=20, seed=1)))
+    doc = run_to_dict(standard_run(M3, SamplerConfig(n_live=20), 1))
     if value == "missing":
         del doc[section]
     else:
@@ -226,7 +227,7 @@ def test_bad_section_rejected(section, value):
     ("importance_variant", 0)])
 def test_bad_provenance_label_rejected(key, value):
     # {"algorithm": 5} and {"importance_variant": [1]} used to load as is
-    doc = run_to_dict(standard_run(M3, SamplerConfig(n_live=20, seed=1)))
+    doc = run_to_dict(standard_run(M3, SamplerConfig(n_live=20), 1))
     doc["provenance"][key] = value
     with pytest.raises(ValueError, match=f"provenance {key} must be"):
         run_from_dict(doc)
@@ -236,7 +237,7 @@ M2 = ModelSpec(family="gaussian", d=2, sigma_pi=10.0)
 
 
 def five_thread_doc() -> dict:
-    return run_to_dict(standard_run(M2, SamplerConfig(n_live=5, seed=1)))
+    return run_to_dict(standard_run(M2, SamplerConfig(n_live=5), 1))
 
 
 @pytest.mark.parametrize("section,key", [("points", "log_l"),
@@ -246,6 +247,21 @@ def test_array_given_as_object_rejected(section, key):
     doc = five_thread_doc()
     doc[section][key] = {"a": 1}
     with pytest.raises(ValueError, match="run file arrays must be flat lists"):
+        run_from_dict(doc)
+
+
+@pytest.mark.parametrize("entry", [{"a": 1}, [0.5], True, "0.5", None,
+                                   "Infinity"],
+                         ids=["object", "list", "bool", "numeric_string",
+                              "null", "other_string"])
+def test_array_entry_that_is_no_number_rejected(entry):
+    # an object or a list used to raise TypeError from numpy, and true and
+    # "0.5" were read as the numbers 1.0 and 0.5; the writer puts only
+    # numbers and "nan", "inf", "-inf" in an array
+    doc = five_thread_doc()
+    doc["points"]["theta1"][0] = entry
+    with pytest.raises(ValueError, match="run file arrays must be flat "
+                                         "lists of numbers"):
         run_from_dict(doc)
 
 

@@ -59,7 +59,7 @@ def draws_above(m, log_x, n, rng):
     fields as arrays."""
     contour = float(log_likelihood_from_log_x(m, log_x)) if log_x < 0.0 \
         else -np.inf
-    ths = sample_thread_batch(m, contour, np.inf, rng, range(n))
+    ths = sample_thread_batch(m, contour, np.inf, rng, n)
     assert all(len(t) == 1 for t in ths)
     fields = ("log_l", "birth_log_l", "theta1", "radius", "true_log_x")
     return contour, SimpleNamespace(**{
@@ -67,7 +67,7 @@ def draws_above(m, log_x, n, rng):
 
 
 def thread(m, start, end, rng, **kwargs):
-    return sample_thread_batch(m, start, end, rng, [4], **kwargs)[0]
+    return sample_thread_batch(m, start, end, rng, 1, **kwargs)[0]
 
 
 class TestDrawPointAbove:
@@ -99,7 +99,7 @@ class TestSampleThread:
         rng = np.random.default_rng(21)
         end = float(log_likelihood_from_log_x(M3, -5.0))
         lens = [len(t) for t in sample_thread_batch(M3, -np.inf, end, rng,
-                                                     range(2000))]
+                                                     2000)]
         # crossings of -ln X past 5 are Poisson(5); one overshoot retained
         assert np.mean(lens) == pytest.approx(6.0, abs=0.2)
 
@@ -107,7 +107,7 @@ class TestSampleThread:
         rng = np.random.default_rng(22)
         end = float(log_likelihood_from_log_x(M3, -5.0))
         th = thread(M3, -np.inf, end, rng)
-        assert th.thread_id == 4
+        assert th.thread_id == 0
         assert np.all(np.diff(th.log_l) > 0.0)
         assert th.log_l[-1] > end
         assert np.all(th.log_l[:-1] <= end)
@@ -144,7 +144,7 @@ class TestSampleThreadBatch:
     def test_merged_batch_is_valid_run(self):
         rng = np.random.default_rng(31)
         end = float(log_likelihood_from_log_x(M3, -5.0))
-        ths = sample_thread_batch(M3, -np.inf, end, rng, range(400))
+        ths = sample_thread_batch(M3, -np.inf, end, rng, 400)
         lens = [len(t) for t in ths]
         assert np.mean(lens) == pytest.approx(6.0, abs=0.45)
         run = combine_threads(M3, ths)
@@ -153,7 +153,7 @@ class TestSampleThreadBatch:
     def test_censored_batch_holds_counts(self):
         rng = np.random.default_rng(32)
         end = float(log_likelihood_from_log_x(M3, -4.0))
-        ths = sample_thread_batch(M3, -np.inf, end, rng, range(50),
+        ths = sample_thread_batch(M3, -np.inf, end, rng, 50,
                                   censor_at_end=True)
         run = combine_threads(M3, ths)
         assert np.all(live_point_counts(run) == 50)
@@ -161,13 +161,13 @@ class TestSampleThreadBatch:
     def test_one_point_rule(self):
         rng = np.random.default_rng(33)
         start = float(log_likelihood_from_log_x(M3, -3.0))
-        ths = sample_thread_batch(M3, start, np.inf, rng, [7, 9])
-        assert [t.thread_id for t in ths] == [7, 9]
+        ths = sample_thread_batch(M3, start, np.inf, rng, 2)
+        assert [t.thread_id for t in ths] == [0, 1]
         assert all(len(t) == 1 and t.log_l[0] > start for t in ths)
 
     def test_empty_id_list(self):
         assert sample_thread_batch(M3, -np.inf, 0.0,
-                                   np.random.default_rng(0), []) == []
+                                   np.random.default_rng(0), 0) == []
 
     def test_censored_threads_without_points(self):
         # a region far thinner than one shrinkage step leaves most censored
@@ -175,7 +175,7 @@ class TestSampleThreadBatch:
         rng = np.random.default_rng(34)
         start = float(log_likelihood_from_log_x(M3, -3.0))
         end = float(log_likelihood_from_log_x(M3, -3.05))
-        ths = sample_thread_batch(M3, start, end, rng, range(40),
+        ths = sample_thread_batch(M3, start, end, rng, 40,
                                   censor_at_end=True)
         empty = [th for th in ths if len(th) == 0]
         assert 0 < len(empty) < len(ths)
@@ -198,7 +198,7 @@ class TestSampleThreadBatch:
 
         end = float(log_likelihood_from_log_x(M3, -2.0))
         with pytest.raises(RuntimeError, match="MAX_TOP_UPS"):
-            sample_thread_batch(M3, -np.inf, end, ZeroDraws(), range(3))
+            sample_thread_batch(M3, -np.inf, end, ZeroDraws(), 3)
         with pytest.raises(RuntimeError, match="MAX_TOP_UPS"):
             standard_run(M3, SamplerConfig(n_live=3), ZeroDraws())
 
@@ -218,38 +218,38 @@ class TestStandardRun:
         assert np.mean(lens) == pytest.approx(18093, rel=0.05)
 
     def test_count_profile_with_tail(self):
-        run = standard_run(M3, SamplerConfig(n_live=30, seed=43))
+        run = standard_run(M3, SamplerConfig(n_live=30), 43)
         run.validate()
         c = live_point_counts(run)
         assert np.all(c[:-30] == 30)
         np.testing.assert_array_equal(c[-30:], np.arange(30, 0, -1))
 
     def test_count_profile_censored(self):
-        run = standard_run(M3, SamplerConfig(n_live=30, seed=44,
-                                             keep_final_live=False))
+        run = standard_run(M3, SamplerConfig(n_live=30,
+                                             keep_final_live=False), 44)
         run.validate()
         assert np.all(live_point_counts(run) == 30)
         assert run.n_open >= 29  # the last killer's interval is degenerate
 
     def test_single_live_point(self):
-        run = standard_run(M3, SamplerConfig(n_live=1, seed=45))
+        run = standard_run(M3, SamplerConfig(n_live=1), 45)
         assert np.all(live_point_counts(run) == 1)
         assert len(run) > 3
 
     def test_bit_reproducible(self):
-        a = standard_run(M3, SamplerConfig(n_live=25, seed=46))
-        b = standard_run(M3, SamplerConfig(n_live=25, seed=46))
+        a = standard_run(M3, SamplerConfig(n_live=25), 46)
+        b = standard_run(M3, SamplerConfig(n_live=25), 46)
         np.testing.assert_array_equal(a.log_l, b.log_l)
         np.testing.assert_array_equal(a.theta1, b.theta1)
         np.testing.assert_array_equal(a.true_log_x, b.true_log_x)
-        c = standard_run(M3, SamplerConfig(n_live=25, seed=47))
+        c = standard_run(M3, SamplerConfig(n_live=25), 47)
         assert not np.array_equal(a.log_l, c.log_l)
 
     def test_deepening_is_bounded(self, monkeypatch):
         monkeypatch.setattr(sampler, "_assemble", lambda *args: None)
         with pytest.raises(RuntimeError,
                            match=f"after {sampler.MAX_DEEPENINGS} deepenings"):
-            standard_run(M3, SamplerConfig(n_live=3, seed=49))
+            standard_run(M3, SamplerConfig(n_live=3), 49)
 
     @settings(deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 12))
@@ -279,8 +279,31 @@ class TestStandardRun:
             else:
                 assert got.tolist() == want
 
+    def test_int_rng_is_a_seed(self):
+        # an int seed draws what default_rng(seed) draws and is recorded;
+        # a run drawn from a generator records no seed
+        cfg = SamplerConfig(n_live=5)
+        seeded = standard_run(M3, cfg, 5)
+        drawn = standard_run(M3, cfg, np.random.default_rng(5))
+        for field in ("log_l", "birth_log_l", "theta1", "radius",
+                      "true_log_x", "thread_id", "open_birth_log_l",
+                      "open_end_log_l", "open_thread_id"):
+            np.testing.assert_array_equal(getattr(seeded, field),
+                                          getattr(drawn, field))
+        assert seeded.provenance.seed == 5
+        assert type(seeded.provenance.seed) is int
+        assert drawn.provenance.seed is None
+        assert standard_run(M3, cfg, np.int64(5)).provenance.seed == 5
+        assert standard_run(M3, cfg).provenance.seed is None
+
+    @pytest.mark.parametrize("rng", [True, False, np.True_],
+                             ids=["True", "False", "numpy_True"])
+    def test_bool_rng_refused(self, rng):
+        with pytest.raises(TypeError, match="not a bool"):
+            standard_run(M3, SamplerConfig(n_live=5), rng)
+
     def test_provenance(self):
-        run = standard_run(M3, SamplerConfig(n_live=5, seed=48))
+        run = standard_run(M3, SamplerConfig(n_live=5), 48)
         assert run.provenance.algorithm == "standard"
         assert run.provenance.seed == 48
         assert run.provenance.init_thread_ids == tuple(range(5))
