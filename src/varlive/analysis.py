@@ -266,8 +266,8 @@ class GainEstimate:
 
 
 def efficiency_gain(std_results, dyn_results, mean_samples_std: float,
-                    mean_samples_dyn: float, n_boot: int = 1000,
-                    rng=None) -> GainEstimate:
+                    mean_samples_dyn: float, n_boot: int = 1000, *,
+                    rng) -> GainEstimate:
     """Variance ratio of the two arms, corrected by their sample-count ratio.
 
     The uncertainty bootstraps each arm's result set independently; the
@@ -279,7 +279,8 @@ def efficiency_gain(std_results, dyn_results, mean_samples_std: float,
     makes, in its order, and leaves rng in the same state.  Unequal arms,
     or a block with a degenerate dynamic row, restore rng to its state
     before the block and run the loop, so the result never depends on
-    which path ran.
+    which path ran.  rng, the generator the replicates draw from, has no
+    default: each caller names its stream.
     """
     a = np.asarray(std_results, dtype=float)
     b = np.asarray(dyn_results, dtype=float)
@@ -295,8 +296,6 @@ def efficiency_gain(std_results, dyn_results, mean_samples_std: float,
         raise ValueError("dynamic arm has zero variance")
     factor = mean_samples_std / mean_samples_dyn
     gain = (var_a / var_b) * factor
-    if rng is None:
-        rng = np.random.default_rng(0)
     if a.size == b.size:
         state = rng.bit_generator.state
         idx = rng.integers(0, a.size, size=(n_boot, 2, a.size))

@@ -81,7 +81,8 @@ class ArmConfig:
     n_batch: int = 1
 
     def __post_init__(self):
-        if not self.name or "/" in self.name or self.name != self.name.strip():
+        if not isinstance(self.name, str) or not self.name or "/" in self.name \
+                or self.name != self.name.strip():
             raise ValueError(f"bad arm name {self.name!r}")
         if self.method not in _METHODS:
             raise ValueError(f"unknown method {self.method!r}")
@@ -191,8 +192,13 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         "n_runs", "seed", "workers", "gain_boot", "bootstrap_reps",
         "profile_runs"), "experiment")
     model = ModelSpec.from_dict(data.pop("model"))
-    arms = tuple(ArmConfig.from_dict(a) for a in data.pop("arms"))
-    estimators = tuple(estimator_from_key(k) for k in data.pop("estimators"))
+    arms = tuple(ArmConfig.from_dict(a)
+                 for a in _as_list(data.pop("arms"), "experiment arms"))
+    keys = _as_list(data.pop("estimators"), "experiment estimators")
+    for key in keys:
+        if not isinstance(key, str):
+            raise ValueError(f"estimator key {key!r} is not a string")
+    estimators = tuple(map(estimator_from_key, keys))
     return ExperimentConfig(model=model, arms=arms, estimators=estimators, **data)
 
 

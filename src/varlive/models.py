@@ -35,8 +35,6 @@ __all__ = [
     "FAMILIES",
     "ModelSpec",
     "log_likelihood_at_radius",
-    "radius_from_log_likelihood",
-    "log_x_from_radius",
     "radius_from_log_x",
     "log_likelihood_from_log_x",
     "log_x_from_log_likelihood",
@@ -149,19 +147,9 @@ def log_likelihood_at_radius(m: ModelSpec, r):
     return float(out) if out.ndim == 0 else out
 
 
-def radius_from_log_likelihood(m: ModelSpec, logl):
-    """Closed-form inverse of log_likelihood_at_radius; -inf maps to +inf."""
-    logl_arr = np.asarray(logl, dtype=float)
-    c = _log_norm_const(m)
-    if np.any(logl_arr > c):
-        raise ValueError("log-likelihood above the peak value")
-    out = _radius_below_peak(m, c - logl_arr)
-    return float(out) if out.ndim == 0 else out
-
-
-def _radius_below_peak(m: ModelSpec, drop):
-    """Radius of the contour drop = ln L(0) - ln L >= 0 below the peak, for
-    a float or an array, through the same numpy ufuncs either way."""
+def _radius_below_peak(m: ModelSpec, drop: float):
+    """Radius of the contour drop = ln L(0) - ln L >= 0 below the peak, as
+    the numpy float64 its ufunc returns."""
     if m.family == GAUSSIAN:
         return np.sqrt(2.0 * drop)
     if m.family == EXP_POWER:
@@ -169,21 +157,9 @@ def _radius_below_peak(m: ModelSpec, drop):
     return np.sqrt(np.expm1(2.0 * drop / (m.d + 1)))
 
 
-def log_x_from_radius(m: ModelSpec, r):
-    """ln of the prior mass enclosed by radius r; r=0 -> -inf, r=inf -> 0."""
-    r_arr = np.asarray(r, dtype=float)
-    if np.any(r_arr < 0.0) or np.any(np.isnan(r_arr)):
-        raise ValueError("radius must be nonnegative")
-    t = 0.5 * (r_arr / m.sigma_pi) ** 2
-    inf_mask = np.isinf(r_arr)
-    out = np.where(inf_mask, 0.0,
-                   sf.log_reg_lower_inc_gamma(0.5 * m.d, np.where(inf_mask, 1.0, t)))
-    out = np.asarray(out, dtype=float)
-    return float(out) if out.ndim == 0 else out
-
-
 def radius_from_log_x(m: ModelSpec, logx):
-    """Inverse of log_x_from_radius (scalar solve per element)."""
+    """Radius of the contour enclosing prior mass X = e^logx, through a
+    scalar solve per element; logx = 0 maps to +inf."""
     logx_arr = np.asarray(logx, dtype=float)
     if np.any(logx_arr > 0.0) or np.any(np.isnan(logx_arr)):
         raise ValueError("logx must be <= 0")
@@ -207,16 +183,12 @@ def log_likelihood_from_log_x(m: ModelSpec, logx):
     return log_likelihood_at_radius(m, radius_from_log_x(m, logx))
 
 
-def log_x_from_log_likelihood(m: ModelSpec, logl):
-    """Enclosed prior mass of the contour at height logl (exact composition).
-
-    A float takes a scalar path with the bits of a 0-d array: the array
-    path's numpy ufuncs, then `specialfn._log_p_0d`, with none of the array
-    checks and conversions around them.  A 1-element array can differ from
-    both in the last bit, since the array path squares r with the array
-    `** 2`."""
-    if not isinstance(logl, float):
-        return log_x_from_radius(m, radius_from_log_likelihood(m, logl))
+def log_x_from_log_likelihood(m: ModelSpec, logl) -> float:
+    """Enclosed prior mass ln X of the contour at height logl, a float (or
+    a 0-d array): the closed-form radius r in numpy ufuncs, then
+    ln P(d/2, r^2 / (2 sigma^2)) from `specialfn._log_p_0d`, which gives
+    the bits of `specialfn.log_reg_lower_inc_gamma` at the same t."""
+    logl = float(logl)
     c = _log_norm_const(m)
     if logl > c:
         raise ValueError("log-likelihood above the peak value")
@@ -225,8 +197,8 @@ def log_x_from_log_likelihood(m: ModelSpec, logl):
     r = _radius_below_peak(m, c - logl)
     if r == math.inf:
         return 0.0
-    # r is a numpy float64, so ** 2 is the 0-d path's scalar pow, which can
-    # differ from r * r in the last bit
+    # r is a numpy float64, so ** 2 is numpy's scalar pow, the squaring the
+    # recorded runs rest on; r * r can differ from it in the last bit
     return sf._log_p_0d(0.5 * m.d, float(0.5 * (r / m.sigma_pi) ** 2))
 
 

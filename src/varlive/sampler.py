@@ -17,6 +17,7 @@ the dynamic schedulers build on.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,14 +79,14 @@ def sample_thread_batch(m: ModelSpec, start_log_l: float, end_log_l: float,
         return []
     if not start_log_l < end_log_l:
         raise ValueError("need start_log_l < end_log_l")
-    log_x0 = log_x_from_log_likelihood(m, float(start_log_l))
+    log_x0 = log_x_from_log_likelihood(m, start_log_l)
 
     if end_log_l == np.inf:
         # one point above the start contour per thread
         lnx_flat = log_x0 - rng.standard_exponential(n)
         counts = np.ones(n, dtype=np.int64)
     else:
-        span = log_x0 - log_x_from_log_likelihood(m, float(end_log_l))
+        span = log_x0 - log_x_from_log_likelihood(m, end_log_l)
         depth = _ensure_depth(rng, n, None, span + 40.0)
         cross = (depth > span).argmax(axis=1)  # first point past the end
         counts = cross + (0 if censor_at_end else 1)
@@ -137,14 +138,18 @@ def _ensure_depth(rng, n: int, depth: np.ndarray | None, target: float):
 
 def _resolve_rng(rng) -> tuple[np.random.Generator, int | None]:
     """(generator, seed the run records) for a sampler's rng argument: an
-    int seed or None goes through np.random.default_rng, and an int is
-    recorded; any other value is the generator itself and records none."""
-    if isinstance(rng, (bool, np.bool_)):
-        raise TypeError("rng must be an int seed, None or a generator, "
-                        "not a bool")
-    if rng is not None and not isinstance(rng, (int, np.integer)):
-        return rng, None
-    return np.random.default_rng(rng), None if rng is None else int(rng)
+    int seed, a SeedSequence or None goes through np.random.default_rng,
+    and only an int is recorded; a bool, a string or any other number
+    raises TypeError, and any other value is the generator itself and
+    records none."""
+    if isinstance(rng, numbers.Integral) and not isinstance(rng, bool):
+        return np.random.default_rng(rng), int(rng)
+    if rng is None or isinstance(rng, np.random.SeedSequence):
+        return np.random.default_rng(rng), None
+    if isinstance(rng, (numbers.Number, np.bool_, str, bytes)):
+        raise TypeError("rng must be an int seed, a SeedSequence, None or "
+                        f"a generator, not a {type(rng).__name__}")
+    return rng, None
 
 
 def standard_run(m: ModelSpec, cfg: SamplerConfig, rng=None) -> NestedRun:

@@ -8,6 +8,9 @@
   has converged, as `specialfn.log_reg_lower_inc_gamma` ran it before it
   stopped the series block by block: the tests require the blocked call
   to give its bytes.
+* ln X of a likelihood contour by the 0-d array route the sampler's
+  region ends took before `models.log_x_from_log_likelihood` kept only its
+  float path: the tests require the float path to give its bits.
 * Oracles that no CLI path calls: the posterior peak in ln X, the
   radius-domain evidence quadrature, ln Q, P on the probability scale and
   ln Gamma of an array.  Their tests and pins stay with them.
@@ -111,6 +114,25 @@ def reference_pchip_eval(nodes: np.ndarray, tables, q: np.ndarray) -> list:
 
 # ---------------------------------------------------------------------------
 # Oracles of varlive.models
+
+
+def reference_log_x_from_log_likelihood(m: md.ModelSpec, logl: float) -> float:
+    """ln X of the contour at height logl below the peak, as a 0-d array
+    took it: the family's closed-form radius in numpy ufuncs, t = r^2 /
+    (2 sigma^2) with the 0-d array's scalar ** 2, and ln P(d/2, t) from the
+    array path of `specialfn.log_reg_lower_inc_gamma` on a 1-element array,
+    which shares no code with its scalar kernel."""
+    drop = md.log_likelihood_at_radius(m, 0.0) - np.asarray(logl)
+    if m.family == md.GAUSSIAN:
+        r = np.sqrt(2.0 * drop)
+    elif m.family == md.EXP_POWER:
+        r = np.power(2.0 * drop, 1.0 / (2.0 * m.b))
+    else:
+        r = np.sqrt(np.expm1(2.0 * drop / (m.d + 1)))
+    if np.isinf(r):
+        return 0.0
+    t = 0.5 * (np.asarray(r) / m.sigma_pi) ** 2
+    return sf.log_reg_lower_inc_gamma(0.5 * m.d, np.array([t])).item()
 
 
 def argmax_log_x_relative_posterior_mass(m: md.ModelSpec) -> float:

@@ -457,22 +457,26 @@ class TestBootstrapError:
 
 class TestEfficiencyGain:
     def test_variance_ratio_hand_case(self):
-        g = efficiency_gain([-2.0, 0.0, 2.0], [-1.0, 0.0, 1.0], 100.0, 100.0)
+        g = efficiency_gain([-2.0, 0.0, 2.0], [-1.0, 0.0, 1.0], 100.0, 100.0,
+                            rng=np.random.default_rng(0))
         assert g.gain == pytest.approx(4.0, abs=1e-12)
         assert g.sigma >= 0.0
 
     def test_sample_count_factor(self):
         g = efficiency_gain([-2.0, 0.0, 2.0], [-1.0, 0.0, 1.0],
-                            10_000.0, 5_000.0)
+                            10_000.0, 5_000.0, rng=np.random.default_rng(0))
         assert g.gain == pytest.approx(8.0, abs=1e-12)
 
     def test_scale_equivariance(self):
         rng = np.random.default_rng(6)
         a = rng.normal(size=40)
         b = rng.normal(size=40)
-        base = efficiency_gain(a, b, 1.0, 1.0, n_boot=10).gain
-        up = efficiency_gain(3.0 * a, b, 1.0, 1.0, n_boot=10).gain
-        down = efficiency_gain(a, 3.0 * b, 1.0, 1.0, n_boot=10).gain
+        base = efficiency_gain(a, b, 1.0, 1.0, n_boot=10,
+                               rng=np.random.default_rng(0)).gain
+        up = efficiency_gain(3.0 * a, b, 1.0, 1.0, n_boot=10,
+                             rng=np.random.default_rng(0)).gain
+        down = efficiency_gain(a, 3.0 * b, 1.0, 1.0, n_boot=10,
+                               rng=np.random.default_rng(0)).gain
         assert up == pytest.approx(9.0 * base, rel=1e-12)
         assert down == pytest.approx(base / 9.0, rel=1e-12)
 
@@ -481,11 +485,12 @@ class TestEfficiencyGain:
         # one replicate (or none) used to give sigma nan and a RuntimeWarning
         with pytest.raises(ValueError, match="n_boot must be >= 2"):
             efficiency_gain([1.0, 2.0, 4.0], [3.0, 5.0, 6.0], 1.0, 1.0,
-                            n_boot=n_boot)
+                            n_boot=n_boot, rng=np.random.default_rng(0))
 
     def test_zero_dynamic_variance_rejected(self):
         with pytest.raises(ValueError):
-            efficiency_gain([1.0, 2.0], [3.0, 3.0], 1.0, 1.0)
+            efficiency_gain([1.0, 2.0], [3.0, 3.0], 1.0, 1.0,
+                            rng=np.random.default_rng(0))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("arm", [0, 1])
@@ -494,7 +499,17 @@ class TestEfficiencyGain:
         arms = [[1.0, 2.0, 4.0], [3.0, 5.0, 6.0]]
         arms[arm][1] = bad
         with pytest.raises(ValueError, match="finite"):
-            efficiency_gain(*arms, 1.0, 1.0, n_boot=10)
+            efficiency_gain(*arms, 1.0, 1.0, n_boot=10,
+                            rng=np.random.default_rng(0))
+
+    def test_rng_is_a_required_keyword(self):
+        # an omitted rng used to seed 0 silently, where None means fresh
+        # entropy everywhere else in the package
+        with pytest.raises(TypeError, match="rng"):
+            efficiency_gain([-2.0, 0.0, 2.0], [-1.0, 0.0, 1.0], 1.0, 1.0)
+        with pytest.raises(TypeError):
+            efficiency_gain([-2.0, 0.0, 2.0], [-1.0, 0.0, 1.0], 1.0, 1.0, 10,
+                            np.random.default_rng(0))
 
     def test_degenerate_redraws_bounded(self):
         class FirstPick:  # every resample repeats the first result

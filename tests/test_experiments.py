@@ -118,6 +118,18 @@ class TestConfig:
         with pytest.raises(ValueError, match="arm must be a JSON object"):
             small_config(arms=["std"])
 
+    @pytest.mark.parametrize("overrides, message", [
+        ({"arms": 5}, "experiment arms must be a JSON list"),
+        ({"estimators": 5}, "experiment estimators must be a JSON list"),
+        ({"estimators": [5]}, "estimator key 5 is not a string"),
+        ({"arms": [{"name": 5, "method": "standard", "n_live": 40}]},
+         "bad arm name 5"),
+    ], ids=["arms", "estimators", "estimator_key", "arm_name"])
+    def test_config_shapes_refused_with_value_error(self, overrides, message):
+        # each used to raise TypeError from inside the loader
+        with pytest.raises(ValueError, match=message):
+            small_config(**overrides)
+
     def test_unknown_experiment_key(self):
         # used to raise TypeError from ExperimentConfig.__init__
         with pytest.raises(ValueError, match="unknown experiment keys.*'colour'"):

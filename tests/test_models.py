@@ -28,11 +28,13 @@ from conftest import traced_memory, use_fresh_model_caches
 from reference import (
     argmax_log_x_relative_posterior_mass,
     log_evidence_radius_quadrature,
+    reference_log_x_from_log_likelihood,
     reference_pchip_eval,
     reference_pchip_nodes,
     reference_pchip_table,
 )
 from varlive import models as md
+from varlive import specialfn as sf
 from varlive.models import ModelSpec
 from varlive.specialfn import _QUERY_BLOCK
 
@@ -125,50 +127,46 @@ class TestLogLikelihood:
             md.log_likelihood_at_radius(G10, -1.0)
 
 
-class TestRadiusInversion:
-    def test_peak_maps_to_zero(self):
-        peak = md.log_likelihood_at_radius(G10, 0.0)
-        assert md.radius_from_log_likelihood(G10, peak) == 0.0
-
-    def test_gaussian_two_below_peak(self):
-        peak = md.log_likelihood_at_radius(G10, 0.0)
-        assert md.radius_from_log_likelihood(G10, peak - 2.0) == pytest.approx(2.0, rel=1e-12)
-
-    def test_exp_power_hand_case(self):
-        peak = md.log_likelihood_at_radius(EP2, 0.0)
-        # r^(2b)/2 = 8 at b=2 gives r = 2
-        assert md.radius_from_log_likelihood(EP2, peak - 8.0) == pytest.approx(2.0, rel=1e-12)
-
-    def test_round_trip_all_families(self):
-        # below r ~ 0.05 the b=2 drop r^4/2 cancels against the stored
-        # normalization constant, so start where the drop is representable
-        for m in [G10, EP2, EP34, C10]:
-            r = np.geomspace(0.05, 40.0, 200)
-            logl = md.log_likelihood_at_radius(m, r)
-            back = md.radius_from_log_likelihood(m, logl)
-            assert np.all(np.abs(back - r) <= 1e-10 * r)
-
-    def test_rejects_above_peak(self):
-        with pytest.raises(ValueError):
-            md.radius_from_log_likelihood(G10, 1.0)
-
-
 class TestVolumeMaps:
     def test_boundaries(self):
-        assert md.log_x_from_radius(G10, 0.0) == -np.inf
-        assert md.log_x_from_radius(G10, np.inf) == 0.0
         assert md.radius_from_log_x(G10, -np.inf) == 0.0
         assert md.radius_from_log_x(G10, 0.0) == np.inf
         assert md.log_likelihood_from_log_x(G10, 0.0) == -np.inf
         assert md.log_likelihood_from_log_x(C10, 0.0) == -np.inf
 
+    def test_gaussian_two_below_peak(self):
+        # 2 nats below the peak is r = 2, and X(r) = chi2_d.cdf(r^2/sigma^2)
+        peak = md.log_likelihood_at_radius(G10, 0.0)
+        assert md.log_x_from_log_likelihood(G10, peak - 2.0) == pytest.approx(
+            chi2.logcdf(0.04, 10), rel=1e-12)
+
+    def test_exp_power_hand_case(self):
+        # r^(2b)/2 = 8 at b=2 gives r = 2
+        peak = md.log_likelihood_at_radius(EP2, 0.0)
+        assert md.log_x_from_log_likelihood(EP2, peak - 8.0) == pytest.approx(
+            chi2.logcdf(0.04, 10), rel=1e-12)
+
+    def test_log_x_all_families_against_scipy(self):
+        # below r ~ 0.05 the b=2 drop r^4/2 cancels against the stored
+        # normalization constant, so start where the drop is representable
+        for m in [G10, EP2, EP34, C10]:
+            r = np.geomspace(0.05, 40.0, 200)
+            logl = md.log_likelihood_at_radius(m, r)
+            got = [md.log_x_from_log_likelihood(m, v) for v in logl]
+            want = chi2.logcdf((r / m.sigma_pi) ** 2, m.d)
+            # a relative radius error e moves ln X by about d e
+            assert np.allclose(got, want, rtol=1e-9, atol=0.0)
+
     def test_half_mass_radius(self):
         # r^2/(2 sigma^2) = 4.6709 is the Gamma(5,1) median
-        assert md.log_x_from_radius(G10, 30.565) == pytest.approx(math.log(0.5), abs=1e-3)
+        logl = md.log_likelihood_at_radius(G10, 30.565)
+        assert md.log_x_from_log_likelihood(G10, logl) == pytest.approx(
+            math.log(0.5), abs=1e-3)
 
     def test_composition(self):
         direct = md.log_likelihood_at_radius(G10, 30.565)
-        via_x = md.log_likelihood_from_log_x(G10, md.log_x_from_radius(G10, 30.565))
+        via_x = md.log_likelihood_from_log_x(
+            G10, md.log_x_from_log_likelihood(G10, direct))
         assert via_x == pytest.approx(direct, abs=1e-6)
 
     def test_round_trip_radius_logx(self):
@@ -176,7 +174,8 @@ class TestVolumeMaps:
         # d=10); such points cannot round trip in double and are skipped
         for m in [G10, G3, EP2, C10, ModelSpec(md.GAUSSIAN, 2, 0.1)]:
             r = np.geomspace(1e-3 * m.sigma_pi, 40.0 * m.sigma_pi, 120)
-            lx = md.log_x_from_radius(m, r)
+            lx = sf.log_reg_lower_inc_gamma(0.5 * m.d,
+                                            0.5 * (r / m.sigma_pi) ** 2)
             representable = lx < 0.0
             assert np.all(r[~representable] > 38.0 * m.sigma_pi)
             back = md.radius_from_log_x(m, lx[representable])
@@ -203,8 +202,8 @@ class TestVolumeMaps:
     @example(family=md.EXP_POWER, d=1000, b=2.0, frac=0.3883333333333333)
     @example(family=md.EXP_POWER, d=10, b=0.75, frac=0.4473333333333333)
     def test_float_log_x_has_the_0d_array_bits(self, family, d, b, frac):
-        # a float takes the scalar path; the sampler's region ends took the
-        # 0-d array path before it, so these are the bits to keep.  (A
+        # the sampler's region ends took the 0-d array route before the
+        # float path replaced it, so these are the bits to keep.  (A
         # 1-element array squares with r * r where a 0-d one calls pow,
         # which moves a few exp_power contours by an ulp.)
         m = ModelSpec(family, d, 10.0, b)
@@ -213,7 +212,7 @@ class TestVolumeMaps:
         logl = md.log_likelihood_at_radius(m, frac * r_hi)
         got = md.log_x_from_log_likelihood(m, logl)
         assert type(got) is float
-        assert same_bits(got, md.log_x_from_log_likelihood(m, np.array(logl)))
+        assert same_bits(got, reference_log_x_from_log_likelihood(m, logl))
 
     @pytest.mark.parametrize("m", [G3, EP2, EP34, C10,
                                    ModelSpec(md.EXP_POWER, 1000, 10.0, 2.0)])

@@ -6,6 +6,7 @@ lengths for n = 500 ten-dimensional runs.
 """
 
 import math
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
@@ -300,6 +301,29 @@ class TestStandardRun:
                              ids=["True", "False", "numpy_True"])
     def test_bool_rng_refused(self, rng):
         with pytest.raises(TypeError, match="not a bool"):
+            standard_run(M3, SamplerConfig(n_live=5), rng)
+
+    def test_seed_sequence_rng_seeds_a_generator(self):
+        # a SeedSequence seeds default_rng, as SPEC 7 allows; the run
+        # records no seed, since the sequence is not an int
+        cfg = SamplerConfig(n_live=5)
+        seeded = standard_run(M3, cfg, np.random.SeedSequence(5))
+        drawn = standard_run(
+            M3, cfg, np.random.default_rng(np.random.SeedSequence(5)))
+        for field in ("log_l", "theta1", "thread_id", "open_end_log_l"):
+            np.testing.assert_array_equal(getattr(seeded, field),
+                                          getattr(drawn, field))
+        assert seeded.provenance == drawn.provenance
+        assert seeded.provenance.seed is None
+
+    @pytest.mark.parametrize("rng", [5.0, np.float64(5.0), "5", b"5", 5 + 0j,
+                                     Fraction(5)],
+                             ids=["float", "float64", "str", "bytes",
+                                  "complex", "Fraction"])
+    def test_non_int_seed_refused_at_the_call(self, rng):
+        # these used to pass for a generator and fail deep in the sampler
+        # with AttributeError
+        with pytest.raises(TypeError, match="rng must be an int seed"):
             standard_run(M3, SamplerConfig(n_live=5), rng)
 
     def test_provenance(self):
