@@ -24,9 +24,9 @@ from .analysis import (EstimatorId, bootstrap_replicates,
                        jackknife_std_sigma, weighted_quantile)
 from .dynamic import (AlgorithmOneConfig, AlgorithmTwoConfig, GoalConfig,
                       dynamic_run_algorithm1, dynamic_run_algorithm2)
-from .models import (GAUSSIAN, ModelSpec, analytic_log_evidence, as_float,
-                     as_int, as_object, posterior_mass_remaining,
-                     relative_posterior_mass)
+from .models import (GAUSSIAN, ModelSpec, _log_l_at_radius,
+                     analytic_log_evidence, as_float, as_int, as_object,
+                     posterior_mass_remaining, relative_posterior_mass)
 from .runio import load_run, save_run, write_json
 from .runs import NestedRun, live_point_counts, log_prior_volumes
 from .sampler import TERMINATION_FRACTION, SamplerConfig, standard_run
@@ -347,9 +347,16 @@ def generate_ensemble(config: ExperimentConfig, out_dir: str) -> dict:
 
     The manifest is byte-identical across repeats and worker counts
     (config.workers) for a fixed config: no timestamps, sorted keys,
-    derived settings frozen into it.
+    derived settings frozen into it.  A manifest already in out_dir is
+    removed before the first run file is written, so a run that fails
+    leaves no manifest beside the run files it overwrote.
     """
     os.makedirs(out_dir, exist_ok=True)
+    manifest_path = os.path.join(out_dir, MANIFEST_NAME)
+    try:
+        os.remove(manifest_path)
+    except FileNotFoundError:
+        pass
     arm_entries = [
         {**resolved, "termination_fraction": TERMINATION_FRACTION,
          "mean_samples": mean_samples, "gain_vs": arm.gain_vs,
@@ -359,7 +366,7 @@ def generate_ensemble(config: ExperimentConfig, out_dir: str) -> dict:
             config, _generate_one, lambda arm: (out_dir,))]
     manifest = {"version": 1, "seed": config.seed, "n_runs": config.n_runs,
                 "model": config.model.to_dict(), "arms": arm_entries}
-    write_json(manifest, os.path.join(out_dir, MANIFEST_NAME))
+    write_json(manifest, manifest_path)
     return manifest
 
 
@@ -386,16 +393,16 @@ def _as_list(value, what: str) -> list:
 
 def load_manifest(out_dir: str) -> dict:
     """The manifest of the ensemble in out_dir, checked before any run file
-    is read.  ValueError for a manifest without a list of arms, an arm
-    without a name and a list of runs, a run without a path and an integer
-    n_samples, or a run path that is absolute or has a '..' component,
-    which could name a file outside out_dir; MissingRunsError for run files
-    that are not on disk."""
+    is read.  ValueError for a manifest without a list of arms and a
+    model, an arm without a name and a list of runs, a run without a path
+    and an integer n_samples, or a run path that is absolute or has a '..'
+    component, which could name a file outside out_dir; MissingRunsError
+    for run files that are not on disk."""
     path = os.path.join(out_dir, MANIFEST_NAME)
     if not os.path.exists(path):
         raise FileNotFoundError(f"no manifest at {path}")
     with open(path, encoding="utf-8") as fh:
-        manifest = as_object(json.load(fh), "manifest", ("arms",))
+        manifest = as_object(json.load(fh), "manifest", ("arms", "model"))
     paths = []
     for entry in _as_list(manifest["arms"], "manifest arms"):
         as_object(entry, "manifest arm", ("name", "runs"))
@@ -421,15 +428,45 @@ def _manifest_arm(manifest: dict, name: str) -> dict:
     raise ValueError(f"arm {name!r} not present in manifest")
 
 
-def _arm_runs(out_dir: str, recs: list) -> Iterator[NestedRun]:
-    """The runs of manifest run records recs, loaded in order; ValueError
-    for a run whose sample count differs from its record's n_samples."""
+# how far a run's log_l may stray from the model's ln L at the run's
+# radius, relative to max(|ln L|, 1).  The contour map's two tables agree
+# to about 1e-13 in the posterior bulk and to 9.2e-6 near ln X = 0, the
+# worst point of the ten acceptance-cache blocks at n_runs=2 and of both
+# benchmark workloads: a margin of about 11.  A shift of every point by 1
+# fails where |ln L| < 1e4, as in every posterior bulk here; at d=1000,
+# where log_l reaches -5.9e9, a prior-edge point may stray by 5.9e5.
+_LOG_L_RTOL = 1e-4
+
+
+def _arm_runs(out_dir: str, manifest: dict,
+              recs: list) -> Iterator[NestedRun]:
+    """The runs of manifest run records recs, loaded in order; ValueError,
+    naming the file, for a run whose sample count differs from its
+    record's n_samples, whose model is not the manifest's, or whose log_l
+    strays from the model's ln L at its radius
+    (`models.log_likelihood_at_radius`) by more than _LOG_L_RTOL."""
+    model = ModelSpec.from_dict(manifest["model"])
     for rec in recs:
-        run = load_run(os.path.join(out_dir, rec["path"]))
+        path = rec["path"]
+        run = load_run(os.path.join(out_dir, path))
         if rec["n_samples"] != len(run):
-            raise ValueError(f"manifest n_samples of {rec['path']!r} is "
+            raise ValueError(f"manifest n_samples of {path!r} is "
                              f"{rec['n_samples']!r}, but the run holds "
                              f"{len(run)}")
+        if run.model != model:
+            raise ValueError(f"run {path!r} has model "
+                             f"{run.model.to_dict()}, but the manifest's is "
+                             f"{model.to_dict()}")
+        # a NaN radius, which the run checks let through, gives a NaN ln L
+        # and so strays too
+        want = _log_l_at_radius(model, run.radius)
+        stray = ~(np.abs(run.log_l - want)
+                  <= _LOG_L_RTOL * np.maximum(np.abs(want), 1.0))
+        if stray.any():
+            i = int(np.argmax(stray))
+            raise ValueError(f"run {path!r}: point {i} has log_l "
+                             f"{run.log_l[i]!r}, but the model gives "
+                             f"{want[i]!r} at its radius {run.radius[i]!r}")
         yield run
 
 
@@ -492,7 +529,7 @@ def compare_report(config: ExperimentConfig, out_dir: str) -> list[dict]:
                              f"lists {n_runs} for arm {arm.name!r}")
         mat = np.empty((n_runs, len(config.estimators)))
         lengths = []
-        for i, run in enumerate(_arm_runs(out_dir, entry["runs"])):
+        for i, run in enumerate(_arm_runs(out_dir, manifest, entry["runs"])):
             lengths.append(len(run))
             mat[i] = estimates(run, config.estimators)
         values[arm.name] = mat
@@ -553,7 +590,7 @@ def alloc_profile_rows(config: ExperimentConfig,
     areas = []
     low = 0.0
     m = config.model
-    for rec, run in zip(recs, _arm_runs(out_dir, recs)):
+    for rec, run in zip(recs, _arm_runs(out_dir, manifest, recs)):
         logv = log_prior_volumes(run)
         counts = live_point_counts(run)
         # cumsum adds left to right like a running total; np.sum pairs
@@ -630,7 +667,7 @@ def bootstrap_table_rows(config: ExperimentConfig, out_dir: str) -> list[dict]:
     est = np.empty((n_runs, n_est))
     boot_std = np.empty((n_runs, n_est))
     cred95 = np.empty((n_runs, n_est))
-    for j, run in enumerate(_arm_runs(out_dir, entry["runs"])):
+    for j, run in enumerate(_arm_runs(out_dir, manifest, entry["runs"])):
         est[j] = estimates(run, eids)
         boot_std[j], cred95[j] = _bootstrap_columns(
             run, eids, config.bootstrap_reps, config.seed, j)

@@ -137,14 +137,31 @@ def log_likelihood_at_radius(m: ModelSpec, r):
     r_arr = np.asarray(r, dtype=float)
     if np.any(r_arr < 0.0) or np.any(np.isnan(r_arr)):
         raise ValueError("radius must be nonnegative")
+    out = _log_l_at_radius(m, r_arr, np.empty_like(r_arr))
+    return float(out) if out.ndim == 0 else out
+
+
+def _log_l_at_radius(m: ModelSpec, r: np.ndarray,
+                     out: np.ndarray | None = None) -> np.ndarray:
+    """The closed form of `log_likelihood_at_radius` without its checks:
+    ln L at the float radii r, at least 1-d unless out is given, written
+    into out (allocated when None; it must not be r) and returned.  Every
+    family runs its expression as numpy ufuncs over whole arrays in one
+    order, c - 0.5 r r, c - 0.5 r^(2b) and c - (d + 1)/2 ln(1 + r r), so
+    an entry gets the same bits whether it is computed alone or inside a
+    longer array."""
     c = _log_norm_const(m)
     if m.family == GAUSSIAN:
-        out = c - 0.5 * r_arr * r_arr
+        out = np.multiply(0.5, r, out=out)
+        out *= r
     elif m.family == EXP_POWER:
-        out = c - 0.5 * np.power(r_arr, 2.0 * m.b)
+        out = np.power(r, 2.0 * m.b, out=out)
+        out *= 0.5
     else:
-        out = c - 0.5 * (m.d + 1) * np.log1p(r_arr * r_arr)
-    return float(out) if out.ndim == 0 else out
+        out = np.multiply(r, r, out=out)
+        np.log1p(out, out=out)
+        out *= 0.5 * (m.d + 1)
+    return np.subtract(c, out, out=out)
 
 
 def _radius_below_peak(m: ModelSpec, drop: float):
@@ -222,22 +239,24 @@ def _spacings(x: np.ndarray, b: slice) -> np.ndarray:
     return x[1:][b] - x[:-1][b]
 
 
-def _pchip_table(x: np.ndarray, y: np.ndarray,
+def _pchip_table(x: np.ndarray, y,
                  out: np.ndarray | None = None) -> np.ndarray:
     """Node slopes d of the monotone cubic Hermite interpolant through
-    strictly increasing nodes x and values y, for at least three nodes,
-    written into out (allocated when None) and returned; `_pchip_eval`
-    evaluates the table (y, d).
+    strictly increasing nodes x, for at least three nodes, written into
+    out (allocated when None) and returned; `_pchip_eval` evaluates the
+    table.  y gives the node values: y(k) returns them at the nodes k, a
+    slice.
 
     The slopes follow Fritsch and Carlson (SIAM J. Numer. Anal. 17, 238,
     1980): the weighted harmonic mean of the neighbouring interval slopes,
     or 0 where they change sign or one is 0.  Every expression repeats
     scipy's PchipInterpolator in the same order, so d[:-1] holds the bits
     of its linear coefficients.  Besides d it allocates only block-sized
-    temporaries: the interval slopes and spacings are built in blocks of
-    specialfn._QUERY_BLOCK.
+    temporaries: the values, interval slopes and spacings are built in
+    blocks of specialfn._QUERY_BLOCK, so a y that computes its values
+    never makes the whole row.
     """
-    d = np.empty(y.size) if out is None else out
+    d = np.empty(x.size) if out is None else out
     d.fill(0.0)
     slopes = d[1:-1]
     # a zero interval slope divides by zero and is masked out below; a tiny
@@ -247,7 +266,8 @@ def _pchip_table(x: np.ndarray, y: np.ndarray,
             # the intervals on both sides of the block's nodes
             around = slice(b.start, b.stop + 1)
             h = _spacings(x, around)
-            m = _spacings(y, around)
+            m = y(slice(b.start, b.stop + 2))
+            m = m[1:] - m[:-1]
             m /= h
             h0, h1, m0, m1 = h[:-1], h[1:], m[:-1], m[1:]
             w1 = 2.0 * h1
@@ -262,26 +282,32 @@ def _pchip_table(x: np.ndarray, y: np.ndarray,
             same_sign = (m0 > 0.0) & (m1 > 0.0)
             same_sign |= (m0 < 0.0) & (m1 < 0.0)
             np.divide(1.0, w1, out=slopes[b], where=same_sign)
-    xs, ys = x.item, y.item
 
-    def h(k):
-        return xs(k + 1) - xs(k)
+    def secants(ends):
+        """The two spacings and interval slopes of the three end nodes."""
+        (x0, x1, x2), (y0, y1, y2) = x[ends].tolist(), y(ends).tolist()
+        return x1 - x0, x2 - x1, (y1 - y0) / (x1 - x0), (y2 - y1) / (x2 - x1)
 
-    def m(k):
-        return (ys(k + 1) - ys(k)) / h(k)
-
-    d[0] = _pchip_end_slope(h(0), h(1), m(0), m(1))
-    d[-1] = _pchip_end_slope(h(-2), h(-3), m(-2), m(-3))
+    h0, h1, m0, m1 = secants(slice(0, 3))
+    d[0] = _pchip_end_slope(h0, h1, m0, m1)
+    h0, h1, m0, m1 = secants(slice(-3, None))
+    d[-1] = _pchip_end_slope(h1, h0, m1, m0)
     return d
 
 
-def _pchip_eval(x: np.ndarray, values: np.ndarray, slopes: np.ndarray,
+# the offsets of an interval's two end nodes from its start node
+_ENDS = np.array([[0], [1]])
+
+
+def _pchip_eval(x: np.ndarray, y, slopes: np.ndarray,
                 q: np.ndarray) -> np.ndarray:
     """Values at q of monotone cubic Hermite tables over the nodes x, NaN
-    outside them.  values holds a table's node values y and slopes its
-    node slopes `_pchip_table(x, y)`: shape (n,) for one table, or
-    (tables, n) with one table per row.  The result has shape
-    values.shape[:-1] + q.shape.
+    outside them.  slopes holds a table's node slopes `_pchip_table(x, y)`:
+    shape (n,) for one table, or (tables, n) with one table per row.  y
+    gives the node values: for a (2, m) array ends of node indices, the
+    start and end nodes of m intervals, y(ends) returns a new array of
+    shape (2,) + slopes.shape[:-1] + (m,) with the tables' values there.
+    The result has shape slopes.shape[:-1] + q.shape.
 
     The cubic of each queried interval is worked out from the values and
     slopes at its two ends with the operations of scipy's
@@ -291,11 +317,12 @@ def _pchip_eval(x: np.ndarray, values: np.ndarray, slopes: np.ndarray,
     write into one preallocated output.
     """
     flat = q.reshape(-1)
-    out = np.empty(values.shape[:-1] + flat.shape)
-    # flat indices into the tables: entry k of row i is k + i n
-    y, d = values.reshape(-1), slopes.reshape(-1)
-    y_next, d_next = y[1:], d[1:]
-    row_start = np.arange(0, y.size, x.size).reshape(values.shape[:-1] + (1,))
+    tables = slopes.shape[:-1]
+    out = np.empty(tables + flat.shape)
+    # flat indices into the slope rows: node k of row i is k + i n
+    d = slopes.reshape(-1)
+    d_next = d[1:]
+    row_start = np.arange(0, d.size, x.size).reshape(tables + (1,))
     # searching the inner nodes gives k in [0, n - 2] for every query:
     # interval k holds x[k] <= q < x[k+1], and q == x[-1] the last one
     inner, x_next = x[1:-1], x[1:]
@@ -310,12 +337,12 @@ def _pchip_eval(x: np.ndarray, values: np.ndarray, slopes: np.ndarray,
         del x0, x1
         # every temporary is freed once read, which keeps a long query's
         # peak within the memory tests' bounds
+        y0, m = y(k + _ENDS)
         k = k + row_start
-        y0, d0, m = y[k], d[k], y_next[k]
+        d0, t = d[k], d_next[k]
+        del k
         m -= y0
         m /= h
-        t = d_next[k]
-        del k
         t += d0
         t -= m + m
         t /= h
@@ -334,9 +361,12 @@ def _pchip_eval(x: np.ndarray, values: np.ndarray, slopes: np.ndarray,
         m *= s2
         value += m
         s2 *= s
+        del s
         t *= s2
         value += t
-    return out.reshape(values.shape[:-1] + q.shape)
+        # m and t hold the end buffers, which the next block must not meet
+        del m, t, s2
+    return out.reshape(slopes.shape[:-1] + q.shape)
 
 
 class ContourMap:
@@ -350,13 +380,16 @@ class ContourMap:
     tables (`_pchip_table`).  Queries outside the tabulated range raise
     rather than extrapolate; `get_contour_map` rebuilds deeper on demand.
 
-    Memory: a map of n nodes holds 5 arrays of n * 8 bytes (the search
-    nodes, and the node values and slopes of each table).  The node ln X
-    pass runs in place on the gamma argument t, which then becomes the
-    radius row, and the slopes are built in blocks of _QUERY_BLOCK entries
-    straight into their rows, so the build peaks at the five arrays it
+    Memory: a map of n nodes holds 4 arrays of n * 8 bytes: the search
+    nodes, the node radii, and the node slopes of each table.  The ln L
+    table keeps no node values: the build and every query compute them
+    from the node radii with the model's closed form (`_log_l_at_radius`),
+    which gives each entry the same bits in any array.  The node ln X pass
+    runs in place on the gamma argument t, which then becomes the radius
+    row, and the slopes are built in blocks of _QUERY_BLOCK entries
+    straight into their rows, so the build peaks at the four arrays it
     keeps plus block temporaries.  At d=1000 that is 2.1M nodes and about
-    81 MiB held, in every `--workers` process.
+    64 MiB held, in every `--workers` process.
 
     Time: the node ln X pass runs the incomplete-gamma series block by
     block, so the deep-tail nodes, which converge in a few terms, stop
@@ -387,8 +420,8 @@ class ContourMap:
         levels = -np.geomspace(0.05, 1e-14, 400)[1:]
         targets = np.concatenate([targets, levels])
         # a d=1000 map has 2.1M nodes: t = e^u overwrites the interpolated
-        # u, the gamma pass runs in place beside it, and the tables fill
-        # their rows in place
+        # u, the gamma pass runs beside it, t becomes the radius row in
+        # place, and the tables fill their rows in place
         u_nodes = np.interp(targets, lnx_coarse, u_coarse)
         del targets, u_coarse, lnx_coarse
         t_nodes = np.exp(u_nodes, out=u_nodes)
@@ -404,33 +437,44 @@ class ContourMap:
 
         self.log_x_top = float(lnx_nodes[-1])
         self._nodes = lnx_nodes
-        self._values = np.empty((2, lnx_nodes.size))  # rows: ln L, radius
         # r = sigma_pi sqrt(2 t)
-        r_nodes = np.multiply(t_nodes, 2.0, out=self._values[1])
+        self._radius = r_nodes = np.multiply(t_nodes, 2.0, out=t_nodes)
         del t_nodes
         np.sqrt(r_nodes, out=r_nodes)
         r_nodes *= model.sigma_pi
-        self._values[0] = log_likelihood_at_radius(model, r_nodes)
-        self._slopes = np.empty_like(self._values)
-        for y, d in zip(self._values, self._slopes):
-            _pchip_table(lnx_nodes, y, out=d)
+        self._slopes = np.empty((2, lnx_nodes.size))  # rows: ln L, radius
+        _pchip_table(lnx_nodes, self._log_l_nodes, out=self._slopes[0])
+        _pchip_table(lnx_nodes, r_nodes.__getitem__, out=self._slopes[1])
 
-    def _query(self, rows, logx, what):
-        out = _pchip_eval(self._nodes, self._values[rows], self._slopes[rows],
+    def _log_l_nodes(self, k):
+        """ln L at the nodes k, from their radii."""
+        return _log_l_at_radius(self.model, self._radius[k])
+
+    def _log_l_and_radius_nodes(self, ends):
+        """ln L and the radius at the interval ends of `_pchip_eval`."""
+        r = self._radius[ends]
+        out = np.empty((2, 2, ends.shape[1]))
+        out[:, 0] = _log_l_at_radius(self.model, r)
+        out[:, 1] = r
+        return out
+
+    def _query(self, y, rows, logx, what):
+        out = _pchip_eval(self._nodes, y, self._slopes[rows],
                           np.asarray(logx, dtype=float))
         if np.isnan(out).any():
             raise ValueError(f"{what} query outside tabulated contour range")
         return out
 
     def log_l(self, logx):
-        return self._query(0, logx, "log_l")
+        return self._query(self._log_l_nodes, 0, logx, "log_l")
 
     def radius(self, logx):
-        return self._query(1, logx, "radius")
+        return self._query(self._radius.__getitem__, 1, logx, "radius")
 
     def log_l_and_radius(self, logx):
         """(log_l(logx), radius(logx)) from one interval search."""
-        out = self._query(slice(None), logx, "log_l and radius")
+        out = self._query(self._log_l_and_radius_nodes, slice(None), logx,
+                          "log_l and radius")
         return out[0, ...], out[1, ...]
 
 
@@ -540,7 +584,9 @@ def _fill_log_l_plus_x(cmap: ContourMap, grid: _UniformGrid,
         # the grid ascends, so the nodes inside the map are a suffix of it
         inside = int(x.searchsorted(cmap.log_x_floor, side="left"))
         o[:inside] = peak
-        o[inside:] = cmap.log_l(np.minimum(x[inside:], cmap.log_x_top))
+        # the capped nodes are read before the query's values overwrite them
+        q = np.minimum(x[inside:], cmap.log_x_top, out=o[inside:])
+        o[inside:] = cmap.log_l(q)
         o += x
     return out
 

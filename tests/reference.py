@@ -2,7 +2,7 @@
 
 * The four-coefficient contour table and its evaluation, as `ContourMap`
   held and queried them before it kept node values and slopes alone: the
-  tests require the five-array query (`models._pchip_eval`) to give their
+  tests require the node-value query (`models._pchip_eval`) to give their
   bits.
 * ln P with the series run over the whole array until its slowest element
   has converged, as `specialfn.log_reg_lower_inc_gamma` ran it before it

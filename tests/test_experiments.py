@@ -6,6 +6,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import shutil
 from pathlib import Path
 
@@ -337,6 +338,28 @@ class TestGenerate:
                 rel
         assert compare_report(cfg, seq) == compare_report(cfg, par)
 
+    def test_failed_generate_leaves_no_old_manifest(self, tmp_path):
+        # a generate that fails part way used to overwrite the standard
+        # arm's run files and keep the old manifest beside them; a
+        # generate that succeeds over an ensemble rewrites it byte for byte
+        arms = [{"name": "std", "method": "standard", "n_live": 20},
+                {"name": "dyn", "method": "dyn2", "n_init": 10,
+                 "budget": 400}]
+        cfg = small_config(n_runs=2, arms=arms)
+        out = tmp_path / "ens"
+        generate_ensemble(cfg, str(out))
+        files = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+        generate_ensemble(cfg, str(out))
+        assert {p: p.read_bytes() for p in out.rglob("*")
+                if p.is_file()} == files
+        failing = small_config(n_runs=2, arms=[
+            arms[0], dict(arms[1], budget=5)])
+        with pytest.raises(ValueError, match="total_budget 5"):
+            generate_ensemble(failing, str(out))
+        assert not (out / MANIFEST_NAME).exists()
+        with pytest.raises(FileNotFoundError, match="no manifest"):
+            compare_report(cfg, str(out))
+
 
 class TestTruths:
     @pytest.mark.parametrize("d", [2, 3, 10])
@@ -472,6 +495,68 @@ class TestCompare:
                 f"{rec['n_samples'] - 7}")):
             stage(cfg, bad_out)
 
+    @staticmethod
+    def edited_focus_run(ensemble, tmp_path, edit):
+        """A copy of the ensemble whose first run of the focus arm of both
+        tables went through edit(run document); returns the config, the
+        copy's directory and the edited run's path."""
+        cfg, out, manifest = ensemble
+        bad_out = str(tmp_path / "bad")
+        shutil.copytree(out, bad_out, ignore=shutil.ignore_patterns("*.csv"))
+        rel = manifest["arms"][1]["runs"][0]["path"]
+        path = os.path.join(bad_out, rel)
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        edit(doc)
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        return cfg, bad_out, rel
+
+    @staticmethod
+    def shift_contours(doc):
+        """Every contour of the run moved up by 1, which keeps each
+        thread's chain and births intact, so the run loads."""
+        for section, key in [("points", "log_l"),
+                             ("points", "birth_log_l"),
+                             ("open_intervals", "birth_log_l"),
+                             ("open_intervals", "end_log_l")]:
+            doc[section][key] = [v + 1.0 if isinstance(v, float) else v
+                                 for v in doc[section][key]]
+
+    @staticmethod
+    def lose_a_radius(doc):
+        """One point's radius made NaN, which the run checks let through."""
+        doc["points"]["radius"][3] = "nan"
+
+    @pytest.mark.parametrize("edit", ["shift_contours", "lose_a_radius"])
+    def test_every_stage_refuses_a_run_whose_log_l_strays(
+            self, ensemble, tmp_path, edit):
+        # the reports used to average such a run in (shifted contours
+        # raised the log_z mean by about 0.5)
+        cfg, bad_out, rel = self.edited_focus_run(ensemble, tmp_path,
+                                                  getattr(self, edit))
+        for stage in (compare_report, alloc_profile_rows,
+                      bootstrap_table_rows):
+            with pytest.raises(ValueError, match=(
+                    f"run {re.escape(repr(rel))}: point \\d+ has log_l "
+                    ".* but the model gives")):
+                stage(cfg, bad_out)
+
+    def test_every_stage_refuses_a_run_of_another_model(self, ensemble,
+                                                        tmp_path):
+        # a sigma_pi 20 run header in a sigma_pi 10 ensemble; the gaussian
+        # ln L does not depend on sigma_pi, so only the header tells
+        def widen(doc):
+            doc["model"]["sigma_pi"] = 20.0
+
+        cfg, bad_out, rel = self.edited_focus_run(ensemble, tmp_path, widen)
+        for stage in (compare_report, alloc_profile_rows,
+                      bootstrap_table_rows):
+            with pytest.raises(ValueError, match=(
+                    f"run {re.escape(repr(rel))} has model .*'sigma_pi': "
+                    "20.0.*, but the manifest's is .*'sigma_pi': 10.0")):
+                stage(cfg, bad_out)
+
     def test_run_paths_stay_inside_the_ensemble(self, tmp_path):
         cfg = small_config(n_runs=2,
                            arms=[{"name": "std", "method": "standard",
@@ -504,6 +589,8 @@ class TestCompare:
         for keys, value, message in [
                 ((), [manifest], "manifest must be a JSON object"),
                 (("arms",), None, "manifest has no 'arms'"),
+                (("model",), None, "manifest has no 'model'"),
+                (("model",), "gaussian", "model must be a JSON object"),
                 (("arms",), {"std": []}, "manifest arms must be a JSON list"),
                 (("arms", 0, "name"), None, "manifest arm has no 'name'"),
                 (runs, 5, "runs of arm 'std' must be a JSON list"),

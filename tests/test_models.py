@@ -348,17 +348,17 @@ class TestContourMap:
 
     def test_build_memory_budget(self):
         # numpy reports its buffers to tracemalloc, so the bound counts node
-        # arrays on any machine: a map holds its search nodes and the node
-        # values and slopes of its two tables, and its build peaks at those
-        # five plus the block temporaries of the slope pass (the node gamma
-        # pass runs in place, beside fewer arrays); the slack covers the
-        # Python objects around them
+        # arrays on any machine: a map holds its search nodes, its node
+        # radii and the node slopes of its two tables, and its build peaks
+        # at those four plus the block temporaries of the slope pass (the
+        # node gamma pass runs in place, beside fewer arrays, and no ln L
+        # row is made); the slack covers the Python objects around them
         cmap, held, peak = traced_memory(lambda: md.ContourMap(G3, -60.0))
         assert cmap._nodes.size >= 200_000
         array = cmap._nodes.nbytes
         slack = 64 * 1024
-        assert held <= 5 * array + slack
-        assert peak <= 5.5 * array + slack
+        assert held <= 4 * array + slack
+        assert peak <= 4.5 * array + slack
 
     # sha256 of log_l then radius on a grid from 30 below the requested
     # floor to the top node, from empty caches; the gaussian and cauchy
@@ -431,11 +431,86 @@ class TestContourMap:
             assert (tmp_path / "out" / name).is_file()
 
 
+class TestLogLFromRadius:
+    """A contour map keeps no ln L node values: its build and every query
+    compute them from the node radii with the closed form
+    (`models._log_l_at_radius`).  That gives the bits of the whole ln L row
+    the build used to keep only because numpy's ufuncs give an entry the
+    same bits whatever the length of the array around it."""
+
+    @pytest.mark.parametrize("m,floor", [
+        (G3, -60.0), (C10, -60.0), (EP1000, None),
+        (ModelSpec(md.EXP_POWER, 3, 10.0, b=0.7), -60.0)])
+    def test_gathered_radii_give_the_whole_row_bits(self, m, floor):
+        if floor is None:
+            floor = md.sampling_log_x_floor(m, 2)
+        cmap = md.ContourMap(m, floor)
+        radius = cmap._radius
+        whole = md.log_likelihood_at_radius(m, radius)
+        rng = np.random.default_rng(26)
+        for shape in [(1,), (14,), (_QUERY_BLOCK,), (_QUERY_BLOCK + 17,),
+                      (2, 14)]:
+            k = rng.integers(0, radius.size, shape)
+            k.reshape(-1)[[0, -1]] = [radius.size - 1, 0]
+            assert md._log_l_at_radius(m, radius[k]).tobytes() \
+                == whole[k].tobytes(), shape
+            assert cmap._log_l_nodes(k).tobytes() == whole[k].tobytes()
+        for m_ends in (1, 14, _QUERY_BLOCK + 17):
+            ends = rng.integers(0, radius.size - 1, m_ends) + [[0], [1]]
+            both = cmap._log_l_and_radius_nodes(ends)
+            assert both[:, 0].tobytes() == whole[ends].tobytes()
+            assert both[:, 1].tobytes() == radius[ends].tobytes()
+        # the windows the slope pass reads, and its two end windows
+        for b in md._blocks(radius.size - 2):
+            window = slice(b.start, b.stop + 2)
+            assert cmap._log_l_nodes(window).tobytes() \
+                == whole[window].tobytes()
+        for window in (slice(0, 3), slice(-3, None)):
+            assert cmap._log_l_nodes(window).tobytes() \
+                == whole[window].tobytes()
+
+    @pytest.mark.parametrize("m", [G3, C10])
+    def test_queries_match_four_coefficient_table(self, m):
+        # the tables of the map's nodes and of its whole ln L and radius
+        # rows, as the map held them before it kept node values and
+        # slopes alone (tests/reference.py), give every query's bits
+        cmap = md.ContourMap(m, -60.0)
+        x = cmap._nodes
+        rows = [md.log_likelihood_at_radius(m, cmap._radius),
+                cmap._radius.copy()]
+        tables = [reference_pchip_table(x, row) for row in rows]
+        nodes = reference_pchip_nodes(x.copy())
+        rng = np.random.default_rng(11)
+        q = np.concatenate([x[::53], 0.5 * (x[:-1:61] + x[1::61]),
+                            rng.uniform(x[0], x[-1], _QUERY_BLOCK),
+                            x[[0, 1, -2, -1]]])
+        want = reference_pchip_eval(nodes, tables, q)
+        log_l, radius = cmap.log_l_and_radius(q)
+        assert log_l.tobytes() == want[0].tobytes()
+        assert radius.tobytes() == want[1].tobytes()
+        assert cmap.log_l(q).tobytes() == want[0].tobytes()
+        assert cmap.radius(q).tobytes() == want[1].tobytes()
+
+
+def pchip_table(x, y):
+    """_pchip_table of the node values held in the array y."""
+    return md._pchip_table(x, y.__getitem__)
+
+
+def pchip_eval(x, values, slopes, q):
+    """_pchip_eval of tables whose node values are held in the array
+    values, shaped like slopes."""
+    def y(ends):
+        return np.moveaxis(values[..., ends], -2, 0)
+
+    return md._pchip_eval(x, y, slopes, q)
+
+
 def blockwise_pchip_eval(x, values, slopes, q):
     """_pchip_eval of a long query as separate queries of one block each,
     concatenated: the bytes the preallocated output must hold."""
     flat = q.reshape(-1)
-    parts = [md._pchip_eval(x, values, slopes, flat[b])
+    parts = [pchip_eval(x, values, slopes, flat[b])
              for b in md._blocks(flat.size)]
     return np.concatenate(parts, axis=-1).reshape(values.shape[:-1] + q.shape)
 
@@ -472,7 +547,7 @@ def pchip_nodes(draw):
 
 
 class TestPchipTable:
-    """The numpy node slopes and the five-array query against scipy's
+    """The numpy node slopes and the node-value query against scipy's
     PchipInterpolator(x, y, extrapolate=False), and the query against the
     four-coefficient table it replaced (tests/reference.py), bit for bit."""
 
@@ -490,7 +565,7 @@ class TestPchipTable:
             refs = [PchipInterpolator(x, v, extrapolate=False)
                     for v in (y, -y)]
         values = np.stack([y, -y])
-        slopes = np.stack([md._pchip_table(x, v) for v in values])
+        slopes = np.stack([pchip_table(x, v) for v in values])
         for d, ref in zip(slopes, refs):
             assert d[:-1].tobytes() == ref.c[2].tobytes()
 
@@ -500,7 +575,7 @@ class TestPchipTable:
                    x[0] - 1.0, x[-1] + 1.0, -np.inf, np.inf, np.nan]
         for q in (x, mid, inside, x[-1:], np.array(outside),
                   *map(np.asarray, x)):
-            got = md._pchip_eval(x, values, slopes, q)
+            got = pchip_eval(x, values, slopes, q)
             assert got.shape == (2,) + q.shape
             for g, ref in zip(got, refs):
                 assert same_bits(g, ref(q)), q
@@ -516,7 +591,7 @@ class TestPchipTable:
              long=False)
     @example(data=([0.0, 1.0, 3.0], [1.0, -0.0, -0.0], [1.0]), long=True)
     def test_matches_four_coefficient_table_bitwise(self, data, long):
-        # the five-array query against the table of nine node arrays it
+        # the node-value query against the table of nine node arrays it
         # replaced: every query on a node, inside, on either end, a float
         # past either end, infinite or NaN, for one table (a 1-d values
         # array) and for two, as a scalar, a short query and one longer
@@ -525,7 +600,7 @@ class TestPchipTable:
         assume(np.all(np.diff(x) > 0.0))
         values = np.stack([y, -y])  # -y turns every 0.0 into -0.0
         with np.errstate(over="ignore"):
-            slopes = np.stack([md._pchip_table(x, v) for v in values])
+            slopes = np.stack([pchip_table(x, v) for v in values])
             tables = [reference_pchip_table(x, v.copy()) for v in values]
         nodes = reference_pchip_nodes(x.copy())
         q = np.concatenate([
@@ -537,10 +612,10 @@ class TestPchipTable:
         for query in (q, q[-1], q.reshape(1, -1)):
             query = np.asarray(query)
             want = reference_pchip_eval(nodes, tables, query)
-            got = md._pchip_eval(x, values, slopes, query)
+            got = pchip_eval(x, values, slopes, query)
             assert got.shape == (2,) + query.shape
             for row in range(2):
-                one = md._pchip_eval(x, values[row], slopes[row], query)
+                one = pchip_eval(x, values[row], slopes[row], query)
                 assert one.shape == query.shape
                 assert same_bits(got[row], want[row])
                 assert one.tobytes() == got[row].tobytes()
@@ -552,7 +627,7 @@ class TestPchipTable:
         y = np.cumsum(rng.normal(size=500))
         q = rng.uniform(x[0] - 1.0, x[-1] + 1.0, (3, _QUERY_BLOCK + 11))
         q[0, :5] = [np.nan, x[0], x[-1], -np.inf, np.inf]
-        got = md._pchip_eval(x, y, md._pchip_table(x, y), q)
+        got = pchip_eval(x, y, pchip_table(x, y), q)
         ref = PchipInterpolator(x, y, extrapolate=False)
         assert got.shape == q.shape
         assert same_bits(got, ref(q))
@@ -566,11 +641,11 @@ class TestPchipTable:
         rng = np.random.default_rng(5)
         x = np.cumsum(rng.uniform(1e-3, 1.0, 700))
         values = np.stack([np.cumsum(rng.normal(size=700)), np.sqrt(x)])
-        slopes = np.stack([md._pchip_table(x, v) for v in values])
+        slopes = np.stack([pchip_table(x, v) for v in values])
         q = rng.uniform(x[0] - 2.0, x[-1] + 2.0, shape)
         q.reshape(-1)[:5] = [np.nan, x[0], x[-1], -np.inf, np.inf]
         for rows in (0, slice(0, 1), slice(None)):
-            got = md._pchip_eval(x, values[rows], slopes[rows], q)
+            got = pchip_eval(x, values[rows], slopes[rows], q)
             want = blockwise_pchip_eval(x, values[rows], slopes[rows], q)
             assert got.shape == want.shape == values[rows].shape[:-1] + shape
             assert got.tobytes() == want.tobytes()
@@ -590,9 +665,9 @@ class TestPchipTable:
         for y_steps in (np.abs(steps), flat):
             y = np.concatenate([[0.0], np.cumsum(y_steps)])
             ref = PchipInterpolator(x, y, extrapolate=False)
-            d = md._pchip_table(x, y)
+            d = pchip_table(x, y)
             assert d[:-1].tobytes() == ref.c[2].tobytes()
-            assert same_bits(md._pchip_eval(x, y, d, q), ref(q))
+            assert same_bits(pchip_eval(x, y, d, q), ref(q))
 
     def test_end_slope_masks(self):
         # unit spacing, so the three-point estimate is (3 m0 - m1) / 2
