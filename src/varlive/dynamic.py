@@ -66,9 +66,8 @@ class GoalConfig:
 
     goal_g = 0 targets evidence accuracy, 1 targets parameter estimates,
     intermediate values mix the two normalized importances linearly.  The
-    "exact" variant weighs the evidence part by its variance-derived
-    refinement; the "tuned" variant targets the posterior mean of theta1,
-    |theta1_i - theta1-bar| L_i w_i in place of the posterior weights.
+    "tuned" variant targets the posterior mean of theta1, |theta1_i -
+    theta1-bar| L_i w_i in place of the posterior weights.
     """
 
     goal_g: float
@@ -123,24 +122,6 @@ def _evidence(counts, lw):
     return _unit_sum(np.exp(ln_tail - ln_tail.max()) / counts)
 
 
-def _evidence_exact(counts, lw):
-    """Variance-derived refinement of the evidence importance.
-
-    Weighs the strictly-above evidence and the point's own contribution by
-    count-dependent factors; approaches the plain ratio form as counts grow.
-    """
-    n = lw.shape[0]
-    ln_above = np.full(n, -np.inf)
-    if n > 1:
-        ln_above[:-1] = np.logaddexp.accumulate(lw[::-1])[::-1][1:]
-    counts = counts.astype(float)
-    coef_tail = (counts + 1.0) / (np.sqrt(counts) * (counts + 2.0) ** 1.5)
-    coef_self = np.sqrt(counts) / (counts + 2.0) ** 1.5
-    scale = max(float(lw.max()), float(ln_above.max()))
-    raw = coef_tail * np.exp(ln_above - scale) + coef_self * np.exp(lw - scale)
-    return _unit_sum(raw)
-
-
 def _tuned(lw, values, mean):
     """Parameter importance tuned to the posterior mean of values,
     |f(theta_i) - f-bar| L_i w_i normalized; None on the degenerate all-zero
@@ -161,13 +142,8 @@ def combined_importance(run: NestedRun, goal: GoalConfig) -> np.ndarray:
     g = goal.goal_g
     counts = live_point_counts(run)
     lw = _log_weights(counts) + run.log_l
-    if g < 1.0:
-        if goal.importance_variant == "exact":
-            imp_z = _evidence_exact(counts, lw)
-        else:
-            imp_z = _evidence(counts, lw)
-        if g == 0.0:
-            return imp_z
+    if g == 0.0:
+        return _evidence(counts, lw)
     imp_param = _normalised_weights(lw)
     if goal.importance_variant == "tuned":
         tuned = _tuned(lw, run.theta1, float(np.sum(imp_param * run.theta1)))
@@ -175,7 +151,7 @@ def combined_importance(run: NestedRun, goal: GoalConfig) -> np.ndarray:
             imp_param = tuned
     if g == 1.0:
         return imp_param
-    return _unit_sum((1.0 - g) * imp_z + g * imp_param)
+    return _unit_sum((1.0 - g) * _evidence(counts, lw) + g * imp_param)
 
 
 def dynamic_run_algorithm1(m: ModelSpec, goal: GoalConfig,

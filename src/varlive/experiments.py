@@ -27,7 +27,7 @@ from .dynamic import (AlgorithmOneConfig, AlgorithmTwoConfig, GoalConfig,
 from .models import (GAUSSIAN, ModelSpec, _log_l_at_radius,
                      analytic_log_evidence, as_float, as_int, as_object,
                      posterior_mass_remaining, relative_posterior_mass)
-from .runio import load_run, save_run, write_json
+from .runio import load_run, save_run, write_atomic, write_json
 from .runs import NestedRun, live_point_counts, log_prior_volumes
 from .sampler import TERMINATION_FRACTION, SamplerConfig, standard_run
 
@@ -41,7 +41,9 @@ __all__ = [
 
 MANIFEST_NAME = "manifest.json"
 
-_METHODS = ("standard", "dyn1", "dyn2")
+# each arm method and the provenance algorithm its sampler writes
+_METHODS = {"standard": "standard", "dyn1": "dynamic_alg1",
+            "dyn2": "dynamic_alg2"}
 
 # spawn-key stream tags; keep stable so ensembles are reproducible
 _STREAM_GENERATE = 0
@@ -438,15 +440,18 @@ def _manifest_arm(manifest: dict, name: str) -> dict:
 _LOG_L_RTOL = 1e-4
 
 
-def _arm_runs(out_dir: str, manifest: dict,
-              recs: list) -> Iterator[NestedRun]:
-    """The runs of manifest run records recs, loaded in order; ValueError,
-    naming the file, for a run whose sample count differs from its
-    record's n_samples, whose model is not the manifest's, or whose log_l
-    strays from the model's ln L at its radius
-    (`models.log_likelihood_at_radius`) by more than _LOG_L_RTOL."""
+def _arm_runs(out_dir: str, manifest: dict, entry: dict,
+              recs: list | None = None) -> Iterator[NestedRun]:
+    """The runs of the arm entry's run records recs (all by default), in
+    order; ValueError, naming the file, for a run whose sample count is not
+    its record's n_samples, whose model is not the manifest's, whose
+    provenance contradicts the arm's settings, or whose log_l strays from
+    the model's ln L at its radius by more than _LOG_L_RTOL."""
     model = ModelSpec.from_dict(manifest["model"])
-    for rec in recs:
+    settings = (_METHODS.get(entry.get("method")), entry.get("n_init"),
+                entry.get("goal_g"), entry.get("importance_variant"),
+                entry.get("budget"), entry.get("n_live", entry.get("n_init")))
+    for rec in entry["runs"] if recs is None else recs:
         path = rec["path"]
         run = load_run(os.path.join(out_dir, path))
         if rec["n_samples"] != len(run):
@@ -457,8 +462,16 @@ def _arm_runs(out_dir: str, manifest: dict,
             raise ValueError(f"run {path!r} has model "
                              f"{run.model.to_dict()}, but the manifest's is "
                              f"{model.to_dict()}")
-        # a NaN radius, which the run checks let through, gives a NaN ln L
-        # and so strays too
+        prov = run.provenance
+        got = (prov.algorithm, prov.n_init, prov.goal_g,
+               prov.importance_variant, prov.sample_budget,
+               len(prov.init_thread_ids or ()))
+        if got != settings:
+            raise ValueError(f"run {path!r} has provenance (algorithm, "
+                             "n_init, goal_g, importance_variant, budget, "
+                             f"initial thread count) {got}, but arm "
+                             f"{entry['name']!r} gives {settings}")
+        # written so that a NaN ln L strays too
         want = _log_l_at_radius(model, run.radius)
         stray = ~(np.abs(run.log_l - want)
                   <= _LOG_L_RTOL * np.maximum(np.abs(want), 1.0))
@@ -471,24 +484,20 @@ def _arm_runs(out_dir: str, manifest: dict,
 
 
 def write_csv(rows: Iterable[dict], path: str) -> None:
-    """Writes rows to path as CSV, the first row's keys as the header.  The
-    text goes to path + ".tmp", which is then renamed to path, so a row
-    source that fails part way leaves no file at path."""
+    """Writes rows to path (write_atomic) as CSV, the first row's keys as
+    the header; a row source that fails part way leaves no file."""
     rows = iter(rows)
     first = next(rows, None)
-    tmp = path + ".tmp"
-    try:
-        with open(tmp, "w", encoding="utf-8", newline="") as fh:
-            if first is not None:
-                writer = csv.DictWriter(fh, fieldnames=list(first),
-                                        lineterminator="\n")
-                writer.writeheader()
-                writer.writerow(first)
-                writer.writerows(rows)
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.remove(tmp)
+
+    def write(fh):
+        if first is not None:
+            writer = csv.DictWriter(fh, fieldnames=list(first),
+                                    lineterminator="\n")
+            writer.writeheader()
+            writer.writerow(first)
+            writer.writerows(rows)
+
+    write_atomic(path, write)
 
 
 def _default_focus_arm(config: ExperimentConfig) -> str:
@@ -529,7 +538,7 @@ def compare_report(config: ExperimentConfig, out_dir: str) -> list[dict]:
                              f"lists {n_runs} for arm {arm.name!r}")
         mat = np.empty((n_runs, len(config.estimators)))
         lengths = []
-        for i, run in enumerate(_arm_runs(out_dir, manifest, entry["runs"])):
+        for i, run in enumerate(_arm_runs(out_dir, manifest, entry)):
             lengths.append(len(run))
             mat[i] = estimates(run, config.estimators)
         values[arm.name] = mat
@@ -590,7 +599,7 @@ def alloc_profile_rows(config: ExperimentConfig,
     areas = []
     low = 0.0
     m = config.model
-    for rec, run in zip(recs, _arm_runs(out_dir, manifest, recs)):
+    for rec, run in zip(recs, _arm_runs(out_dir, manifest, entry, recs)):
         logv = log_prior_volumes(run)
         counts = live_point_counts(run)
         # cumsum adds left to right like a running total; np.sum pairs
@@ -667,7 +676,7 @@ def bootstrap_table_rows(config: ExperimentConfig, out_dir: str) -> list[dict]:
     est = np.empty((n_runs, n_est))
     boot_std = np.empty((n_runs, n_est))
     cred95 = np.empty((n_runs, n_est))
-    for j, run in enumerate(_arm_runs(out_dir, manifest, entry["runs"])):
+    for j, run in enumerate(_arm_runs(out_dir, manifest, entry)):
         est[j] = estimates(run, eids)
         boot_std[j], cred95[j] = _bootstrap_columns(
             run, eids, config.bootstrap_reps, config.seed, j)

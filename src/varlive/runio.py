@@ -118,15 +118,25 @@ def run_from_dict(doc: dict) -> NestedRun:
     return run
 
 
-def write_json(doc: dict, path: str) -> None:
-    """Writes doc to path as compact JSON with sorted keys and a final
-    newline.  The text goes to path + ".tmp", which is then renamed to
-    path, so no reader sees a half-written file."""
+def write_atomic(path: str, write) -> None:
+    """Calls write(fh) on a text file at path + ".tmp" and renames it to
+    path, so no reader sees a half-written file; when the write or the
+    rename fails, the temp file is removed and path is left as it was."""
     tmp = path + ".tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            write(fh)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
+def write_json(doc: dict, path: str) -> None:
+    """Writes doc to path (write_atomic) as compact JSON with sorted keys
+    and a final newline."""
     text = json.dumps(doc, separators=(",", ":"), sort_keys=True)
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text + "\n")
-    os.replace(tmp, path)
+    write_atomic(path, lambda fh: fh.write(text + "\n"))
 
 
 def save_run(run: NestedRun, path: str) -> None:

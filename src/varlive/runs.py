@@ -43,7 +43,7 @@ __all__ = [
 
 
 # how a dynamic run weighted its points (`dynamic.GoalConfig`)
-IMPORTANCE_VARIANTS = ("standard", "exact", "tuned")
+IMPORTANCE_VARIANTS = ("standard", "tuned")
 
 
 @dataclass(frozen=True)
@@ -197,10 +197,13 @@ class NestedRun:
 
     def validate(self) -> None:
         """Full invariant check; O(N log N), meant for tests and ingestion."""
-        if np.any(self.radius < 0.0):
-            raise ValueError("negative radius")
-        if np.any(np.abs(self.theta1) > self.radius):
-            raise ValueError("theta1 outside [-radius, radius]")
+        # written so that NaN fails each test; true_log_x may be -inf
+        if not (self.radius >= 0.0).all():
+            raise ValueError("negative or NaN radius")
+        if not (np.abs(self.theta1) <= self.radius).all():
+            raise ValueError("theta1 NaN or outside [-radius, radius]")
+        if np.isnan(self.true_log_x).any():
+            raise ValueError("NaN true_log_x")
         # per-thread chains: strictly increasing log_l, birth linkage
         ids, rows, offsets, open_pos = thread_index(self)
         tid = self.thread_id[rows]

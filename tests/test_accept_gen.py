@@ -14,6 +14,21 @@ from varlive.runio import load_run
 
 
 @pytest.mark.parametrize("name, digest", [
+    # four-arm speedup table at gaussian d=10
+    ("c1", "0cb1ac04c7ac0423070d653e52b97a6fc95faa07034fd791c0231f9b34b9a16b"),
+    # exp-power d=10 spot checks
+    ("c2_b2",
+     "96743393808d5c7bd9a57618b8b13110d712d2d1d9b508eed7b4db3dba4af585"),
+    ("c2_b075",
+     "d038f422e9727e2b0cfd58037c7f689123de7df4cab4ae9537cbca678b957a75"),
+    # the dimension scan; its d=1000 block, about 14 s to build, has its
+    # own CI step
+    ("c3_d2",
+     "125f5f7a8d4dddb92b573bb0f83fa3b06ffc0bf807de1c5a9cab524d78b941f0"),
+    ("c3_d10",
+     "a49ab40c80658629208cbfb2a9440a4a8e5baa854d31deb636bac278a004a350"),
+    ("c3_d100",
+     "11421db87ddb2e2cf399a73c3ea5d7cd1475d1b0a5baab65a7a55b8bdd8c9388"),
     # bootstrap-free gaussian d=2 block with a narrow prior
     ("c4", "5de7d1337a3c8fa616e042c09bc71c598eee11b55bcad62350d951bff07bddfe"),
     # the table arm carries the bootstrap spread columns

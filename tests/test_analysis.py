@@ -374,7 +374,7 @@ def threaded_run(rng, n_threads, n_ghosts, censor):
                      provenance=RunProvenance(
                          algorithm="dynamic_alg2", seed=5, n_init=4,
                          goal_g=0.25, sample_budget=300,
-                         importance_variant="exact", init_thread_ids=init))
+                         importance_variant="tuned", init_thread_ids=init))
 
 
 class TestBootstrapGather:

@@ -57,7 +57,6 @@ def censored_standard(m, n_live, seed):
 
 
 EVIDENCE = GoalConfig(goal_g=0.0)
-EVIDENCE_EXACT = GoalConfig(goal_g=0.0, importance_variant="exact")
 TUNED = GoalConfig(goal_g=1.0, importance_variant="tuned")
 
 
@@ -83,39 +82,6 @@ class TestEvidenceImportance:
         # uniform rescaling of the count divisor cancels in normalization
         halved = (tail / (2.0 * counts)) / (tail / (2.0 * counts)).sum()
         assert_allclose(expect, halved, rtol=1e-13)
-
-    def test_exact_variant_hand_case(self):
-        run = chain_run([0.0, 0.5, 1.2])
-        x = [math.exp(-1.0), math.exp(-2.0), math.exp(-3.0)]
-        w = [0.5 * (1.0 - x[1]), 0.5 * (x[0] - x[2]), 0.5 * x[1]]
-        lw = [math.exp(l) * wi for l, wi in zip([0.0, 0.5, 1.2], w)]
-        above = [lw[1] + lw[2], lw[2], 0.0]
-        a = 2.0 / 3.0 ** 1.5
-        b = 1.0 / 3.0 ** 1.5
-        raw = [a * za + b * own for za, own in zip(above, lw)]
-        expect = np.array(raw) / sum(raw)
-        assert_allclose(combined_importance(run, EVIDENCE_EXACT), expect,
-                        rtol=0, atol=1e-12)
-
-    def test_exact_matches_plain_at_large_counts(self):
-        run = censored_standard(M3, 100, seed=42)
-        ratio = (combined_importance(run, EVIDENCE_EXACT)
-                 / combined_importance(run, EVIDENCE))
-        assert np.all(np.abs(ratio - 1.0) < 0.05)
-
-    def test_argmax_agreement_small_runs(self):
-        # argmax read at the first index within 1e-9 relative of the max:
-        # in exact arithmetic both profiles fall strictly from their peak,
-        # and this resolution ignores the float-flat early plateau
-        def eps_argmax(v):
-            return int(np.flatnonzero(v >= v.max() * (1.0 - 1e-9))[0])
-
-        hits = 0
-        for s in range(30):
-            run = censored_standard(M2, 25, seed=1000 + s)
-            hits += (eps_argmax(combined_importance(run, EVIDENCE))
-                     == eps_argmax(combined_importance(run, EVIDENCE_EXACT)))
-        assert hits >= 29
 
     def test_empty_run_rejected(self):
         empty = NestedRun(M3, np.empty(0), np.empty(0), np.empty(0),
@@ -157,8 +123,6 @@ class TestCombinedImportance:
                               dynamic._evidence(counts, lw))
         assert np.array_equal(combined_importance(run, GoalConfig(goal_g=1.0)),
                               posterior_weights(run))
-        assert np.array_equal(combined_importance(run, EVIDENCE_EXACT),
-                              dynamic._evidence_exact(counts, lw))
 
     def test_mixture_normalized_and_linear(self):
         run = censored_standard(M2, 30, seed=3)
@@ -196,7 +160,7 @@ class TestCombinedImportance:
         run = censored_standard(M2, 30, seed=3)
         # every goal and variant shares one count and weight pass
         for g in (0.0, 0.25, 1.0):
-            for variant in ("standard", "exact", "tuned"):
+            for variant in ("standard", "tuned"):
                 calls.clear()
                 combined_importance(run, GoalConfig(
                     goal_g=g, importance_variant=variant))
@@ -214,20 +178,14 @@ class TestCombinedImportance:
         expect = {
             (0.0, "standard"): "657adf1d5d4b2121ba095bf7ecdd2975"
                                "40f29d95a59537794f02f1263d19b6eb",
-            (0.0, "exact"): "f501c27dee6b5caa46960b0e11faeb6e"
-                            "6ae98030d3add4b6aef8bd42f1a27166",
             (0.0, "tuned"): "657adf1d5d4b2121ba095bf7ecdd2975"
                             "40f29d95a59537794f02f1263d19b6eb",
             (0.25, "standard"): "10997b947987001fd13fb6a2fdea335b"
                                 "4fcd6fd1bd532b6770c27fd54ee64f42",
-            (0.25, "exact"): "4c8fdd75ce4acc08fa18b2dc1934bd39"
-                             "3883a0ff9a6fbb2a214737a2fcb83096",
             (0.25, "tuned"): "f0358b9c88d1625d2e3d56a7ab87c8e7"
                              "cb25c250154cb1abef3d799ab8eec80f",
             (1.0, "standard"): "a19d072ebbb0c8f8d365e0e5d14e8e0f"
                                "e9d7fac3cefa9d8bbbcb322dfeff1247",
-            (1.0, "exact"): "a19d072ebbb0c8f8d365e0e5d14e8e0f"
-                            "e9d7fac3cefa9d8bbbcb322dfeff1247",
             (1.0, "tuned"): "bc6f9100835bfb96353cf8c2ca8013ef"
                             "7f9015ab5a94e52c981f16197a777f15",
         }
@@ -241,8 +199,9 @@ class TestCombinedImportance:
     def test_goal_validation(self):
         with pytest.raises(ValueError):
             GoalConfig(goal_g=1.5)
-        with pytest.raises(ValueError):
-            GoalConfig(goal_g=0.5, importance_variant="bogus")
+        for variant in ("bogus", "exact"):
+            with pytest.raises(ValueError):
+                GoalConfig(goal_g=0.5, importance_variant=variant)
 
 
 class TestAlgorithmOne:
@@ -276,10 +235,10 @@ class TestAlgorithmOne:
 
     @pytest.mark.parametrize("seed,d,g,variant,n_init,n_batch", [
         (0, 1, 0.0, "standard", 3, 1),
-        (1, 2, 0.4, "exact", 8, 4),
+        (1, 2, 0.4, "standard", 8, 4),
         (2, 5, 1.0, "tuned", 5, 2),
         (3, 2, 1.0, "standard", 8, 1),
-        (4, 1, 0.0, "exact", 5, 4),
+        (4, 1, 0.0, "tuned", 5, 4),
         (5, 5, 0.4, "tuned", 3, 2),
     ])
     def test_random_configs_produce_valid_runs(self, seed, d, g, variant,
@@ -296,20 +255,14 @@ class TestAlgorithmOne:
     @pytest.mark.parametrize("goal_g,variant,digest", [
         (0.0, "standard",
          "52acbff673c5f13a4a23a8ed2572ec7c5b71f6559a0cdf37747d62a4518be190"),
-        (0.0, "exact",
-         "d6ab99b977510c302bafe3d5b133888cbdf5905e4f0682bc8e02276a55559654"),
         (0.0, "tuned",
          "f07fdf8445b3c721e9b79856e81d2e0076a75a5b798923589c80b0116bfbb8ba"),
         (0.25, "standard",
          "e3225b38847d7f9387f4d355098598ca7d483ca66af078f6a2933a7285ec894b"),
-        (0.25, "exact",
-         "e79ab4c5ba0190fa88c622ae9071442b1890a27dddd9c08840c848c6670fa4d7"),
         (0.25, "tuned",
          "5db2b03e2be1367dcbe82a4b518b681983adbb949d944265130bad30c8c4dc0d"),
         (1.0, "standard",
          "ea6cdc4eef9637e9d1a209775f2bf53b9d52b35910a1b3250059c4584aef78fd"),
-        (1.0, "exact",
-         "09f60c610c35c888a1accf267ab60e01f785f2c28044422665bd8dcc6ab4b895"),
         (1.0, "tuned",
          "bba6cdabbd1811efb10bc9856d70aca01930764774db0f51d46350e99937baf0"),
     ])
@@ -326,7 +279,7 @@ class TestAlgorithmOne:
     @settings(deadline=None, max_examples=60)
     @given(seed=st.integers(0, 2 ** 32 - 1), d=st.integers(1, 4),
            g=st.sampled_from([0.0, 0.25, 1.0]),
-           variant=st.sampled_from(["standard", "exact", "tuned"]),
+           variant=st.sampled_from(["standard", "tuned"]),
            n_init=st.integers(2, 8), n_batch=st.integers(1, 6),
            budget=st.integers(1, 400))
     def test_ends_within_one_batch_of_budget(self, seed, d, g, variant,

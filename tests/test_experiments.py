@@ -223,6 +223,8 @@ class TestConfig:
          "goal_g must lie in [0, 1]"),
         ({"method": "dyn1", "n_init": 5, "importance_variant": "magic"},
          "importance_variant must be one of"),
+        ({"method": "dyn2", "n_init": 5, "importance_variant": "exact"},
+         "importance_variant must be one of"),
         ({"method": "dyn1", "n_init": 0}, "n_init must be >= 1"),
         ({"method": "dyn2", "n_init": 1}, "n_init must be >= 2"),
         ({"method": "dyn1", "n_init": 5, "n_batch": 0},
@@ -232,7 +234,8 @@ class TestConfig:
         ({"method": "dyn2", "n_init": 5, "budget": 0},
          "total_budget must be positive"),
         ({"method": "standard", "n_live": 0}, "n_live must be >= 1")],
-        ids=["goal_g", "importance_variant", "dyn1_n_init", "dyn2_n_init",
+        ids=["goal_g", "importance_variant", "importance_variant_exact",
+             "dyn1_n_init", "dyn2_n_init",
              "n_batch", "dyn1_budget", "dyn2_budget", "n_live"])
     def test_setting_ranges_checked_at_load(self, arm, message, tmp_path,
                                             capsys):
@@ -525,8 +528,9 @@ class TestCompare:
 
     @staticmethod
     def lose_a_radius(doc):
-        """One point's radius made NaN, which the run checks let through."""
-        doc["points"]["radius"][3] = "nan"
+        """One point's radius replaced by twice its value, which the run
+        checks let through (a NaN one is refused at load)."""
+        doc["points"]["radius"][3] *= 2.0
 
     @pytest.mark.parametrize("edit", ["shift_contours", "lose_a_radius"])
     def test_every_stage_refuses_a_run_whose_log_l_strays(
@@ -556,6 +560,48 @@ class TestCompare:
                     f"run {re.escape(repr(rel))} has model .*'sigma_pi': "
                     "20.0.*, but the manifest's is .*'sigma_pi': 10.0")):
                 stage(cfg, bad_out)
+
+    def test_every_stage_refuses_a_run_copied_from_another_arm(
+            self, ensemble, tmp_path):
+        # a dyn1 run copied over a std run's path, with the manifest's
+        # counts edited to match, used to be read as a standard run
+        cfg, out, manifest = ensemble
+        cfg = dataclasses.replace(cfg, profile_arm="std", table_arm="std")
+        bad_out = str(tmp_path / "bad")
+        shutil.copytree(out, bad_out, ignore=shutil.ignore_patterns("*.csv"))
+        bad = json.loads(json.dumps(manifest))
+        std, dyn = bad["arms"][0], bad["arms"][1]
+        rec, source = std["runs"][0], dyn["runs"][0]
+        shutil.copy(os.path.join(out, source["path"]),
+                    os.path.join(bad_out, rec["path"]))
+        rec["n_samples"] = source["n_samples"]
+        std["mean_samples"] = float(np.mean([r["n_samples"]
+                                             for r in std["runs"]]))
+        write_manifest(bad_out, bad)
+        for stage in (compare_report, alloc_profile_rows,
+                      bootstrap_table_rows):
+            with pytest.raises(ValueError, match=(
+                    f"run {re.escape(repr(rec['path']))} has provenance "
+                    r"\(algorithm, .*\) \('dynamic_alg1', .*, but arm 'std' "
+                    r"gives \('standard', None, None, None, None, 40\)")):
+                stage(cfg, bad_out)
+
+    @pytest.mark.parametrize("arm, key, value", [
+        (0, "n_live", 41), (1, "n_init", 5), (1, "goal_g", 0.5),
+        (1, "importance_variant", "tuned"), (2, "budget", 351)])
+    def test_run_provenance_checked_against_its_arm(self, ensemble, tmp_path,
+                                                     arm, key, value):
+        cfg, out, manifest = ensemble
+        bad_out = str(tmp_path / "bad")
+        shutil.copytree(out, bad_out, ignore=shutil.ignore_patterns("*.csv"))
+        bad = json.loads(json.dumps(manifest))
+        assert bad["arms"][arm][key] != value
+        bad["arms"][arm][key] = value
+        write_manifest(bad_out, bad)
+        with pytest.raises(ValueError, match=(
+                f"has provenance .*, but arm '{bad['arms'][arm]['name']}' "
+                rf"gives \(.*{re.escape(repr(value))}")):
+            compare_report(cfg, bad_out)
 
     def test_run_paths_stay_inside_the_ensemble(self, tmp_path):
         cfg = small_config(n_runs=2,

@@ -3,6 +3,7 @@
 import io
 import json
 import math
+import os
 from pathlib import Path
 
 import numpy as np
@@ -62,6 +63,21 @@ def test_resave_byte_identical(runs, tmp_path):
     save_run(runs["alg1"], a)
     save_run(load_run(a), b)
     assert Path(a).read_bytes() == Path(b).read_bytes()
+
+
+def test_failed_rename_leaves_no_temp_file(runs, tmp_path, monkeypatch):
+    # the temp file used to stay beside the run file when the rename failed
+    path = tmp_path / "run.json"
+    path.write_bytes(b"old\n")
+
+    def refuse(src, dst):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    with pytest.raises(OSError, match="rename refused"):
+        save_run(runs["standard"], str(path))
+    assert os.listdir(tmp_path) == ["run.json"]
+    assert path.read_bytes() == b"old\n"
 
 
 def test_file_is_strict_json(runs, tmp_path):
@@ -224,9 +240,10 @@ def test_bad_section_rejected(section, value):
 @pytest.mark.parametrize("key,value", [
     ("algorithm", 5), ("algorithm", None), ("algorithm", ["standard"]),
     ("importance_variant", [1]), ("importance_variant", "first_order"),
-    ("importance_variant", 0)])
+    ("importance_variant", 0), ("importance_variant", "exact")])
 def test_bad_provenance_label_rejected(key, value):
-    # {"algorithm": 5} and {"importance_variant": [1]} used to load as is
+    # {"algorithm": 5} and {"importance_variant": [1]} used to load as is;
+    # "exact" names a variant the samplers no longer have
     doc = run_to_dict(standard_run(M3, SamplerConfig(n_live=20), 1))
     doc["provenance"][key] = value
     with pytest.raises(ValueError, match=f"provenance {key} must be"):
@@ -262,6 +279,16 @@ def test_array_entry_that_is_no_number_rejected(entry):
     doc["points"]["theta1"][0] = entry
     with pytest.raises(ValueError, match="run file arrays must be flat "
                                          "lists of numbers"):
+        run_from_dict(doc)
+
+
+@pytest.mark.parametrize("column, message", [
+    ("theta1", "theta1"), ("radius", "radius"), ("true_log_x", "true_log_x")])
+def test_nan_point_column_rejected(column, message):
+    # each used to load, and estimators then averaged the NaN in
+    doc = five_thread_doc()
+    doc["points"][column][0] = "nan"
+    with pytest.raises(ValueError, match=message):
         run_from_dict(doc)
 
 

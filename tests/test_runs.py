@@ -265,9 +265,17 @@ class TestConstruction:
             run.validate()
 
     def test_validate_rejects_theta_outside_radius(self):
-        run = NestedRun(M, [1.0], [-np.inf], [2.0], [1.0], [-0.5], [0])
-        with pytest.raises(ValueError, match="theta1"):
-            run.validate()
+        # a NaN in theta1, radius or true_log_x used to pass every check
+        nan = math.nan
+        for theta1, radius, true_log_x, message in [
+                (2.0, 1.0, -0.5, "theta1"), (nan, 1.0, -0.5, "theta1"),
+                (0.5, nan, -0.5, "radius"), (0.5, -1.0, -0.5, "radius"),
+                (0.5, 1.0, nan, "true_log_x")]:
+            run = NestedRun(M, [1.0], [-np.inf], [theta1], [radius],
+                            [true_log_x], [0])
+            with pytest.raises(ValueError, match=message):
+                run.validate()
+        NestedRun(M, [1.0], [-np.inf], [0.5], [1.0], [-np.inf], [0]).validate()
 
     def test_validate_rejects_open_interval_off_its_thread(self):
         # thread 0 ends at 2.0, so its censored interval must open there;
