@@ -2,8 +2,9 @@
 
 Subcommands: generate, compare, alloc-profile, bootstrap-table.  Each takes
 --config (experiment JSON), --out (ensemble directory) and a --seed
-override; generate also takes a --workers override, the only stage that
-runs a process pool.  Failures exit nonzero after printing a one-line JSON
+override, which a report stage checks against the manifest's seed as it
+checks the rest of the config; generate also takes a --workers override,
+the only stage that runs a process pool.  Failures exit nonzero after printing a one-line JSON
 error record to stderr.
 """
 
@@ -41,7 +42,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="experiment JSON file")
         p.add_argument("--out", required=True, help="ensemble directory")
         p.add_argument("--seed", type=int, default=None,
-                       help="override root seed from the config")
+                       help="override root seed from the config; a "
+                            "report stage's must be the manifest's")
         if name == "generate":
             p.add_argument("--workers", type=int, default=None,
                            help="override worker count from the config")

@@ -344,8 +344,27 @@ def _generate_one(m: ModelSpec, resolved: dict, seed: int, arm_index: int,
     return {"n": len(run), "path": rel}
 
 
+def _manifest(config: ExperimentConfig, arm_records) -> dict:
+    """The manifest of config's ensemble whose i-th arm ran the (path,
+    n_samples) run records arm_records[i], numbered by position, its budgets
+    resolved as _arm_rows resolves them; an arm with no records (one a
+    manifest lacks) gets mean_samples 0."""
+    realized_mean: dict[str, float] = {}
+    arms = []
+    for arm, recs in zip(config.arms, arm_records):
+        resolved = _resolve_arm(config, arm, realized_mean)
+        realized_mean[arm.name] = float(np.mean([n for _, n in recs] or [0]))
+        arms.append({**resolved, "termination_fraction": TERMINATION_FRACTION,
+                     "mean_samples": realized_mean[arm.name],
+                     "gain_vs": arm.gain_vs,
+                     "runs": [{"index": j, "path": path, "n_samples": n}
+                              for j, (path, n) in enumerate(recs)]})
+    return {"version": 1, "seed": config.seed, "n_runs": config.n_runs,
+            "model": config.model.to_dict(), "arms": arms}
+
+
 def generate_ensemble(config: ExperimentConfig, out_dir: str) -> dict:
-    """Write every run file plus a manifest; returns the manifest dict.
+    """Write every run file plus the manifest _manifest builds; returns it.
 
     The manifest is byte-identical across repeats and worker counts
     (config.workers) for a fixed config: no timestamps, sorted keys,
@@ -359,15 +378,9 @@ def generate_ensemble(config: ExperimentConfig, out_dir: str) -> dict:
         os.remove(manifest_path)
     except FileNotFoundError:
         pass
-    arm_entries = [
-        {**resolved, "termination_fraction": TERMINATION_FRACTION,
-         "mean_samples": mean_samples, "gain_vs": arm.gain_vs,
-         "runs": [{"index": j, "path": r["path"], "n_samples": r["n"]}
-                  for j, r in enumerate(rows)]}
-        for arm, resolved, rows, mean_samples in _arm_rows(
-            config, _generate_one, lambda arm: (out_dir,))]
-    manifest = {"version": 1, "seed": config.seed, "n_runs": config.n_runs,
-                "model": config.model.to_dict(), "arms": arm_entries}
+    manifest = _manifest(config, [
+        [(r["path"], r["n"]) for r in rows] for _, _, rows, _ in _arm_rows(
+            config, _generate_one, lambda arm: (out_dir,))])
     write_json(manifest, manifest_path)
     return manifest
 
@@ -395,20 +408,23 @@ def _as_list(value, what: str) -> list:
 
 def load_manifest(out_dir: str) -> dict:
     """The manifest of the ensemble in out_dir, checked before any run file
-    is read.  ValueError for a manifest without a list of arms and a
-    model, an arm without a name and a list of runs, a run without a path
-    and an integer n_samples, or a run path that is absolute or has a '..'
-    component, which could name a file outside out_dir; MissingRunsError
-    for run files that are not on disk."""
+    is read.  ValueError for a manifest without a list of arms and a model,
+    an arm without a name and a non-empty list of runs, a run without a
+    path and an integer n_samples, or a run path that is absolute or has a
+    '..' component, which could name a file outside out_dir;
+    MissingRunsError for run files that are not on disk."""
     path = os.path.join(out_dir, MANIFEST_NAME)
     if not os.path.exists(path):
         raise FileNotFoundError(f"no manifest at {path}")
     with open(path, encoding="utf-8") as fh:
         manifest = as_object(json.load(fh), "manifest", ("arms", "model"))
+    ModelSpec.from_dict(manifest["model"])
     paths = []
     for entry in _as_list(manifest["arms"], "manifest arms"):
         as_object(entry, "manifest arm", ("name", "runs"))
-        for rec in _as_list(entry["runs"], f"runs of arm {entry['name']!r}"):
+        if not _as_list(entry["runs"], f"runs of arm {entry['name']!r}"):
+            raise ValueError(f"manifest arm {entry['name']!r} lists no runs")
+        for rec in entry["runs"]:
             as_object(rec, "manifest run", ("path", "n_samples"))
             run_path = rec["path"]
             if not isinstance(run_path, str) or os.path.isabs(run_path) \
@@ -423,11 +439,35 @@ def load_manifest(out_dir: str) -> dict:
     return manifest
 
 
-def _manifest_arm(manifest: dict, name: str) -> dict:
-    for entry in manifest["arms"]:
-        if entry["name"] == name:
-            return entry
-    raise ValueError(f"arm {name!r} not present in manifest")
+def _leaves(doc, where: str = "") -> dict:
+    """The scalar fields of a JSON document by path ("arms[1].budget")."""
+    if isinstance(doc, dict):
+        parts = [(f"{where}.{k}".lstrip("."), v) for k, v in doc.items()]
+    elif isinstance(doc, list):
+        parts = [(f"{where}[{i}]", v) for i, v in enumerate(doc)]
+    else:
+        return {where: doc}
+    return {p: leaf for path, v in parts for p, leaf in _leaves(v, path).items()}
+
+
+def _read_ensemble(config: ExperimentConfig, out_dir: str) -> dict:
+    """The arm entries, by name, of the manifest in out_dir (load_manifest),
+    which must be the one _manifest builds from config and the manifest's
+    own run records, n_runs aside (a report reads every run listed);
+    ValueError names the first field that differs in value or type."""
+    manifest = load_manifest(out_dir)
+    records = {e["name"]: [(r["path"], r["n_samples"]) for r in e["runs"]]
+               for e in manifest["arms"]}
+    want = _manifest(config, [records.get(a.name, []) for a in config.arms])
+    want["n_runs"] = manifest.get("n_runs")
+    want, got = _leaves(want), _leaves(manifest)
+    for path in {**want, **got}:
+        w, g = (repr(doc[path]) if path in doc else "absent"
+                for doc in (want, got))
+        if w != g:
+            raise ValueError(f"the manifest in {out_dir} gives {path} {g}, "
+                             f"but the config gives {w}")
+    return {e["name"]: e for e in manifest["arms"]}
 
 
 # how far a run's log_l may stray from the model's ln L at the run's
@@ -440,14 +480,13 @@ def _manifest_arm(manifest: dict, name: str) -> dict:
 _LOG_L_RTOL = 1e-4
 
 
-def _arm_runs(out_dir: str, manifest: dict, entry: dict,
+def _arm_runs(out_dir: str, model: ModelSpec, entry: dict,
               recs: list | None = None) -> Iterator[NestedRun]:
     """The runs of the arm entry's run records recs (all by default), in
     order; ValueError, naming the file, for a run whose sample count is not
     its record's n_samples, whose model is not the manifest's, whose
     provenance contradicts the arm's settings, or whose log_l strays from
     the model's ln L at its radius by more than _LOG_L_RTOL."""
-    model = ModelSpec.from_dict(manifest["model"])
     settings = (_METHODS.get(entry.get("method")), entry.get("n_init"),
                 entry.get("goal_g"), entry.get("importance_variant"),
                 entry.get("budget"), entry.get("n_live", entry.get("n_init")))
@@ -525,32 +564,24 @@ def _fmt(x) -> str:
 def compare_report(config: ExperimentConfig, out_dir: str) -> list[dict]:
     """Report rows: per arm, its mean sample count ("samples") and a summary
     of each estimator over its runs ("estimate"); then, per arm with a
-    gain_vs arm, each estimator's efficiency gain over it ("gain")."""
-    manifest = load_manifest(out_dir)
+    gain_vs arm, each estimator's efficiency gain over it ("gain").  Like
+    each report, it reads only an ensemble that config wrote
+    (_read_ensemble)."""
+    entries = _read_ensemble(config, out_dir)
     rows = []
     values: dict[str, np.ndarray] = {}
-    mean_samples: dict[str, float] = {}
     for arm in config.arms:
-        entry = _manifest_arm(manifest, arm.name)
+        entry = entries[arm.name]
         n_runs = len(entry["runs"])
         if n_runs < 2:
             raise ValueError(f"compare needs n_runs >= 2, but the manifest "
                              f"lists {n_runs} for arm {arm.name!r}")
         mat = np.empty((n_runs, len(config.estimators)))
-        lengths = []
-        for i, run in enumerate(_arm_runs(out_dir, manifest, entry)):
-            lengths.append(len(run))
+        for i, run in enumerate(_arm_runs(out_dir, config.model, entry)):
             mat[i] = estimates(run, config.estimators)
         values[arm.name] = mat
-        # the mean generate wrote, from the runs themselves
-        mean = float(np.mean(lengths))
-        if as_float(entry.get("mean_samples"), "mean_samples") != mean:
-            raise ValueError(f"manifest mean_samples of arm {arm.name!r} "
-                             f"is {entry['mean_samples']!r}, but its runs "
-                             f"hold {mean!r} on average")
-        mean_samples[arm.name] = mean
         rows.append({**_COMPARE_ROW, "row": "samples", "arm": arm.name,
-                     "value": _fmt(mean)})
+                     "value": _fmt(entry["mean_samples"])})
         for k, eid in enumerate(config.estimators):
             col = mat[:, k]
             truth = estimator_truth(config.model, eid)
@@ -570,7 +601,8 @@ def compare_report(config: ExperimentConfig, out_dir: str) -> list[dict]:
             rng = _stream(config.seed, (_STREAM_GAIN, arm_index, k))
             g = efficiency_gain(
                 values[arm.gain_vs][:, k], values[arm.name][:, k],
-                mean_samples[arm.gain_vs], mean_samples[arm.name],
+                entries[arm.gain_vs]["mean_samples"],
+                entries[arm.name]["mean_samples"],
                 n_boot=config.gain_boot, rng=rng)
             rows.append({**_COMPARE_ROW, "row": "gain", "arm": arm.name,
                          "estimator": eid.key, "baseline": arm.gain_vs,
@@ -588,18 +620,18 @@ def alloc_profile_rows(config: ExperimentConfig,
     relative posterior mass and posterior mass remaining curves scaled so
     each integrates (over log-volume) to the mean polyline area.
 
-    Every number is computed before this returns, so a failure (a curve
-    whose area is 0 raises ZeroDivisionError) comes before any row; the
-    rows themselves are made one at a time as the iterator is read."""
-    manifest = load_manifest(out_dir)
+    Every number is computed before this returns, so a failure (ValueError
+    for an ensemble that config did not write, ZeroDivisionError for a
+    curve whose area is 0) comes before any row; the rows themselves are
+    made one at a time as the iterator is read."""
     arm_name = config.profile_arm or _default_focus_arm(config)
-    entry = _manifest_arm(manifest, arm_name)
+    entry = _read_ensemble(config, out_dir)[arm_name]
     recs = entry["runs"][:config.profile_runs]
     polylines = []
     areas = []
     low = 0.0
     m = config.model
-    for rec, run in zip(recs, _arm_runs(out_dir, manifest, entry, recs)):
+    for index, run in enumerate(_arm_runs(out_dir, m, entry, recs)):
         logv = log_prior_volumes(run)
         counts = live_point_counts(run)
         # cumsum adds left to right like a running total; np.sum pairs
@@ -607,7 +639,7 @@ def alloc_profile_rows(config: ExperimentConfig,
         prev = np.concatenate([[0.0], logv[:-1]])
         areas.append(float(np.cumsum(counts * (prev - logv))[-1]))
         low = min(low, float(logv[-1]))
-        polylines.append((rec["index"], logv, counts))
+        polylines.append((index, logv, counts))
     mean_area = float(np.mean(areas))
     grid = np.linspace(low, 0.0, 513)
     curves = []
@@ -654,12 +686,13 @@ def _bootstrap_columns(run: NestedRun, eids, n_reps: int, seed: int,
 def bootstrap_table_rows(config: ExperimentConfig, out_dir: str) -> list[dict]:
     """Seven summary statistics per estimator for one arm's ensemble.
 
-    Each run is resampled bootstrap_reps times (bootstrap_replicates).
+    Each run of an ensemble that config wrote (_read_ensemble) is
+    resampled bootstrap_reps times (bootstrap_replicates).
     """
-    manifest = load_manifest(out_dir)
     arm_name = config.table_arm or _default_focus_arm(config)
-    entry = _manifest_arm(manifest, arm_name)
-    if len(entry["runs"]) < 2:
+    entry = _read_ensemble(config, out_dir)[arm_name]
+    n_runs = len(entry["runs"])
+    if n_runs < 2:
         raise ValueError("bootstrap table needs at least 2 runs to measure "
                          "repeat spread")
     eids = config.estimators
@@ -671,12 +704,11 @@ def bootstrap_table_rows(config: ExperimentConfig, out_dir: str) -> list[dict]:
                              "coverage columns need one")
         truths.append(t)
     truths = np.array(truths)
-    n_runs = len(entry["runs"])
     n_est = len(eids)
     est = np.empty((n_runs, n_est))
     boot_std = np.empty((n_runs, n_est))
     cred95 = np.empty((n_runs, n_est))
-    for j, run in enumerate(_arm_runs(out_dir, manifest, entry)):
+    for j, run in enumerate(_arm_runs(out_dir, config.model, entry)):
         est[j] = estimates(run, eids)
         boot_std[j], cred95[j] = _bootstrap_columns(
             run, eids, config.bootstrap_reps, config.seed, j)

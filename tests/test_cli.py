@@ -166,3 +166,31 @@ def test_seed_override_changes_output(config_path, tmp_path):
     read = lambda d: Path(d, "manifest.json").read_bytes()
     assert read(a) == read(b)
     assert read(a) != read(c)
+
+
+@pytest.mark.parametrize("stage", ["compare", "alloc-profile",
+                                   "bootstrap-table"])
+def test_report_seed_must_be_the_manifests(config_path, generated, tmp_path,
+                                           stage, capsys):
+    # a report stage given --seed 56, or a config whose seed is 56, used to
+    # run over this seed 55 ensemble and exit 0; --seed 55 over a config
+    # that differs only in settings the manifest does not hold runs
+    import shutil
+    out = str(tmp_path / "ens")
+    shutil.copytree(generated, out, ignore=shutil.ignore_patterns("*.csv"))
+    doc = json.loads(Path(config_path).read_text(encoding="utf-8"))
+    other = tmp_path / "other.json"
+    other.write_text(json.dumps({**doc, "seed": 56}), encoding="utf-8")
+    loose = tmp_path / "loose.json"
+    loose.write_text(json.dumps({
+        **doc, "seed": 56, "n_runs": 2, "workers": 3, "gain_boot": 20,
+        "bootstrap_reps": 3, "profile_runs": 1, "estimators": ["log_z"]}),
+        encoding="utf-8")
+    for argv in (["--config", config_path, "--seed", "56"],
+                 ["--config", str(other)]):
+        assert main([stage, *argv, "--out", out]) == 1
+        record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert record["error"] == "ValueError"
+        assert "gives seed 55, but the config gives 56" in record["message"]
+    assert main([stage, "--config", str(loose), "--seed", "55",
+                 "--out", out]) == 0

@@ -484,13 +484,18 @@ class TestCompare:
     def test_every_stage_checks_run_sample_counts(self, ensemble, tmp_path,
                                                   stage):
         # alloc-profile and bootstrap-table used to read a run whose
-        # manifest n_samples was off by 7 without complaint
+        # manifest n_samples was off by 7 without complaint; the arm's
+        # mean_samples follows the record, so the manifest still agrees
+        # with the config and the run check is reached
         cfg, out, manifest = ensemble
         bad_out = str(tmp_path / "bad")
         shutil.copytree(out, bad_out, ignore=shutil.ignore_patterns("*.csv"))
         bad = json.loads(json.dumps(manifest))
-        rec = bad["arms"][1]["runs"][0]  # the focus arm of both tables
+        focus = bad["arms"][1]  # the focus arm of both tables
+        rec = focus["runs"][0]
         rec["n_samples"] += 7
+        focus["mean_samples"] = float(np.mean([r["n_samples"]
+                                               for r in focus["runs"]]))
         write_manifest(bad_out, bad)
         with pytest.raises(ValueError, match=(
                 f"manifest n_samples of {rec['path']!r} is "
@@ -564,7 +569,9 @@ class TestCompare:
     def test_every_stage_refuses_a_run_copied_from_another_arm(
             self, ensemble, tmp_path):
         # a dyn1 run copied over a std run's path, with the manifest's
-        # counts edited to match, used to be read as a standard run
+        # counts edited to match, used to be read as a standard run; the
+        # dyn1 budget matched to std's mean follows it, so the manifest
+        # still agrees with the config
         cfg, out, manifest = ensemble
         cfg = dataclasses.replace(cfg, profile_arm="std", table_arm="std")
         bad_out = str(tmp_path / "bad")
@@ -577,6 +584,7 @@ class TestCompare:
         rec["n_samples"] = source["n_samples"]
         std["mean_samples"] = float(np.mean([r["n_samples"]
                                              for r in std["runs"]]))
+        dyn["budget"] = round(std["mean_samples"])
         write_manifest(bad_out, bad)
         for stage in (compare_report, alloc_profile_rows,
                       bootstrap_table_rows):
@@ -591,6 +599,8 @@ class TestCompare:
         (1, "importance_variant", "tuned"), (2, "budget", 351)])
     def test_run_provenance_checked_against_its_arm(self, ensemble, tmp_path,
                                                      arm, key, value):
+        # the setting is edited in the config too, so the manifest agrees
+        # with it and only the runs contradict their arm
         cfg, out, manifest = ensemble
         bad_out = str(tmp_path / "bad")
         shutil.copytree(out, bad_out, ignore=shutil.ignore_patterns("*.csv"))
@@ -598,6 +608,9 @@ class TestCompare:
         assert bad["arms"][arm][key] != value
         bad["arms"][arm][key] = value
         write_manifest(bad_out, bad)
+        cfg = dataclasses.replace(cfg, arms=tuple(
+            dataclasses.replace(a, **{key: value}) if i == arm else a
+            for i, a in enumerate(cfg.arms)))
         with pytest.raises(ValueError, match=(
                 f"has provenance .*, but arm '{bad['arms'][arm]['name']}' "
                 rf"gives \(.*{re.escape(repr(value))}")):
@@ -624,7 +637,11 @@ class TestCompare:
 
     def test_malformed_manifest_rejected(self, tmp_path):
         # a malformed manifest used to raise KeyError or TypeError in the
-        # stage that read it
+        # stage that read it; an arm with no runs made alloc-profile raise
+        # ZeroDivisionError (RuntimeWarning, the mean of an empty slice,
+        # under -W error), a run record without an index made it raise
+        # KeyError, and records numbered 7, ... loaded, the polylines
+        # labelled 7, ...
         cfg = small_config(n_runs=2,
                            arms=[{"name": "std", "method": "standard",
                                   "n_live": 20}])
@@ -645,7 +662,12 @@ class TestCompare:
                 ((*runs, 1, "n_samples"), None,
                  "manifest run has no 'n_samples'"),
                 ((*runs, 1, "n_samples"), "8",
-                 f"manifest n_samples of {rel!r} must be an integer")]:
+                 f"manifest n_samples of {rel!r} must be an integer"),
+                (runs, [], "manifest arm 'std' lists no runs"),
+                ((*runs, 1, "index"), None, f"the manifest in {out} gives "
+                 "arms[0].runs[1].index absent, but the config gives 1"),
+                ((*runs, 1, "index"), 7, f"the manifest in {out} gives "
+                 "arms[0].runs[1].index 7, but the config gives 1")]:
             bad = json.loads(json.dumps(manifest))
             if not keys:
                 bad = value
@@ -686,6 +708,46 @@ class TestCompare:
         for r in rows:
             if r["row"] == "estimate":
                 assert float(r["sigma"]) == float(r["spread"]) / 2.0
+
+
+def arms_doc(edit=lambda arms: None):
+    """small_config_doc's arms after edit(arms)."""
+    arms = small_config_doc()["arms"]
+    edit(arms)
+    return arms
+
+
+class TestConfigAgainstManifest:
+    @pytest.mark.parametrize("overrides, field, wanted, got", [
+        ({"model": {"family": "gaussian", "d": 2, "sigma_pi": 1.0}},
+         "model.sigma_pi", "1.0", "10.0"),
+        ({"model": {"family": "exp_power", "d": 2, "sigma_pi": 10.0,
+                    "b": 2.0}}, "model.family", "'exp_power'", "'gaussian'"),
+        ({"seed": 4}, "seed", "4", "1234"),
+        ({"model": {"family": "gaussian", "d": 2, "sigma_pi": 1.0},
+          "seed": 9, "n_runs": 5}, "seed", "9", "1234"),
+        ({"arms": arms_doc(lambda arms: arms[2].update(budget=351))},
+         "arms[2].budget", "351", "350"),
+        ({"arms": arms_doc(lambda arms: arms[1].update(
+            importance_variant="tuned"))},
+         "arms[1].importance_variant", "'tuned'", "'standard'"),
+        ({"arms": arms_doc(lambda arms: arms[2].update(name="dyn_b"))},
+         "arms[2].name", "'dyn_b'", "'dyn2'"),
+        ({"arms": arms_doc(lambda arms: arms.insert(1, arms.pop()))},
+         "arms[1].name", "'dyn2'", "'dyn1'")],
+        ids=["sigma_pi", "family", "seed", "sigma_pi_seed_n_runs",
+             "dyn2_budget", "importance_variant", "renamed", "reordered"])
+    @pytest.mark.parametrize("stage", [compare_report, alloc_profile_rows,
+                                       bootstrap_table_rows])
+    def test_every_stage_refuses_a_config_that_differs(
+            self, ensemble, stage, overrides, field, wanted, got):
+        # every stage used to report on the ensemble whatever config it was
+        # given: a sigma_pi 1 config over this sigma_pi 10 ensemble wrote an
+        # analytic log_z truth of about -2.5 where the ensemble's is -6.4
+        _, out, _ = ensemble
+        with pytest.raises(ValueError, match=re.escape(
+                f"gives {field} {got}, but the config gives {wanted}")):
+            stage(small_config(**overrides), out)
 
 
 class TestAllocProfile:
