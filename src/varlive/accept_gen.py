@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import os
 import sys
 import time
@@ -32,7 +31,7 @@ from .models import ModelSpec
 from .runio import write_json
 
 __all__ = ["BLOCKS", "EST_KEYS", "block_config", "default_cache_dir",
-           "run_row", "generate_block", "load_block", "main"]
+           "run_row", "generate_block", "main"]
 
 EST_KEYS = ("log_z", "mean_theta1", "median_theta1", "credible_theta1:0.84",
             "second_moment_theta1", "mean_radius", "median_radius")
@@ -165,21 +164,6 @@ def generate_block(name: str, out_dir: str, n_runs: int | None = None,
     path = os.path.join(out_dir, f"{name}.json")
     write_json(block, path)
     log(f"  [{name}] wrote {path} ({block['wall_seconds']:.1f}s total)")
-    return block
-
-
-def load_block(name: str, cache_dir: str | None = None) -> dict:
-    cache_dir = cache_dir or default_cache_dir()
-    path = os.path.join(cache_dir, f"{name}.json")
-    if not os.path.exists(path):
-        raise FileNotFoundError(
-            f"acceptance cache block {name!r} missing at {path}; "
-            "regenerate with: python3 -m varlive.accept_gen")
-    with open(path, encoding="utf-8") as fh:
-        block = json.load(fh)
-    if block.get("version") != CACHE_VERSION:
-        raise ValueError(f"cache block {name!r} has version "
-                         f"{block.get('version')!r}, want {CACHE_VERSION}")
     return block
 
 

@@ -1,4 +1,4 @@
-"""Estimators, effective sample size, bootstrap errors, and efficiency gains.
+"""Estimators, bootstrap errors, and efficiency gains.
 
 Everything here consumes immutable runs and returns plain numbers, so the
 experiment layer can fan out over ensembles without shared state.  The two
@@ -24,7 +24,6 @@ from .runs import (
     NestedRun,
     RunProvenance,
     point_log_weights,
-    posterior_weights,
     thread_index,
 )
 
@@ -35,7 +34,6 @@ __all__ = [
     "weighted_quantile",
     "estimates",
     "estimate",
-    "information_content",
     "bootstrap_resample",
     "bootstrap_replicates",
     "jackknife_std_sigma",
@@ -83,14 +81,6 @@ def estimator_from_key(key: str) -> EstimatorId:
         kind, _, level = key.partition(":")
         return EstimatorId(kind, float(level))
     return EstimatorId(key)
-
-
-LOG_Z = EstimatorId("log_z")
-MEAN_THETA1 = EstimatorId("mean_theta1")
-MEDIAN_THETA1 = EstimatorId("median_theta1")
-SECOND_MOMENT_THETA1 = EstimatorId("second_moment_theta1")
-MEAN_RADIUS = EstimatorId("mean_radius")
-MEDIAN_RADIUS = EstimatorId("median_radius")
 
 
 def weighted_quantile(values, weights, q: float) -> float:
@@ -166,13 +156,6 @@ def estimates(run: NestedRun, eids) -> np.ndarray:
 def estimate(run: NestedRun, eid: EstimatorId) -> float:
     """One estimator of the run (see estimates)."""
     return float(estimates(run, (eid,))[0])
-
-
-def information_content(run: NestedRun) -> float:
-    """Effective number of posterior samples, exp of the weight entropy."""
-    p = posterior_weights(run)
-    nz = p[p > 0.0]
-    return float(np.exp(-np.sum(nz * np.log(nz))))
 
 
 def _resample_index(run: NestedRun):

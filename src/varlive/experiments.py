@@ -24,12 +24,14 @@ from .analysis import (EstimatorId, bootstrap_replicates,
                        jackknife_std_sigma, weighted_quantile)
 from .dynamic import (AlgorithmOneConfig, AlgorithmTwoConfig, GoalConfig,
                       dynamic_run_algorithm1, dynamic_run_algorithm2)
-from .models import (GAUSSIAN, ModelSpec, _log_l_at_radius,
-                     analytic_log_evidence, as_float, as_int, as_object,
-                     posterior_mass_remaining, relative_posterior_mass)
+from .models import (GAUSSIAN, ModelSpec, _coarse_log_x_peak,
+                     _log_l_at_radius, analytic_log_evidence, as_float,
+                     as_int, as_object, posterior_mass_remaining,
+                     relative_posterior_mass)
 from .runio import load_run, save_run, write_atomic, write_json
-from .runs import NestedRun, live_point_counts, log_prior_volumes
+from .runs import NestedRun, live_point_counts
 from .sampler import TERMINATION_FRACTION, SamplerConfig, standard_run
+from .specialfn import inv_log_reg_lower_inc_gamma
 
 __all__ = [
     "ArmConfig", "ExperimentConfig", "MissingRunsError",
@@ -156,7 +158,10 @@ class ExperimentConfig:
             # left to the gain_vs arm is checked as 1, the least mean sample
             # count a run can have
             try:
-                _arm_sampler(_resolve_arm(self, arm, dict.fromkeys(names, 1)))
+                resolved = _resolve_arm(self, arm, dict.fromkeys(names, 1))
+                _arm_sampler(resolved)
+                if arm.method == "dyn2" and arm.budget is not None:
+                    _check_initial_run_fits(self.model, resolved)
             except ValueError as exc:
                 raise ValueError(f"arm {arm.name!r}: {exc}") from None
         for key in ("profile_arm", "table_arm"):
@@ -232,15 +237,15 @@ def estimator_truth(m: ModelSpec, eid: EstimatorId) -> float | None:
         q = eid.q
         if q == 0.5:
             return 0.0
-        from .specialfn import inv_reg_lower_inc_gamma
-        half_width = math.sqrt(2.0 * inv_reg_lower_inc_gamma(0.5, abs(2.0 * q - 1.0)))
+        half_width = math.sqrt(2.0 * inv_log_reg_lower_inc_gamma(
+            0.5, math.log(abs(2.0 * q - 1.0))))
         return sig * half_width if q > 0.5 else -sig * half_width
     if eid.kind == "mean_radius":
         d = m.d
         return sig * math.sqrt(2.0) * math.exp(math.lgamma(0.5 * (d + 1)) - math.lgamma(0.5 * d))
     if eid.kind == "median_radius":
-        from .specialfn import inv_reg_lower_inc_gamma
-        return sig * math.sqrt(2.0 * inv_reg_lower_inc_gamma(0.5 * m.d, 0.5))
+        return sig * math.sqrt(2.0 * inv_log_reg_lower_inc_gamma(
+            0.5 * m.d, math.log(0.5)))
     raise ValueError(f"unknown estimator kind {eid.kind!r}")
 
 
@@ -298,6 +303,21 @@ def _arm_sampler(resolved: dict) -> tuple:
             n_batch=resolved["n_batch"]))
     return dynamic_run_algorithm2, (goal, AlgorithmTwoConfig(
         n_init=resolved["n_init"], total_budget=resolved["budget"]))
+
+
+def _check_initial_run_fits(m: ModelSpec, resolved: dict) -> None:
+    """ValueError for a dyn2 budget below n_init |ln X_peak| / 2: half the
+    points a standard run of n_init live points takes to reach the
+    posterior's mode in ln X (_coarse_log_x_peak).  The half leaves room
+    for exp_power d=1000, whose initial runs at n_init 2 (7 299-7 728
+    points over 40 seeds) barely pass n_init |ln X_peak| = 7 414."""
+    n_init, budget = resolved["n_init"], resolved["budget"]
+    depth = abs(_coarse_log_x_peak(m))
+    if budget < 0.5 * n_init * depth:
+        raise ValueError(
+            f"budget {budget} is below n_init {n_init} x |ln X_peak| "
+            f"{depth:.4g} / 2, half the points its initial run takes to "
+            "reach the posterior's mode")
 
 
 def _sample_run(m: ModelSpec, resolved: dict, seed: int, arm_index: int,
@@ -632,8 +652,8 @@ def alloc_profile_rows(config: ExperimentConfig,
     low = 0.0
     m = config.model
     for index, run in enumerate(_arm_runs(out_dir, m, entry, recs)):
-        logv = log_prior_volumes(run)
         counts = live_point_counts(run)
+        logv = -np.cumsum(1.0 / counts)  # E[ln X_i] = -sum_{k<=i} 1/n_k
         # cumsum adds left to right like a running total; np.sum pairs
         # terms and would move the last bits of the area
         prev = np.concatenate([[0.0], logv[:-1]])

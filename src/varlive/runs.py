@@ -32,9 +32,7 @@ __all__ = [
     "NestedRun",
     "Thread",
     "live_point_counts",
-    "log_prior_volumes",
     "point_log_weights",
-    "posterior_weights",
     "combine_runs",
     "combine_threads",
     "split_into_threads",
@@ -285,15 +283,6 @@ def live_point_counts(run: NestedRun) -> np.ndarray:
     return counts.astype(np.int64, copy=False)
 
 
-def log_prior_volumes(run: NestedRun) -> np.ndarray:
-    """E[ln X_i] = -sum_{k<=i} 1/n_k (deterministic expectation, no sampled
-    shrinkage ratios)."""
-    counts = live_point_counts(run)
-    if counts.shape[0] == 0:
-        return _EMPTY_F.copy()
-    return -np.cumsum(1.0 / counts)
-
-
 def point_log_weights(run: NestedRun) -> np.ndarray:
     """ln of the trapezium weights w_i = (X_{i-1} - X_{i+1})/2, with X_0 = 1
     and X_{N+1} = 0."""
@@ -316,13 +305,9 @@ def _log_weights(counts: np.ndarray) -> np.ndarray:
     return _LOG_HALF + prev + np.log1p(-np.exp(nxt - prev))
 
 
-def posterior_weights(run: NestedRun) -> np.ndarray:
-    """Simplex weights p_i proportional to w_i L_i; sums to exactly 1."""
-    return _normalised_weights(point_log_weights(run) + run.log_l)
-
-
 def _normalised_weights(lw: np.ndarray) -> np.ndarray:
-    """posterior_weights from ln(w_i L_i)."""
+    """Simplex weights p_i proportional to w_i L_i, from ln(w_i L_i); they
+    sum to exactly 1."""
     mx = lw.max()
     if not math.isfinite(mx):
         raise ValueError("all posterior weights are zero")

@@ -51,7 +51,6 @@ import numpy as np
 
 __all__ = [
     "log_reg_lower_inc_gamma",
-    "inv_reg_lower_inc_gamma",
     "inv_log_reg_lower_inc_gamma",
     "sample_beta_first_coordinate",
 ]
@@ -399,17 +398,6 @@ def _expand_bracket(outside, u, step):
         step *= 2.0
     raise RuntimeError("inverse incomplete gamma: no bracket after "
                        f"{_BRACKET_DOUBLINGS} doublings")
-
-
-def inv_reg_lower_inc_gamma(a, p):
-    """Inverse of P(a, .) on the probability scale; p in [0, 1)."""
-    a = _validate_a(a)
-    p = float(p)
-    if math.isnan(p) or not (0.0 <= p < 1.0):
-        raise ValueError("p must be in [0, 1)")
-    if p == 0.0:
-        return 0.0
-    return inv_log_reg_lower_inc_gamma(a, math.log(p))
 
 
 def sample_beta_first_coordinate(d, rng, size):

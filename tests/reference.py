@@ -12,8 +12,14 @@
   region ends took before `models.log_x_from_log_likelihood` kept only its
   float path: the tests require the float path to give its bits.
 * Oracles that no CLI path calls: the posterior peak in ln X, the
-  radius-domain evidence quadrature, ln Q, P on the probability scale and
-  ln Gamma of an array.  Their tests and pins stay with them.
+  radius-domain evidence quadrature, ln Q, P and its inverse on the
+  probability scale and ln Gamma of an array.  Their tests and pins stay
+  with them.
+* Run quantities and estimator ids that only the tests read, moved out of
+  the package unchanged: the expected ln X of each point, the normalised
+  posterior weights, the information content (the effective number of
+  posterior samples) and one `EstimatorId` per estimator kind the tests
+  name.
 """
 
 import math
@@ -21,7 +27,40 @@ import math
 import numpy as np
 
 from varlive import models as md
+from varlive import runs
 from varlive import specialfn as sf
+from varlive.analysis import EstimatorId
+
+
+# ---------------------------------------------------------------------------
+# Run quantities and estimator ids
+
+LOG_Z = EstimatorId("log_z")
+MEAN_THETA1 = EstimatorId("mean_theta1")
+MEDIAN_THETA1 = EstimatorId("median_theta1")
+MEAN_RADIUS = EstimatorId("mean_radius")
+MEDIAN_RADIUS = EstimatorId("median_radius")
+
+
+def log_prior_volumes(run: runs.NestedRun) -> np.ndarray:
+    """E[ln X_i] = -sum_{k<=i} 1/n_k (deterministic expectation, no sampled
+    shrinkage ratios)."""
+    counts = runs.live_point_counts(run)
+    if counts.shape[0] == 0:
+        return runs._EMPTY_F.copy()
+    return -np.cumsum(1.0 / counts)
+
+
+def posterior_weights(run: runs.NestedRun) -> np.ndarray:
+    """Simplex weights p_i proportional to w_i L_i; sums to exactly 1."""
+    return runs._normalised_weights(runs.point_log_weights(run) + run.log_l)
+
+
+def information_content(run: runs.NestedRun) -> float:
+    """Effective number of posterior samples, exp of the weight entropy."""
+    p = posterior_weights(run)
+    nz = p[p > 0.0]
+    return float(np.exp(-np.sum(nz * np.log(nz))))
 
 
 # ---------------------------------------------------------------------------
@@ -213,6 +252,17 @@ def log_reg_upper_inc_gamma(a, x):
     if np.any(upper):
         out[upper] = sf._log_q_cf(a, x_arr[upper])
     return float(out) if out.ndim == 0 else out
+
+
+def inv_reg_lower_inc_gamma(a, p):
+    """Inverse of P(a, .) on the probability scale; p in [0, 1)."""
+    a = sf._validate_a(a)
+    p = float(p)
+    if math.isnan(p) or not (0.0 <= p < 1.0):
+        raise ValueError("p must be in [0, 1)")
+    if p == 0.0:
+        return 0.0
+    return sf.inv_log_reg_lower_inc_gamma(a, math.log(p))
 
 
 def reg_lower_inc_gamma(a, x):

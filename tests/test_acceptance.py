@@ -9,13 +9,16 @@ tolerances.  Property criteria run live at desk scale.
 import functools
 import json
 import math
+import os
 
 import numpy as np
 import pytest
 
-from varlive.accept_gen import EST_KEYS, block_config, load_block, run_row
+from reference import information_content
+from varlive.accept_gen import (CACHE_VERSION, EST_KEYS, block_config,
+                                default_cache_dir, run_row)
 from varlive.analysis import (efficiency_gain, estimate, estimator_from_key,
-                              information_content, weighted_quantile)
+                              weighted_quantile)
 from varlive.dynamic import (AlgorithmOneConfig, GoalConfig,
                              dynamic_run_algorithm1, savitzky_golay_smooth)
 from varlive.experiments import _resolve_arm, estimator_truth
@@ -25,6 +28,21 @@ from varlive.runs import (NestedRun, combine_runs, combine_threads,
                           live_point_counts, point_log_weights,
                           split_into_threads)
 from varlive.sampler import SamplerConfig, standard_run
+
+
+def load_block(name: str) -> dict:
+    """The committed cache block name, checked for the cache version."""
+    path = os.path.join(default_cache_dir(), f"{name}.json")
+    if not os.path.exists(path):
+        raise FileNotFoundError(
+            f"acceptance cache block {name!r} missing at {path}; "
+            "regenerate with: python3 -m varlive.accept_gen")
+    with open(path, encoding="utf-8") as fh:
+        block = json.load(fh)
+    if block.get("version") != CACHE_VERSION:
+        raise ValueError(f"cache block {name!r} has version "
+                         f"{block.get('version')!r}, want {CACHE_VERSION}")
+    return block
 
 
 @functools.lru_cache(maxsize=None)

@@ -10,12 +10,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from varlive.analysis import (
+from reference import (
     LOG_Z,
-    MAX_DEGENERATE_REDRAWS,
     MEAN_RADIUS,
     MEAN_THETA1,
     MEDIAN_THETA1,
+    information_content,
+)
+from varlive.analysis import (
+    MAX_DEGENERATE_REDRAWS,
     EstimatorId,
     bootstrap_replicates,
     bootstrap_resample,
@@ -23,7 +26,6 @@ from varlive.analysis import (
     estimate,
     estimates,
     estimator_from_key,
-    information_content,
     jackknife_std_sigma,
     weighted_quantile,
 )

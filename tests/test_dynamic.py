@@ -13,6 +13,8 @@ from scipy.stats import spearmanr
 
 from reference import (
     argmax_log_x_relative_posterior_mass,
+    log_prior_volumes,
+    posterior_weights,
     reg_lower_inc_gamma,
 )
 from varlive.dynamic import (
@@ -30,9 +32,7 @@ from varlive.models import ModelSpec, radius_from_log_x
 from varlive.runs import (
     NestedRun,
     live_point_counts,
-    log_prior_volumes,
     point_log_weights,
-    posterior_weights,
 )
 from varlive.sampler import SamplerConfig, standard_run
 

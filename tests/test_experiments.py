@@ -8,6 +8,7 @@ import math
 import os
 import re
 import shutil
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -218,6 +219,19 @@ class TestConfig:
             dyn["n_init"] = 2
         assert small_config(arms=arms).arms[1].method == "dyn2"
 
+    def test_dyn2_budget_below_its_initial_run_refused_at_load(self):
+        # this config used to load, and generate wrote the standard arm's
+        # runs before failing on an initial run of 109 samples; the bound
+        # is n_init |ln X_peak| / 2 = 10 x 4.62 / 2, about 23
+        arms = [{"name": "std", "method": "standard", "n_live": 20},
+                {"name": "dyn", "method": "dyn2", "n_init": 10, "budget": 5}]
+        with pytest.raises(ValueError, match=(
+                r"arm 'dyn': budget 5 is below n_init 10 x \|ln X_peak\| "
+                r"4\.6\d* / 2")):
+            small_config(n_runs=2, arms=arms)
+        arms[1]["budget"] = 24
+        assert small_config(n_runs=2, arms=arms).arms[1].budget == 24
+
     @pytest.mark.parametrize("arm, message", [
         ({"method": "dyn1", "n_init": 5, "goal_g": 1.5},
          "goal_g must lie in [0, 1]"),
@@ -344,7 +358,9 @@ class TestGenerate:
     def test_failed_generate_leaves_no_old_manifest(self, tmp_path):
         # a generate that fails part way used to overwrite the standard
         # arm's run files and keep the old manifest beside them; a
-        # generate that succeeds over an ensemble rewrites it byte for byte
+        # generate that succeeds over an ensemble rewrites it byte for byte.
+        # Budget 40 passes the load-time bound (about 23) but not the
+        # initial runs of 102-130 samples
         arms = [{"name": "std", "method": "standard", "n_live": 20},
                 {"name": "dyn", "method": "dyn2", "n_init": 10,
                  "budget": 400}]
@@ -356,8 +372,8 @@ class TestGenerate:
         assert {p: p.read_bytes() for p in out.rglob("*")
                 if p.is_file()} == files
         failing = small_config(n_runs=2, arms=[
-            arms[0], dict(arms[1], budget=5)])
-        with pytest.raises(ValueError, match="total_budget 5"):
+            arms[0], dict(arms[1], budget=40)])
+        with pytest.raises(ValueError, match="total_budget 40"):
             generate_ensemble(failing, str(out))
         assert not (out / MANIFEST_NAME).exists()
         with pytest.raises(FileNotFoundError, match="no manifest"):
@@ -794,6 +810,29 @@ class TestAllocProfile:
         indices = {r["index"] for r in rows if r["row"] == "run"}
         assert indices == {0, 1}
         assert {r["name"] for r in rows if r["row"] == "run"} == {"std"}
+
+    def test_one_count_pass_per_profiled_run(self, ensemble, monkeypatch):
+        # the volumes and the counts of each profiled run come from one
+        # live_point_counts call; the runs were counted twice before, once
+        # through log_prior_volumes.  Each load's validation counts the run
+        # once more
+        from varlive import experiments, runs
+        callers = []
+        counts = runs.live_point_counts
+
+        def counted(run):
+            callers.append(sys._getframe(1).f_code.co_name)
+            return counts(run)
+
+        monkeypatch.setattr(runs, "live_point_counts", counted)
+        monkeypatch.setattr(experiments, "live_point_counts", counted)
+        cfg, out, _ = ensemble
+        cfg = dataclasses.replace(cfg, profile_runs=3)
+        rows = list(alloc_profile_rows(cfg, out))
+        assert len({r["index"] for r in rows if r["row"] == "run"}) == 3
+        assert callers.count("validate") == 3
+        assert [c for c in callers if c != "validate"] == \
+            ["alloc_profile_rows"] * 3
 
     def test_rows_are_streamed(self, ensemble):
         cfg, out, _ = ensemble

@@ -245,8 +245,8 @@ class TestEvidence:
 
     def test_quadrature_node_convergence(self):
         for m in [G10, EP2, C10]:
-            a = md.log_evidence_quadrature(m, 1_000_001)
-            b = md.log_evidence_quadrature(m, 4_000_001)
+            a = md.log_evidence_quadrature(m)
+            b = reference_log_evidence_quadrature(m, 4_000_001)
             assert a == pytest.approx(b, abs=1e-7)
 
     def test_independent_radius_route(self):
@@ -290,6 +290,18 @@ class TestPosteriorMass:
     def test_argmax_bits(self, fresh_model_caches, m, want):
         # a fresh process's bits
         assert argmax_log_x_relative_posterior_mass(m).hex() == want
+
+    @pytest.mark.parametrize("m", [G3, G10, EP2, EP34, C10])
+    def test_coarse_peak_near_the_fine_one(self, m):
+        # the peak the dyn2 budget bound reads is a node of the support
+        # floor's coarse grid, whose nodes near it lie under 0.02 apart for
+        # these models; it was seen within 0.003 of the fine peak
+        assert md._coarse_log_x_peak(m) == pytest.approx(
+            argmax_log_x_relative_posterior_mass(m), abs=0.01)
+
+    def test_coarse_peak_builds_no_map(self, fresh_model_caches):
+        md._coarse_log_x_peak(EP1000)
+        assert md._MAP_CACHE == {}
 
     def test_integrates_to_evidence(self):
         # direct check that L(X) X integrates (in ln X) to exp(ln Z)
@@ -736,12 +748,14 @@ class TestQuadratureReference:
     map, from empty caches."""
 
     @pytest.mark.parametrize("m", [G3, C10, EP34])
-    def test_log_evidence_quadrature(self, fresh_model_caches, m):
+    def test_log_evidence_quadrature(self, fresh_model_caches, monkeypatch,
+                                     m):
         got = md.log_evidence_quadrature(m)
         # the grid starts below the map, so the suffix is a proper one
         assert md._quad_floor(m) < md.get_contour_map(m, 0.0).log_x_floor
         assert got.hex() == reference_log_evidence_quadrature(m).hex()
-        got = md.log_evidence_quadrature(m, 1001)
+        monkeypatch.setattr(md, "_EVIDENCE_GRID_NODES", 1001)
+        got = md.log_evidence_quadrature(m)
         assert got.hex() == reference_log_evidence_quadrature(m, 1001).hex()
 
     @pytest.mark.parametrize("m", [G3, C10, EP34])
@@ -798,11 +812,11 @@ class TestQuadratureReference:
 
     def test_log_evidence_quadrature_memory_budget(self, fresh_model_caches):
         # with the map and the support floor cached, the quadrature sums
-        # its terms in one buffer of n_nodes entries, and its other
+        # its terms in one buffer of grid length, and its other
         # temporaries are blocks
         md.get_contour_map(G3, md._posterior_support_floor(G3) - 60.0)
-        n = 1_000_001
-        _, held, peak = traced_memory(lambda: md.log_evidence_quadrature(G3, n))
+        n = md._EVIDENCE_GRID_NODES
+        _, held, peak = traced_memory(lambda: md.log_evidence_quadrature(G3))
         array = 8 * n
         assert held <= 64 * 1024
         assert peak <= 1.2 * array

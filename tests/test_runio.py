@@ -9,7 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from varlive.analysis import LOG_Z, MEAN_THETA1, MEDIAN_RADIUS, estimate
+from reference import LOG_Z, MEAN_THETA1, MEDIAN_RADIUS
+from varlive.analysis import estimate
 from varlive.dynamic import (AlgorithmOneConfig, AlgorithmTwoConfig,
                              GoalConfig, dynamic_run_algorithm1,
                              dynamic_run_algorithm2)

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference import log_prior_volumes, posterior_weights
 from varlive.models import GAUSSIAN, ModelSpec
 from varlive.runio import run_from_dict, run_to_dict
 from varlive.runs import (
@@ -21,9 +22,7 @@ from varlive.runs import (
     combine_runs,
     combine_threads,
     live_point_counts,
-    log_prior_volumes,
     point_log_weights,
-    posterior_weights,
     split_into_threads,
     thread_index,
 )

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference import argmax_log_x_relative_posterior_mass
+from reference import argmax_log_x_relative_posterior_mass, log_prior_volumes
 from varlive.models import (
     EXP_POWER,
     GAUSSIAN,
@@ -25,7 +25,6 @@ from varlive.models import (
 from varlive.runs import (
     combine_threads,
     live_point_counts,
-    log_prior_volumes,
     point_log_weights,
 )
 from varlive import sampler
